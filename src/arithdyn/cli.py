@@ -87,10 +87,6 @@ def render_value(v) -> Any:
     return repr(v)
 
 
-def _report_payload(rep: VerificationReport) -> dict:
-    return rep.to_payload()
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers: each returns (status, results)
 
@@ -217,13 +213,13 @@ def _cmd_components(args, config) -> tuple[str, Any]:
 def _cmd_separation(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
     rep = tp.separation_check(f, args.bound, config)
-    return rep.status, _report_payload(rep)
+    return rep.status, rep.to_payload()
 
 
 def _cmd_partition_demo(args, config) -> tuple[str, Any]:
     blocks = tp.residue_partition(args.mod)
     result = tp.partition_map(blocks, args.bound)
-    payload = _report_payload(result.report)
+    payload = result.report.to_payload()
     payload.update({
         "blocks": list(result.blocks),
         "component_count": len(result.components),
@@ -253,16 +249,14 @@ def _cmd_search(args, config) -> tuple[str, Any]:
 
 
 def _scheme_runner(scheme: dy.Scheme, default_families: int, default_depth: int):
+    # an explicit --families/--depth is used as given: 0 or a depth past the
+    # scheme cap is refused downstream (exit 2), never replaced or clamped
     def run(args, config: ToolConfig) -> VerificationReport:
-        families = args.families or default_families
-        depth = min(args.depth or default_depth, _scheme_cap(scheme, config))
+        families = default_families if args.families is None else args.families
+        depth = default_depth if args.depth is None else args.depth
         specs = dy.default_family_specs(scheme, families)
         return dy.verify_disjoint(specs, depth, config)
     return run
-
-
-def _scheme_cap(scheme: dy.Scheme, config: ToolConfig) -> int:
-    return dy.scheme_depth_cap(scheme, config)
 
 
 def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
@@ -433,7 +427,7 @@ def _cmd_verify_lemma(args, config) -> tuple[str, Any]:
         raise ValueError(f"unknown lemma id {args.lemma!r}; try verify-lemma --list")
     _, runner = LEMMAS[args.lemma]
     rep = runner(args, config)
-    return rep.status, _report_payload(rep)
+    return rep.status, rep.to_payload()
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +450,7 @@ def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:
     hypothesis_fail = {k: v for k, v in sweep.items() if v is not None}
 
     def certify(scheme: dy.Scheme, fams: int, dep: int) -> str:
-        dep = min(dep, _scheme_cap(scheme, config))
+        dep = min(dep, dy.scheme_depth_cap(scheme, config))
         fams_eff = min(fams, 20) if scheme in (
             dy.Scheme.D_ANTI, dy.Scheme.OMEGA_ANTI, dy.Scheme.SMALL_OMEGA_ANTI) else fams
         rep = dy.verify_disjoint(dy.default_family_specs(scheme, fams_eff), dep, config)

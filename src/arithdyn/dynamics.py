@@ -177,10 +177,9 @@ def _check_scheme(spec: FamilySpec, f: FunctionId, anti: bool) -> None:
             f"{spec.scheme.value} is a {expected_f} family, not {f}")
 
 
-def _verify_family(spec: FamilySpec, f: FunctionId, depth: int, anti: bool,
-                   config: ToolConfig) -> VerificationReport:
-    _check_scheme(spec, f, anti)
-    terms = family_terms(spec, depth, config)
+def _verify_family(spec: FamilySpec, f: FunctionId, terms: list[FactoredNatural],
+                   anti: bool, config: ToolConfig) -> VerificationReport:
+    depth = len(terms)
     lemma = f"{spec.scheme.value} {spec.describe()}"
     notes = []
     if any(t.has_deferred for t in terms):
@@ -193,7 +192,7 @@ def _verify_family(spec: FamilySpec, f: FunctionId, depth: int, anti: bool,
             return VerificationReport(
                 lemma_id=lemma, families_checked=1, depth=depth, status="FAIL",
                 counterexample=Counterexample(spec.index, i + 1, dst, got))
-    collision = pairwise_all_different(terms)
+    collision = pairwise_all_different(terms, config)
     if collision is not None:
         a, b = collision
         return VerificationReport(
@@ -208,19 +207,24 @@ def _verify_family(spec: FamilySpec, f: FunctionId, depth: int, anti: bool,
 def verify_antiorbit(spec: FamilySpec, f: FunctionId, depth: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Check f(term_{n+1}) == term_n for n < depth plus injectivity."""
-    return _verify_family(spec, f, depth, anti=True, config=config)
+    _check_scheme(spec, f, anti=True)
+    return _verify_family(spec, f, family_terms(spec, depth, config), True, config)
 
 
 def verify_orbit(spec: FamilySpec, f: FunctionId, depth: int,
                  config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Check f(term_n) == term_{n+1} for n < depth plus injectivity."""
-    return _verify_family(spec, f, depth, anti=False, config=config)
+    _check_scheme(spec, f, anti=False)
+    return _verify_family(spec, f, family_terms(spec, depth, config), False, config)
 
 
 def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
                     config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Certify that family prefixes are pairwise disjoint (and that each
-    family satisfies its recurrence, so the emitted bound is justified)."""
+    family satisfies its recurrence, so the emitted bound is justified).
+
+    Each family is built once; its recurrence check and the disjointness
+    check share those terms and hence their cached integer values."""
     if not specs:
         raise ValueError("need at least one family")
     scheme = specs[0].scheme
@@ -233,16 +237,16 @@ def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
     all_terms: list[FactoredNatural] = []
     owner: list[tuple[int, int]] = []  # flat index -> (family position in input, term no.)
     for fam_no, spec in enumerate(specs, start=1):
-        rep = _verify_family(spec, f, depth, anti, config)
+        terms = family_terms(spec, depth, config)
+        rep = _verify_family(spec, f, terms, anti, config)
         if not rep.passed:
             return VerificationReport(
                 lemma_id=lemma, families_checked=len(specs), depth=depth,
                 status="FAIL", counterexample=rep.counterexample)
         notes.extend(n for n in rep.notes if n not in notes)
-        terms = family_terms(spec, depth, config)
         all_terms.extend(terms)
         owner.extend((fam_no, i + 1) for i in range(depth))
-    collision = pairwise_all_different(all_terms)
+    collision = pairwise_all_different(all_terms, config)
     if collision is not None:
         a, b = collision
         fam_a, pos_a = owner[a]
@@ -481,11 +485,9 @@ def _as_factored(value, config: ToolConfig) -> FactoredNatural:
         value = value.resolve(config)
         if value is OVERFLOW:
             raise BudgetExceeded("orbit value exceeded the bit budget")
-    return factorize(value, config) if value.bit_length() <= 128 else _refactor_big(value)
-
-
-def _refactor_big(value: int) -> FactoredNatural:
-    raise BudgetExceeded(f"cannot refactor {value.bit_length()}-bit orbit value")
+    if value.bit_length() > 128:
+        raise BudgetExceeded(f"cannot refactor {value.bit_length()}-bit orbit value")
+    return factorize(value, config)
 
 
 def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,

@@ -13,8 +13,21 @@ representation:
   squarefree product of astronomically many consecutive primes is a pair of
   indices instead of a list.
 
-Everything is immutable after construction.  Prime tables are grown lazily
-and only ever appended to, so concurrent readers are safe.
+Values are immutable after construction; the only later write is the cached
+result of :func:`to_integer`, which any thread may fill with the same value.
+Prime tables are grown lazily and only ever appended to, so concurrent
+readers are safe.
+
+Two rules keep certified comparisons cheap:
+
+* each value is materialised at most once per object: :func:`to_integer`
+  stores its result (the integer or ``OVERFLOW``) on the FactoredNatural,
+  keyed by the budgets it depends on, so the cache lives and dies with the
+  term and a call under other budgets recomputes;
+* a *plain* value (int exponents, no intervals) has a unique normal form by
+  unique factorization, so two plain values are equal exactly when their
+  structures are, and :func:`pairwise_all_different` decides every
+  plain-vs-plain pair by hashing, without materialising either value.
 """
 from __future__ import annotations
 
@@ -369,14 +382,14 @@ def nat_certainly_equal(u: Nat, v: Nat) -> bool:
     return False
 
 
-def nat_certainly_different(u: Nat, v: Nat) -> bool:
+def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG) -> bool:
     if isinstance(u, int) and isinstance(v, int):
         return u != v
     if isinstance(u, DeferredValue) and isinstance(v, DeferredValue):
         if u.base == v.base:
             return u.offset != v.offset
         if u.offset == v.offset:
-            return certainly_different(u.base, v.base)
+            return certainly_different(u.base, v.base, config)
         # fall through to magnitude separation
     a, b = (u, v) if isinstance(u, int) else (v, u)
     if isinstance(a, int):
@@ -384,14 +397,14 @@ def nat_certainly_different(u: Nat, v: Nat) -> bool:
         return a.bit_length() + 2 < _nat_bitlen_lb(b)
     # two deferred values with different bases and offsets: decidable only
     # when both resolve
-    ru = nat_resolve(u)
-    rv = nat_resolve(v)
+    ru = nat_resolve(u, config)
+    rv = nat_resolve(v, config)
     if ru is not OVERFLOW and rv is not OVERFLOW:
         return ru != rv
     raise ComparisonUndecided(f"cannot separate {u!r} and {v!r}")
 
 
-def nat_certainly_less(small: Nat, big: Nat) -> bool:
+def nat_certainly_less(small: Nat, big: Nat, config: ToolConfig = DEFAULT_CONFIG) -> bool:
     """True only when small < big is certain; False means 'not certified'."""
     if isinstance(small, int) and isinstance(big, int):
         return small < big
@@ -402,7 +415,7 @@ def nat_certainly_less(small: Nat, big: Nat) -> bool:
     if small.base == big.base:
         return small.offset < big.offset
     try:
-        if certainly_less(small.base, big.base) and small.offset <= big.offset:
+        if certainly_less(small.base, big.base, config) and small.offset <= big.offset:
             return True
     except ComparisonUndecided:
         pass
@@ -429,7 +442,8 @@ class FactoredNatural:
     is the empty factorization.
     """
 
-    __slots__ = ("explicit", "intervals", "_hash")
+    # _value caches to_integer as (bit_budget, prime_index_budget, result)
+    __slots__ = ("explicit", "intervals", "_hash", "_value")
 
     def __init__(self,
                  explicit: Iterable[tuple[int, Nat]] = (),
@@ -517,6 +531,7 @@ class FactoredNatural:
         self.explicit = tuple(sorted(exp_map.items()))
         self.intervals = tuple(final_ivals)
         self._hash = None
+        self._value = None
 
     # -- basics ----------------------------------------------------------
 
@@ -527,6 +542,11 @@ class FactoredNatural:
     @property
     def has_intervals(self) -> bool:
         return bool(self.intervals)
+
+    @property
+    def is_plain(self) -> bool:
+        """No intervals and only int exponents, so the normal form is unique."""
+        return not self.intervals and all(isinstance(e, int) for _, e in self.explicit)
 
     @property
     def has_deferred(self) -> bool:
@@ -609,7 +629,21 @@ def _prod(values: list[int]) -> int:
 
 
 def to_integer(x: FactoredNatural, config: ToolConfig = DEFAULT_CONFIG):
-    """Exact integer value, or OVERFLOW if it busts the bit budget."""
+    """Exact integer value, or OVERFLOW if it busts the bit budget.
+
+    Computed at most once per object and budget pair: the result is kept
+    on x, so it is freed with x and a call under other budgets recomputes.
+    """
+    cached = x._value
+    if (cached is not None and cached[0] == config.bit_budget
+            and cached[1] == config.prime_index_budget):
+        return cached[2]
+    value = _materialise(x, config)
+    x._value = (config.bit_budget, config.prime_index_budget, value)
+    return value
+
+
+def _materialise(x: FactoredNatural, config: ToolConfig):
     budget = config.bit_budget
     acc_bits = 0
     pieces: list[int] = []
@@ -629,11 +663,11 @@ def to_integer(x: FactoredNatural, config: ToolConfig = DEFAULT_CONFIG):
         hv = nat_resolve(hi, config)
         if hv is OVERFLOW:
             return OVERFLOW
-        if hv > config.prime_index_budget:
-            return OVERFLOW
         count = hv - lo + 1
         if count > budget:  # each prime contributes >= 1 bit
             return OVERFLOW
+        # a short interval past the prime-index budget may still fit the bit
+        # budget, so it is refused rather than reported as OVERFLOW
         _ensure_prime_count(hv, config)
         piece = _prod(_primes[lo - 1:hv])
         acc_bits += piece.bit_length()
@@ -676,15 +710,19 @@ def _value_bitlen_lb(x: FactoredNatural) -> int:
     return min(bits, _SAT_BITS)
 
 
-def certainly_different(a: FactoredNatural, b: FactoredNatural) -> bool:
+def certainly_different(a: FactoredNatural, b: FactoredNatural,
+                        config: ToolConfig = DEFAULT_CONFIG) -> bool:
     """Certify value(a) != value(b); structural equality certifies equality.
 
-    Raises ComparisonUndecided when neither direction can be certified
-    (does not occur for the families this toolkit builds).
+    Two plain values (see FactoredNatural.is_plain) are decided by structure
+    alone.  Raises ComparisonUndecided when neither direction can be
+    certified (does not occur for the families this toolkit builds).
     """
     if a == b:
         return False
-    av, bv = to_integer(a), to_integer(b)
+    if a.is_plain and b.is_plain:
+        return True
+    av, bv = to_integer(a, config), to_integer(b, config)
     if av is not OVERFLOW and bv is not OVERFLOW:
         return av != bv
     pa = dict(a.explicit)
@@ -692,46 +730,49 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural) -> bool:
     for p in set(pa) | set(pb):
         ea, eb = pa.get(p), pb.get(p)
         if ea is None or eb is None:
-            present, absent = (a, b) if eb is None else (b, a)
-            if _prime_outside_intervals(p, absent):
+            absent = b if eb is None else a
+            if _prime_outside_intervals(p, absent, config):
                 return True
             continue
-        if nat_certainly_different(ea, eb):
+        if nat_certainly_different(ea, eb, config):
             return True
     # same explicit primes; look for an interval whose reach provably differs
     if len(a.intervals) == len(b.intervals):
         for (lo1, hi1), (lo2, hi2) in zip(a.intervals, b.intervals):
-            if lo1 == lo2 and nat_certainly_different(hi1, hi2):
+            if lo1 == lo2 and nat_certainly_different(hi1, hi2, config):
                 return True
-            if lo1 != lo2:
+    # magnitude: p^e has at most e * bits(p) bits
+    for x, y in ((a, b), (b, a)):
+        if x.is_plain:
+            x_bits = max(1, sum(e * p.bit_length() for p, e in x.explicit))
+            if x_bits < _value_bitlen_lb(y):
                 return True
-    else:
-        return True
     raise ComparisonUndecided(f"cannot compare {a!r} and {b!r}")
 
 
-def _prime_outside_intervals(p: int, x: FactoredNatural) -> bool:
+def _prime_outside_intervals(p: int, x: FactoredNatural, config: ToolConfig) -> bool:
     """True if prime p certainly does not occur in x's interval factors."""
     for lo, hi in x.intervals:
-        if p < nth_prime(lo):
+        if p < nth_prime(lo, config):
             continue
-        if isinstance(hi, int) and hi <= DEFAULT_CONFIG.prime_index_budget:
-            if p > nth_prime(hi):
+        if isinstance(hi, int) and hi <= config.prime_index_budget:
+            if p > nth_prime(hi, config):
                 continue
-            idx = prime_index(p)
+            idx = prime_index(p, config)
             if lo <= idx <= hi:
                 return False
         else:
-            idx = prime_index(p)
+            idx = prime_index(p, config)
             if idx < lo:
                 continue
             return False  # may fall inside an unbounded-looking interval
     return True
 
 
-def certainly_less(a: FactoredNatural, b: FactoredNatural) -> bool:
+def certainly_less(a: FactoredNatural, b: FactoredNatural,
+                   config: ToolConfig = DEFAULT_CONFIG) -> bool:
     """Certify value(a) < value(b); False means 'not certified'."""
-    av, bv = to_integer(a), to_integer(b)
+    av, bv = to_integer(a, config), to_integer(b, config)
     if av is not OVERFLOW and bv is not OVERFLOW:
         return av < bv
     if av is not OVERFLOW:
@@ -742,32 +783,44 @@ def certainly_less(a: FactoredNatural, b: FactoredNatural) -> bool:
     pa, pb = dict(a.explicit), dict(b.explicit)
     if set(pa) <= set(pb):
         ge_all = all(
-            nat_certainly_equal(pa[p], pb[p]) or nat_certainly_less(pa[p], pb[p])
+            nat_certainly_equal(pa[p], pb[p]) or nat_certainly_less(pa[p], pb[p], config)
             for p in pa)
-        strict = any(nat_certainly_less(pa[p], pb[p]) for p in pa) or set(pa) < set(pb)
+        strict = (any(nat_certainly_less(pa[p], pb[p], config) for p in pa)
+                  or set(pa) < set(pb))
         if ge_all and len(a.intervals) == len(b.intervals) == 1:
             (lo1, hi1), (lo2, hi2) = a.intervals[0], b.intervals[0]
-            if lo1 == lo2 and nat_certainly_less(hi1, hi2):
+            if lo1 == lo2 and nat_certainly_less(hi1, hi2, config):
                 return True
         if ge_all and not a.intervals and not b.intervals and strict:
             return True
     return False
 
 
-def pairwise_all_different(values: list[FactoredNatural]) -> Optional[tuple[int, int]]:
-    """Index pair of the first certified collision, or None if all distinct."""
+def pairwise_all_different(values: list[FactoredNatural],
+                           config: ToolConfig = DEFAULT_CONFIG) -> Optional[tuple[int, int]]:
+    """Index pair of the first certified collision, or None if all distinct.
+
+    One hash pass finds structurally equal values.  It also decides every
+    plain-vs-plain pair, since plain values (see FactoredNatural.is_plain)
+    have a unique normal form: a list of plain values is never
+    materialised.  Only when the list holds a non-plain value are values
+    compared by their integers, each materialised at most once per object
+    (see to_integer), and pairs of overflowing values certified one by one.
+    """
     seen: dict[FactoredNatural, int] = {}
     for i, v in enumerate(values):
         if v in seen:
             return seen[v], i
         seen[v] = i
+    if all(v.is_plain for v in values):
+        return None
     # values within the bit budget compare as plain integers; anything that
     # overflows is automatically distinct from them and only the (few)
     # overflowing values need certified pairwise treatment
     small: dict[int, int] = {}
     big: list[int] = []
     for i, v in enumerate(values):
-        iv = to_integer(v)
+        iv = to_integer(v, config)
         if iv is OVERFLOW:
             big.append(i)
         else:
@@ -776,6 +829,6 @@ def pairwise_all_different(values: list[FactoredNatural]) -> Optional[tuple[int,
             small[iv] = i
     for a in range(len(big)):
         for b in range(a + 1, len(big)):
-            if not certainly_different(values[big[a]], values[big[b]]):
+            if not certainly_different(values[big[a]], values[big[b]], config):
                 return big[a], big[b]
     return None

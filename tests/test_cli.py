@@ -104,6 +104,18 @@ def test_every_lemma_id_runs_and_passes():
         assert doc["results"]["status"] == "PASS", lemma
 
 
+def test_verify_lemma_refuses_zero_parameters(capsys):
+    for flag in ("--depth", "--families"):
+        code, out = run_cli("verify-lemma", "phi-antiorbit", flag, "0")
+        assert code == 2 and out == "", flag
+
+
+def test_verify_lemma_refuses_depth_past_the_cap(capsys):
+    code, out = run_cli("verify-lemma", "d-antiorbit", "--depth", "6")
+    assert code == 2 and out == ""
+    assert "outside 1..5" in capsys.readouterr().err
+
+
 def test_lemma_failure_exit_code():
     code, doc = run_json("verify-lemma", "separation", "--fn", "phi",
                          "--bound", "100")

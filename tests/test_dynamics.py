@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from arithdyn import arithfun as af
 from arithdyn import dynamics as dy
+from arithdyn import factorint
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, OVERFLOW, factorize, to_integer,
@@ -122,6 +123,40 @@ def test_disjointness_20_families():
                           (dy.Scheme.SMALL_OMEGA_ANTI, 6)):
         rep = dy.verify_disjoint(dy.default_family_specs(scheme, 20), depth)
         assert rep.passed, (scheme, rep.counterexample)
+
+
+@pytest.mark.parametrize("scheme", list(dy.Scheme))
+def test_verify_disjoint_threads_its_config(monkeypatch, scheme):
+    depth = min(dy.scheme_depth_cap(scheme, DEFAULT_CONFIG), 12)
+    specs = dy.default_family_specs(scheme, 5)
+    want = dy.verify_disjoint(specs, depth)
+    small = DEFAULT_CONFIG.replace(bit_budget=64)
+    seen = []
+    real = factorint.to_integer
+
+    def spy(x, config=DEFAULT_CONFIG):
+        seen.append(config)
+        return real(x, config)
+
+    for module in (factorint, dy, af):
+        monkeypatch.setattr(module, "to_integer", spy)
+    got = dy.verify_disjoint(specs, depth, small)
+    assert (got.status, got.certified_bound) == (want.status, want.certified_bound)
+    assert all(config is small for config in seen)
+
+
+def test_verify_disjoint_builds_each_family_once(monkeypatch):
+    built = []
+    real = dy.family_terms
+
+    def counting(spec, depth, config=DEFAULT_CONFIG):
+        built.append(spec)
+        return real(spec, depth, config)
+
+    monkeypatch.setattr(dy, "family_terms", counting)
+    specs = dy.default_family_specs(dy.Scheme.OMEGA_ANTI, 4)
+    assert dy.verify_disjoint(specs, 5).passed
+    assert built == specs
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from arithdyn.config import DEFAULT_CONFIG
+from arithdyn.config import DEFAULT_CONFIG, ToolConfig
 from arithdyn.factorint import (
-    BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW,
+    BudgetExceeded, ComparisonUndecided, DeferredValue, FactoredNatural, OVERFLOW,
     certainly_different, certainly_less, factorize, factored_range, is_prime,
     multiply, nat_add, nth_prime, pairwise_all_different, prime_index,
     primes_upto, smallest_factor_table, to_integer,
@@ -194,6 +194,61 @@ def test_certified_distinctness_intervals():
     # different explicit prime content decides across families
     c = FactoredNatural(((5, 1),), ((4, 10 ** 40),))
     assert certainly_different(a, c)
+
+
+def test_equal_interval_values_never_certified_different():
+    # 2 * q[2..D] == q[1..D]; D = 2^30 is past the prime-index budget, so
+    # neither side materialises and the pair must stay undecided
+    d = DeferredValue(FactoredNatural(((2, 30),)), 0)
+    a = FactoredNatural(((2, 1),), ((2, d),))
+    b = FactoredNatural((), ((1, d),))
+    with pytest.raises(ComparisonUndecided):
+        certainly_different(a, b)
+    with pytest.raises(ComparisonUndecided):
+        pairwise_all_different([a, b])
+
+
+def test_short_interval_past_prime_index_budget_is_refused():
+    # equal values; OVERFLOW for the interval would certify them different
+    tight = DEFAULT_CONFIG.replace(prime_index_budget=100)
+    a = FactoredNatural((), ((101, 700),))
+    b = FactoredNatural([(nth_prime(i), 1) for i in range(101, 701)])
+    assert to_integer(a) == to_integer(b)
+    with pytest.raises(BudgetExceeded):
+        pairwise_all_different([a, b], tight)
+
+
+def test_to_integer_materialises_once_per_object():
+    x = FactoredNatural(((3, 100_000),))
+    assert to_integer(x) is to_integer(x)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=200), max_size=30),
+       st.sampled_from([1, 1000]))
+def test_pairwise_plain_agrees_with_int_distinctness(ns, m):
+    # m = 1000 puts most values past a 64-bit budget
+    values = [FactoredNatural((p, e * m) for p, e in factorize(n).explicit)
+              for n in ns]
+    ints = [int(v) for v in values]
+    for config in (DEFAULT_CONFIG, ToolConfig(bit_budget=64)):
+        got = pairwise_all_different(values, config)
+        if len(set(ints)) == len(ints):
+            assert got is None
+        else:
+            i, j = got
+            assert i < j and ints[i] == ints[j]
+
+
+@given(st.integers(min_value=64, max_value=5000), st.booleans())
+def test_cached_value_is_keyed_by_budget(e, default_first):
+    x = FactoredNatural(((2, e),))
+    small = ToolConfig(bit_budget=64)
+    order = (DEFAULT_CONFIG, small) if default_first else (small, DEFAULT_CONFIG)
+    for config in order + order:
+        if config is small:
+            assert to_integer(x, config) is OVERFLOW
+        else:
+            assert to_integer(x, config) == 2 ** e
 
 
 def test_pairwise_collision_detection():
