@@ -73,12 +73,13 @@ def parse_function_args(args) -> af.FunctionId:
     return af.parse_function(args.fn)
 
 
-def render_value(v) -> Any:
-    """JSON-friendly rendering; huge integers become bit-length stubs."""
+def render_value(v, config: ToolConfig) -> Any:
+    """JSON-friendly rendering; huge integers become bit-length stubs, and
+    factored values past the configured bit budget render as OVERFLOW."""
     if isinstance(v, FactoredNatural):
         out: dict[str, Any] = {"factored": repr(v)}
-        iv = to_integer(v)
-        out["value"] = "OVERFLOW" if iv is OVERFLOW else render_value(iv)
+        iv = to_integer(v, config)
+        out["value"] = "OVERFLOW" if iv is OVERFLOW else render_value(iv, config)
         return out
     if isinstance(v, int):
         return v if abs(v) < 10 ** 18 else f"<{v.bit_length()}-bit integer>"
@@ -94,24 +95,23 @@ def render_value(v) -> Any:
 def _cmd_eval(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
     value = af.evaluate(f, factorize(args.n, config), config)
-    return "INFO", {"function": str(f), "n": args.n, "value": render_value(value)}
+    return "INFO", {"function": str(f), "n": args.n, "value": render_value(value, config)}
 
 
 def _cmd_oracle_eval(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
     value = af.oracle_evaluate(f, args.n, config)
-    return "INFO", {"function": str(f), "n": args.n, "value": render_value(value),
+    return "INFO", {"function": str(f), "n": args.n, "value": render_value(value, config),
                     "method": "definitional brute force"}
 
 
 def _cmd_preimage(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
-    if f == af.PHI:
-        result = pre.inverse_phi(args.m, config)
-        method = "divisor-driven inverse totient"
-    elif pre.is_expansive_family(f):
-        result = pre.preimage_expansive(f, args.m, config)
-        method = "complete scan of 1..m (expansive)"
+    if f == af.PHI or pre.is_expansive_family(f):
+        result = pre.PreimageResult(
+            args.m, pre.complete_preimage(f, args.m, config), pre.COMPLETE)
+        method = ("divisor-driven inverse totient" if f == af.PHI
+                  else "divisor-driven inversion (complete)")
     elif args.bound is not None:
         result = pre.preimage_bounded(f, args.m, args.bound, config)
         method = f"bounded scan of 1..{args.bound}"
@@ -133,7 +133,7 @@ def _cmd_inverse_phi(args, config) -> tuple[str, Any]:
 
 def _cmd_phi_bound(args, config) -> tuple[str, Any]:
     bound = pre.phi_bound(args.m, config)
-    return "INFO", {"m": args.m, "bound": render_value(bound)}
+    return "INFO", {"m": args.m, "bound": render_value(bound, config)}
 
 
 def _cmd_orbit(args, config) -> tuple[str, Any]:
@@ -142,7 +142,7 @@ def _cmd_orbit(args, config) -> tuple[str, Any]:
     for _ in range(args.depth - 1):
         seq.append(af.evaluate_int(f, seq[-1], config))
     return "INFO", {"function": str(f), "start": args.n,
-                    "iterates": [render_value(v) for v in seq]}
+                    "iterates": [render_value(v, config) for v in seq]}
 
 
 def _parse_scheme(name: str) -> dy.Scheme:
@@ -159,7 +159,7 @@ def _cmd_family(args, config) -> tuple[str, Any]:
     terms = dy.family_terms(spec, args.depth, config)
     return "INFO", {
         "scheme": scheme.value, "family": spec.describe(), "depth": args.depth,
-        "terms": [render_value(t) for t in terms],
+        "terms": [render_value(t, config) for t in terms],
     }
 
 
@@ -201,7 +201,7 @@ def _cmd_min_open(args, config) -> tuple[str, Any]:
     return "INFO", {
         "function": str(f), "point": mos.point, "topology": mos.topology,
         "completeness": mos.completeness, "size": len(mos.members),
-        "members": [render_value(m) for m in mos.members[:1000]],
+        "members": [render_value(m, config) for m in mos.members[:1000]],
     }
 
 
@@ -248,20 +248,30 @@ def _cmd_search(args, config) -> tuple[str, Any]:
 # verify-lemma registry
 
 
+def _positive(args, name: str, default: int) -> int:
+    """args.<name>, or `default` when the option was not given; an explicit
+    value below 1 is refused (exit 2), never replaced."""
+    value = getattr(args, name)
+    if value is None:
+        return default
+    if value < 1:
+        raise ValueError(f"--{name} must be >= 1, got {value}")
+    return value
+
+
 def _scheme_runner(scheme: dy.Scheme, default_families: int, default_depth: int):
-    # an explicit --families/--depth is used as given: 0 or a depth past the
-    # scheme cap is refused downstream (exit 2), never replaced or clamped
+    # a depth past the scheme cap is refused downstream, never clamped
     def run(args, config: ToolConfig) -> VerificationReport:
-        families = default_families if args.families is None else args.families
-        depth = default_depth if args.depth is None else args.depth
+        families = _positive(args, "families", default_families)
+        depth = _positive(args, "depth", default_depth)
         specs = dy.default_family_specs(scheme, families)
         return dy.verify_disjoint(specs, depth, config)
     return run
 
 
 def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
-    families = args.families or 5
-    depth = args.depth or 20
+    families = _positive(args, "families", 5)
+    depth = _positive(args, "depth", 20)
     notes = []
     for gspec, scheme in ((dy.psi_generic_spec(families), dy.Scheme.PSI_ORBIT),
                           (dy.j2_generic_spec(families), dy.Scheme.J2_ORBIT)):
@@ -295,7 +305,7 @@ def _fn_from(args, default: str) -> af.FunctionId:
 def _monotone_runner(expected: str, default_fn: str):
     def run(args, config: ToolConfig) -> VerificationReport:
         f = _fn_from(args, default_fn)
-        bound = args.bound or 10_000
+        bound = _positive(args, "bound", 10_000)
         rep = dy.classify_monotonicity(f, bound, config)
         lemma = {"DECREASING_WEAK": "monotone-o-zero",
                  "INCREASING_WEAK": "monotone-a-zero",
@@ -318,7 +328,7 @@ def _monotone_runner(expected: str, default_fn: str):
 
 
 def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
-    bound = args.bound or 50
+    bound = _positive(args, "bound", 50)
     from .reports import Counterexample
     for m in range(1, bound + 1):
         members = pre.inverse_phi(m, config).members
@@ -339,7 +349,7 @@ def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
 
 
 def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
-    count = args.families or 100
+    count = _positive(args, "families", 100)
     from .reports import Counterexample
     for f, target in ((af.SMALL_OMEGA, 1), (af.BIG_OMEGA, 1), (af.D, 2)):
         witnesses = pre.nonfinite_fibre_witness(f, target, count, config)
@@ -359,26 +369,26 @@ def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
 
 def _tau_subset_runner(args, config: ToolConfig) -> VerificationReport:
     f = _fn_from(args, "psi")
-    return tp.verify_tau_subset(f, args.bound or 1000, config)
+    return tp.verify_tau_subset(f, _positive(args, "bound", 1000), config)
 
 
 def _taubar_subset_runner(args, config: ToolConfig) -> VerificationReport:
     f = _fn_from(args, "phi")
-    return tp.verify_taubar_subset(f, args.bound or 1000, config)
+    return tp.verify_taubar_subset(f, _positive(args, "bound", 1000), config)
 
 
 def _connected_runner(args, config: ToolConfig) -> VerificationReport:
     f = _fn_from(args, "phi")
-    return tp.contains_one_forward(f, args.bound or 10_000, config)
+    return tp.contains_one_forward(f, _positive(args, "bound", 10_000), config)
 
 
 def _separation_runner(args, config: ToolConfig) -> VerificationReport:
     f = _fn_from(args, "psi")
-    return tp.separation_check(f, args.bound or 10_000, config)
+    return tp.separation_check(f, _positive(args, "bound", 10_000), config)
 
 
 def _partition_runner(args, config: ToolConfig) -> VerificationReport:
-    return tp.partition_map(tp.odds_evens(), args.bound or 1000).report
+    return tp.partition_map(tp.odds_evens(), _positive(args, "bound", 1000)).report
 
 
 LEMMAS: dict[str, tuple[str, Callable]] = {
@@ -443,9 +453,9 @@ def _cmd_table(args, config) -> tuple[str, Any]:
 
 
 def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:
-    bound = args.bound or 10_000
-    families = args.families or 20
-    depth = args.depth or 30
+    bound = _positive(args, "bound", 10_000)
+    families = _positive(args, "families", 20)
+    depth = _positive(args, "depth", 30)
     sweep = af.catalogue_monotone_sweep(bound, config=config)
     hypothesis_fail = {k: v for k, v in sweep.items() if v is not None}
 
@@ -489,7 +499,7 @@ def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:
 
 
 def _table_connectivity(args, config: ToolConfig) -> tuple[str, Any]:
-    bound = args.bound or 10_000
+    bound = _positive(args, "bound", 10_000)
     rows = []
     ok = True
     for name in ("phi", "phi_star", "omega", "Omega", "d"):

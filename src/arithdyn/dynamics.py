@@ -30,13 +30,14 @@ from typing import Optional, Sequence, Union
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
     BIG_OMEGA, D, FunctionId, J2, PHI, PSI, SMALL_OMEGA,
-    evaluate, monotone_profile, value_table,
+    evaluate, monotone_profile, scalar_value,
 )
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW,
-    factorize, nth_prime, pairwise_all_different, prime_index, to_integer,
+    factorize, nth_prime, pairwise_all_different, prime_factors, prime_index,
+    to_integer,
 )
-from .preimage import complete_preimage, is_expansive_family
+from .preimage import complete_preimage, is_expansive_family, preimage_closure
 from .reports import Counterexample, VerificationReport
 
 
@@ -557,18 +558,8 @@ def surjective_core_membership(f: FunctionId, x: int,
     prof = monotone_profile(f, max(x, 2), config)
     if not prof.weakly_increasing:
         raise ValueError(f"{f} not expansive below {x}")  # pragma: no cover
-    table = value_table(f, x, config)
-    closure = {x}
-    frontier = [x]
-    while frontier:
-        y = frontier.pop()
-        if table[y] == y:
-            return True
-        for cand in range(1, y + 1):
-            if table[cand] == y and cand not in closure:
-                closure.add(cand)
-                frontier.append(cand)
-    return False
+    return any(scalar_value(f, prime_factors(y, config)) == y
+               for y in preimage_closure(f, x, None, config))
 
 
 IN_CORE = "IN_CORE"

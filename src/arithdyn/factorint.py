@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
+from itertools import compress
 from math import gcd, isqrt
 from typing import Iterable, Iterator, Optional, Union
 
@@ -115,6 +116,9 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below 3.3e24."""
     if n < 2:
         return False
+    spf = _spf_cache["table"]
+    if spf is not None and n < len(spf):  # type: ignore[arg-type]
+        return spf[n] == n  # type: ignore[index]
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if n % p == 0:
             return n == p
@@ -213,7 +217,7 @@ def _extend_primes_upto(limit: int) -> None:
         start = max(p * p, ((lo + p - 1) // p) * p)
         if start < hi:
             seg[start - lo::p] = bytearray(len(range(start - lo, hi - lo, p)))
-    _primes.extend(i + lo for i, flag in enumerate(seg) if flag)
+    _primes.extend(compress(range(lo, hi), seg))
     _prime_limit = hi
 
 
@@ -591,16 +595,14 @@ class FactoredNatural:
 ONE = FactoredNatural()
 
 
-def factorize(n: int, config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:
-    """Complete normalized factorization of 1 <= n < 2^128."""
+def prime_factors(n: int, config: ToolConfig = DEFAULT_CONFIG) -> list[tuple[int, int]]:
+    """[(p, a), ...] by ascending prime with n = prod p^a, for 1 <= n < 2^128."""
     if not isinstance(n, int) or n < 1:
         raise ValueError(f"factorize needs a natural >= 1, got {n!r}")
     if n.bit_length() > 128:
         raise ValueError("factorize handles inputs up to 128 bits")
-    if n == 1:
-        return ONE
-    if n <= _spf_cache["bound"]:
-        spf = _spf_cache["table"]
+    spf = _spf_cache["table"]
+    if spf is not None and n < len(spf):  # type: ignore[arg-type]
         pps = []
         m = n
         while m > 1:
@@ -611,8 +613,14 @@ def factorize(n: int, config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:
                 a += 1
                 m //= p
             pps.append((p, a))
-        return FactoredNatural(pps)
-    return FactoredNatural(sorted(_factor_int(n).items()))
+        return pps
+    return sorted(_factor_int(n).items())
+
+
+def factorize(n: int, config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:
+    """Complete normalized factorization of 1 <= n < 2^128."""
+    pps = prime_factors(n, config)
+    return FactoredNatural(pps) if pps else ONE
 
 
 def multiply(a: FactoredNatural, b: FactoredNatural) -> FactoredNatural:

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .arithfun import Family, FunctionId, evaluate_int, value_table
-from .preimage import (
-    NotFiniteFibre, complete_preimage, inverse_phi, is_expansive_family,
-)
-from .arithfun import PHI
+from .arithfun import PHI, Family, FunctionId, evaluate_int, value_table
+from .preimage import NotFiniteFibre, is_expansive_family, preimage_closure
 from .reports import Counterexample, VerificationReport
 
 TAU = "TAU"
@@ -70,58 +67,25 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
     """Preimage closure of x.
 
     Expansive f: complete, everything lives in {1..x}.  phi: complete when
-    the closure stabilises strictly below scan_bound.  omega/Omega/d_l:
-    refused, because their fibres contain all primes.
+    no node of the closure lies above scan_bound.  phi_star: fibres cut at
+    scan_bound, never COMPLETE.  omega/Omega/d_l: refused, because their
+    fibres contain all primes.
     """
     if x < 1:
         raise ValueError("x >= 1")
     if f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT):
         raise NotFiniteFibre(f"{f} is not finite fibre; no complete closure exists")
-
     if is_expansive_family(f):
-        closure = {x}
-        frontier = [x]
-        while frontier:
-            y = frontier.pop()
-            for member in complete_preimage(f, y, config):
-                if member not in closure:
-                    closure.add(member)
-                    frontier.append(member)
+        closure = preimage_closure(f, x, None, config)
         return MinimalOpenSet(x, TAU, tuple(sorted(closure)), COMPLETE)
-
-    if f == PHI:
-        if scan_bound is None:
-            raise ValueError("phi needs a scan_bound")
-        closure = {x}
-        frontier = [x]
-        truncated = False
-        while frontier:
-            y = frontier.pop()
-            if y > scan_bound:
-                truncated = True
-                continue
-            for member in inverse_phi(y, config).members:
-                if member not in closure:
-                    closure.add(member)
-                    frontier.append(member)
-        status = TRUNCATED if truncated else COMPLETE
-        return MinimalOpenSet(x, TAU, tuple(sorted(closure)), status,
-                              truncation_bound=scan_bound if truncated else None)
-
-    # no complete fibre method: bounded scan, never COMPLETE
     if scan_bound is None:
         raise ValueError(f"{f} needs a scan_bound")
-    from .preimage import preimage_bounded
-    closure = {x}
-    frontier = [x]
-    while frontier:
-        y = frontier.pop()
-        for member in preimage_bounded(f, y, scan_bound, config).members:
-            if member not in closure:
-                closure.add(member)
-                frontier.append(member)
-    return MinimalOpenSet(x, TAU, tuple(sorted(closure)), TRUNCATED,
-                          truncation_bound=scan_bound)
+    closure = preimage_closure(f, x, scan_bound, config)
+    # phi fibres are complete, so only the unexpanded nodes cut phi's closure
+    truncated = f != PHI or max(closure) > scan_bound
+    return MinimalOpenSet(x, TAU, tuple(sorted(closure)),
+                          TRUNCATED if truncated else COMPLETE,
+                          truncation_bound=scan_bound if truncated else None)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from arithdyn import cli
 
 
@@ -210,3 +212,53 @@ def test_config_file(tmp_path):
     bad.write_text('{"unknown_key": 1}')
     code, _ = run_cli("eval", "--fn", "phi", "--n", "2", "--config", str(bad))
     assert code == 2
+
+
+def test_render_value_respects_the_bit_budget():
+    code, doc = run_json("family", "--scheme", "j2-orbit", "--depth", "5",
+                         "--bit-budget", "64")
+    assert code == 0
+    assert doc["provenance"]["config"]["bit_budget"] == 64
+    last = doc["results"]["terms"][-1]
+    assert last == {"factored": "2^95*3", "value": "OVERFLOW"}
+    code, doc = run_json("family", "--scheme", "j2-orbit", "--depth", "5")
+    assert doc["results"]["terms"][-1]["value"] == "<97-bit integer>"
+
+
+# runner -> the options it reads, each refused at 0
+ZERO_REFUSALS = [
+    ("verify-lemma", "generic-note", "--families"),
+    ("verify-lemma", "generic-note", "--depth"),
+    ("verify-lemma", "monotone-o-zero", "--bound"),
+    ("verify-lemma", "monotone-a-zero", "--bound"),
+    ("verify-lemma", "strict-o-positive", "--bound"),
+    ("verify-lemma", "phi-finite-fibre", "--bound"),
+    ("verify-lemma", "nonfinite-fibre", "--families"),
+    ("verify-lemma", "tau-subset", "--bound"),
+    ("verify-lemma", "taubar-subset", "--bound"),
+    ("verify-lemma", "connected-forward", "--bound"),
+    ("verify-lemma", "separation", "--bound"),
+    ("verify-lemma", "partition-example", "--bound"),
+    ("table", "orbit-numbers", "--bound"),
+    ("table", "orbit-numbers", "--families"),
+    ("table", "orbit-numbers", "--depth"),
+    ("table", "connectivity", "--bound"),
+]
+
+
+@pytest.mark.parametrize("command,target,flag", ZERO_REFUSALS)
+def test_runners_refuse_non_positive_parameters(capsys, command, target, flag):
+    for value in ("0", "-3"):
+        code, out = run_cli(command, target, flag, value)
+        assert code == 2 and out == "", (target, flag, value)
+        assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
+
+def test_preimage_inverter_method_and_sieve_independence():
+    code, doc = run_json("preimage", "--fn", "psi", "--m", "12")
+    assert doc["results"]["method"] == "divisor-driven inversion (complete)"
+    # expansive targets no longer need a sieve up to m
+    code, doc = run_json("preimage", "--fn", "sigma_1", "--m", "24",
+                         "--sieve-bound", "10")
+    assert code == 0
+    assert doc["results"]["members"] == [14, 15, 23]

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from arithdyn import arithfun as af
 from arithdyn import dynamics as dy
 from arithdyn import factorint
+from arithdyn import preimage as pre
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, OVERFLOW, factorize, to_integer,
@@ -295,3 +296,19 @@ def test_entropy_estimate_validation():
         dy.ent_set_estimate(af.PHI, [], 5)
     with pytest.raises(ValueError):
         dy.ent_set_estimate(af.PHI, [3], 0)
+
+
+def test_surjective_core_matches_table_closures():
+    bound = 200
+    for f in (af.PSI, af.SIGMA1, af.J2):
+        values = af.value_table(f, bound)
+        table = pre.preimage_table(f, bound)
+        for x in range(1, bound + 1):
+            acc, frontier = {x}, [x]
+            while frontier:
+                for c in table[frontier.pop()]:
+                    if c not in acc:
+                        acc.add(c)
+                        frontier.append(c)
+            assert dy.surjective_core_membership(f, x) == any(
+                values[y] == y for y in acc), (f, x)

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arithdyn import arithfun as af
 from arithdyn import preimage as pre
@@ -133,3 +133,95 @@ def test_result_validation():
         pre.PreimageResult(3, (1, 2), pre.BOUNDED_SEARCH)
     with pytest.raises(ValueError):
         pre.PreimageResult(3, (1, 2), "PARTIAL")
+
+
+# ---------------------------------------------------------------------------
+# the divisor-driven inverter against scans
+
+INVERTIBLE = ("phi", "J_2", "J_3", "psi", "psi_2", "psi_3", "sigma_1",
+              "sigma_2", "phi_star")
+EXPANSIVE = [name for name in INVERTIBLE if pre.is_expansive_family(af.parse_function(name))]
+SCAN = 20_000
+
+
+@pytest.mark.parametrize("name", INVERTIBLE)
+def test_bounded_fibres_match_value_table_scan(name):
+    f = af.parse_function(name)
+    table = af.value_table(f, SCAN)
+    fibres = {}
+    for x in range(1, SCAN + 1):
+        fibres.setdefault(table[x], []).append(x)
+    for m in range(1, SCAN + 1):
+        res = pre.preimage_bounded(f, m, SCAN)
+        assert res.members == tuple(fibres.get(m, ())), (name, m)
+        assert res.completeness == pre.BOUNDED_SEARCH and res.search_bound == SCAN
+
+
+@pytest.mark.parametrize("name", EXPANSIVE)
+def test_complete_fibres_match_expansive_scan(name):
+    f = af.parse_function(name)
+    for m in list(range(1, 201)) + [720, 5040, 7776]:
+        assert pre.complete_preimage(f, m) == pre.preimage_expansive(f, m).members, (name, m)
+
+
+def _fibre(f, m, n):
+    if f == af.PHI_STAR:
+        return pre.preimage_bounded(f, m, n).members
+    return pre.complete_preimage(f, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(INVERTIBLE), st.integers(min_value=1, max_value=1_000_000))
+def test_every_n_lies_in_the_fibre_of_its_value(name, n):
+    # completeness past the sieve: J_3(n) reaches 1e18 here
+    f = af.parse_function(name)
+    m = af.evaluate_int(f, n)
+    members = _fibre(f, m, n)
+    assert n in members
+    assert all(af.evaluate_int(f, x) == m for x in members)
+
+
+def test_large_prime_power_candidates():
+    p = 1_000_003
+    for f in (af.SIGMA1, af.sigma(2), af.jordan(2), af.generalized_psi(2), af.PSI):
+        for a in (1, 2, 3):
+            assert p ** a in _fibre(f, af.evaluate_int(f, p ** a), p ** a), (f, a)
+    # p^a - 1 divides m for each factor of a phi_star preimage
+    assert 2 ** 4 * p in _fibre(af.PHI_STAR, 15 * (p - 1), 2 ** 4 * p)
+
+
+def test_expansive_targets_past_the_sieve_bound():
+    tiny = DEFAULT_CONFIG.replace(sieve_bound=100)
+    assert pre.complete_preimage(af.PSI, 7776, tiny) == pre.complete_preimage(af.PSI, 7776)
+    with pytest.raises(BudgetExceeded):
+        pre.preimage_expansive(af.PSI, 7776, tiny)
+
+
+def test_preimage_bounded_validation():
+    with pytest.raises(ValueError):
+        pre.preimage_bounded(af.PSI, 3, 0)
+    with pytest.raises(ValueError):
+        pre.preimage_bounded(af.PHI_STAR, 0, 10)
+    # Omega keeps the scan
+    assert pre.preimage_bounded(af.BIG_OMEGA, 1, 10).members == (1, 2, 3, 5, 7)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 128), st.integers(min_value=1, max_value=12))
+def test_iroot(n, k):
+    r = pre._iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    assert pre._iroot(r ** k, k) == r
+
+
+def test_preimage_closure_expands_nodes_up_to_the_bound():
+    closure = pre.preimage_closure(af.PHI, 6, 300)
+    for y in closure:
+        if y <= 300:
+            assert set(pre.inverse_phi(y).members) <= closure
+    # a node above the bound joins unexpanded: phi(n) < n for n >= 2, so the
+    # fibre of the largest node lies above it and outside the closure
+    top = max(closure)
+    assert top > 300 and not set(pre.inverse_phi(top).members) & closure
+    assert pre.preimage_closure(af.PSI, 12) == {2, 3, 4, 5, 6, 7, 8, 9, 11, 12}
+    with pytest.raises(ValueError):
+        pre.preimage_closure(af.PHI_STAR, 6)

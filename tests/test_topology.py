@@ -2,6 +2,7 @@ import pytest
 
 from arithdyn import arithfun as af
 from arithdyn import topology as tp
+from arithdyn import preimage as pre
 from arithdyn.preimage import NotFiniteFibre
 
 
@@ -162,3 +163,30 @@ def test_minimal_open_set_validation():
         tp.MinimalOpenSet(5, tp.TAU, (1, 2), tp.COMPLETE)  # point missing
     with pytest.raises(ValueError):
         tp.MinimalOpenSet(1, "other", (1,), tp.COMPLETE)
+
+
+def _table_closure(pre_table, x):
+    acc, frontier = {x}, [x]
+    while frontier:
+        y = frontier.pop()
+        for c in pre_table[y]:
+            if c not in acc:
+                acc.add(c)
+                frontier.append(c)
+    return tuple(sorted(acc))
+
+
+def test_min_open_backward_matches_preimage_table_closures():
+    bound = 3000
+    for name in ("psi", "psi_2", "J_2", "sigma_1"):
+        f = af.parse_function(name)
+        table = pre.preimage_table(f, bound)
+        for x in range(1, bound + 1, 29):
+            m = tp.min_open_backward(f, x)
+            assert m.members == _table_closure(table, x), (name, x)
+            assert m.completeness == tp.COMPLETE
+    table = pre.preimage_table(af.PHI_STAR, bound)
+    for x in range(1, bound + 1, 29):
+        m = tp.min_open_backward(af.PHI_STAR, x, scan_bound=bound)
+        assert m.members == _table_closure(table, x), x
+        assert (m.completeness, m.truncation_bound) == (tp.TRUNCATED, bound)
