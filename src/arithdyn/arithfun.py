@@ -24,9 +24,11 @@ from math import comb, gcd
 from typing import Optional, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
+# factored_range is not used here but stays importable as
+# arithfun.factored_range, the decomposition the value tables are tested on
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, Nat, ONE, OVERFLOW,
-    factored_range, factorize, nat_add, to_integer,
+    factored_range, factorize, nat_add, smallest_factor_table, to_integer,
 )
 from .reports import Counterexample, VerificationReport
 
@@ -278,12 +280,32 @@ def scalar_value(f: FunctionId, pps: list[tuple[int, int]]) -> int:
 
 def value_table(f: FunctionId, bound: int,
                 config: ToolConfig = DEFAULT_CONFIG) -> list[int]:
-    """[0, f(1), f(2), ..., f(bound)] computed in one sieve pass."""
+    """[0, f(1), f(2), ..., f(bound)] in one pass over the spf table.
+
+    With p = spf[n] and p^a the exact power of p dividing n, the entry is
+    f(n / p^a) (+ for Omega and omega, * otherwise) f(p^a); both are already
+    in the table unless n is itself a prime power, which alone goes through
+    scalar_value.  This is the multiplicative-function sieve of Gries &
+    Misra, CACM 1978.
+    """
     table = [0] * (bound + 1)
     if bound >= 1:
         table[1] = 1
-    for n, pps in factored_range(bound, config=config):
-        table[n] = scalar_value(f, pps)
+    spf = smallest_factor_table(bound, config)
+    additive = f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA)
+    for n in range(2, bound + 1):
+        p = spf[n]
+        rest = n // p
+        a = 1
+        while rest % p == 0:
+            rest //= p
+            a += 1
+        if rest == 1:
+            table[n] = scalar_value(f, [(p, a)])
+        elif additive:
+            table[n] = table[rest] + table[n // rest]
+        else:
+            table[n] = table[rest] * table[n // rest]
     return table
 
 
@@ -372,10 +394,11 @@ def identity_check_psi_jordan(k: int, n_max: int,
     """Check psi_k(n) * J_k(n) == J_2k(n) for 1 <= n <= n_max."""
     if k < 1:
         raise ValueError("k >= 1")
-    psi_k, j_k, j_2k = generalized_psi(k), jordan(k), jordan(2 * k)
-    for n, pps in factored_range(n_max, config=config):
-        lhs = scalar_value(psi_k, pps) * scalar_value(j_k, pps)
-        rhs = scalar_value(j_2k, pps)
+    psi_k = value_table(generalized_psi(k), n_max, config)
+    j_k = value_table(jordan(k), n_max, config)
+    j_2k = value_table(jordan(2 * k), n_max, config)
+    for n in range(1, n_max + 1):
+        lhs, rhs = psi_k[n] * j_k[n], j_2k[n]
         if lhs != rhs:
             return VerificationReport(
                 lemma_id=f"psi-jordan-identity k={k}",
@@ -412,82 +435,43 @@ class MonotoneProfile:
 
 def monotone_profile(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> MonotoneProfile:
-    le_bad = ge_bad = strict_bad = None
-    for n, pps in factored_range(bound, config=config):
-        v = scalar_value(f, pps)
-        if le_bad is None and v > n:
-            le_bad = n
-        if ge_bad is None and v < n:
-            ge_bad = n
-        if strict_bad is None and v <= n:
-            strict_bad = n
-        if le_bad and ge_bad and strict_bad:
-            break
-    return MonotoneProfile(f, bound, True, le_bad, ge_bad, strict_bad)
+    table = value_table(f, bound, config)
+    ns = range(2, bound + 1)
+    return MonotoneProfile(
+        f, bound, True,
+        next((n for n in ns if table[n] > n), None),
+        next((n for n in ns if table[n] < n), None),
+        next((n for n in ns if table[n] <= n), None))
 
 
-def catalogue_monotone_sweep(bound: int, ks=(1, 2, 3),
+# (name, function, True for "f(n) <= n", False for "f(n) > n above 1")
+_MONOTONE_CHECKS = (
+    ("phi", PHI, True), ("phi_star", PHI_STAR, True), ("Omega", BIG_OMEGA, True),
+    ("omega", SMALL_OMEGA, True), ("d", D, True),
+    ("psi", PSI, False), ("J_2", J2, False),
+    ("sigma_1", SIGMA1, False), ("psi_1", PSI, False), ("J_3", jordan(3), False),
+    ("sigma_2", sigma(2), False), ("psi_2", generalized_psi(2), False),
+    ("J_4", jordan(4), False),
+    ("sigma_3", sigma(3), False), ("psi_3", generalized_psi(3), False),
+    ("J_5", jordan(5), False),
+)
+
+
+def catalogue_monotone_sweep(bound: int,
                              config: ToolConfig = DEFAULT_CONFIG) -> dict[str, Optional[int]]:
-    """One decomposition pass checking every monotonicity hypothesis the
-    lemmas need.  Returns {check name: least violating n or None}.
+    """Every monotonicity hypothesis the lemmas need, each checked on every
+    n <= bound.  Returns {check name: least violating n or None}.
 
     Checks: phi/phi_star/Omega/omega/d weakly below n; psi/J_2 and
-    sigma_k/psi_k/J_{k+2} strictly above n for n >= 2, k in ks.
+    sigma_k/psi_k/J_{k+2} (k <= 3) strictly above n for n >= 2.
     """
-    below = {"phi": None, "phi_star": None, "Omega": None, "omega": None, "d": None}
-    above = {"psi": None, "J_2": None}
-    for k in ks:
-        above[f"sigma_{k}"] = None
-        above[f"psi_{k}"] = None
-        above[f"J_{k + 2}"] = None
-    kmax = max(ks)
-    for n, pps in factored_range(bound, config=config):
-        phi = psi = phistar = d2 = 1
-        big = small = 0
-        jk = {j: 1 for j in range(2, kmax + 3)}
-        psik = {k: 1 for k in ks if k >= 2}
-        sigk = {k: 1 for k in ks}
-        for p, a in pps:
-            pm = p ** (a - 1)
-            pa = pm * p
-            phi *= (p - 1) * pm
-            psi *= (p + 1) * pm
-            phistar *= pa - 1
-            d2 *= a + 1
-            big += a
-            small += 1
-            pkpow = p
-            pmk = pm
-            for j in range(2, kmax + 3):
-                pkpow *= p      # p^j
-                pmk *= pm       # p^(j(a-1))
-                if j in jk:
-                    jk[j] *= (pkpow - 1) * pmk
-                if j in psik:
-                    psik[j] *= (pkpow + 1) * pmk
-                if j in sigk:
-                    sigk[j] *= (pkpow * pa ** j - 1) // (pkpow - 1)
-            sigk[1] *= (pa * p - 1) // (p - 1)
-        checks = (("phi", phi > n), ("phi_star", phistar > n),
-                  ("Omega", big > n), ("omega", small > n), ("d", d2 > n))
-        for name, violated in checks:
-            if violated and below[name] is None:
-                below[name] = n
-        if psi <= n and above["psi"] is None:
-            above["psi"] = n
-        if jk[2] <= n and above["J_2"] is None:
-            above["J_2"] = n
-        for k in ks:
-            if sigk[k] <= n and above[f"sigma_{k}"] is None:
-                above[f"sigma_{k}"] = n
-            pk_val = psi if k == 1 else psik[k]
-            if pk_val <= n and above[f"psi_{k}"] is None:
-                above[f"psi_{k}"] = n
-            if jk[k + 2] <= n and above[f"J_{k + 2}"] is None:
-                above[f"J_{k + 2}"] = n
-    out: dict[str, Optional[int]] = {}
-    for name, w in below.items():
-        out[f"{name} <= n"] = w
-    for name, w in above.items():
-        out[f"{name} > n"] = w
-    return out
+    def least_violation(table: list[int], below: bool) -> Optional[int]:
+        ns = range(2, bound + 1)
+        if below:
+            return next((n for n in ns if table[n] > n), None)
+        return next((n for n in ns if table[n] <= n), None)
+
+    # one table alive at a time: each is dropped when least_violation returns
+    return {f"{name} {'<=' if below else '>'} n":
+            least_violation(value_table(f, bound, config), below)
+            for name, f, below in _MONOTONE_CHECKS}

@@ -460,10 +460,8 @@ def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:
     hypothesis_fail = {k: v for k, v in sweep.items() if v is not None}
 
     def certify(scheme: dy.Scheme, fams: int, dep: int) -> str:
-        dep = min(dep, dy.scheme_depth_cap(scheme, config))
-        fams_eff = min(fams, 20) if scheme in (
-            dy.Scheme.D_ANTI, dy.Scheme.OMEGA_ANTI, dy.Scheme.SMALL_OMEGA_ANTI) else fams
-        rep = dy.verify_disjoint(dy.default_family_specs(scheme, fams_eff), dep, config)
+        # a depth past the scheme cap is refused downstream, never clamped
+        rep = dy.verify_disjoint(dy.default_family_specs(scheme, fams), dep, config)
         return rep.certified_bound if rep.passed else f"FAILED: {rep.counterexample.describe()}"
 
     cond = f"(conditional: hypothesis verified up to {bound} only)"

@@ -282,22 +282,26 @@ def smallest_factor_table(bound: int, config: ToolConfig = DEFAULT_CONFIG) -> ar
     return spf
 
 
+def _spf_decompose(n: int, spf: array) -> list[tuple[int, int]]:
+    """[(p, a), ...] by ascending prime for 1 <= n < len(spf)."""
+    pps = []
+    while n > 1:
+        p = spf[n]
+        a = 1
+        n //= p
+        while n % p == 0:
+            a += 1
+            n //= p
+        pps.append((p, a))
+    return pps
+
+
 def factored_range(bound: int, start: int = 2,
                    config: ToolConfig = DEFAULT_CONFIG) -> Iterator[tuple[int, list[tuple[int, int]]]]:
     """Yield (n, [(p, a), ...]) for n in start..bound via the spf table."""
     spf = smallest_factor_table(bound, config)
     for n in range(start, bound + 1):
-        m = n
-        pps = []
-        while m > 1:
-            p = spf[m]
-            a = 1
-            m //= p
-            while m % p == 0:
-                a += 1
-                m //= p
-            pps.append((p, a))
-        yield n, pps
+        yield n, _spf_decompose(n, spf)
 
 
 # ---------------------------------------------------------------------------
@@ -603,17 +607,7 @@ def prime_factors(n: int, config: ToolConfig = DEFAULT_CONFIG) -> list[tuple[int
         raise ValueError("factorize handles inputs up to 128 bits")
     spf = _spf_cache["table"]
     if spf is not None and n < len(spf):  # type: ignore[arg-type]
-        pps = []
-        m = n
-        while m > 1:
-            p = spf[m]
-            a = 1
-            m //= p
-            while m % p == 0:
-                a += 1
-                m //= p
-            pps.append((p, a))
-        return pps
+        return _spf_decompose(n, spf)  # type: ignore[arg-type]
     return sorted(_factor_int(n).items())
 
 

@@ -247,11 +247,9 @@ def preimage_bounded(f: FunctionId, m: int, bound: int,
         raise ValueError("bound >= 1")
     if f.family in _INVERTIBLE:
         return PreimageResult(m, _invert(f, m, bound, config), BOUNDED_SEARCH, bound)
-    members = [1] if m == 1 else []
-    for n, pps in factored_range(bound, config=config):
-        if scalar_value(f, pps) == m:
-            members.append(n)
-    return PreimageResult(m, tuple(members), BOUNDED_SEARCH, bound)
+    table = value_table(f, bound, config)
+    members = tuple(n for n in range(1, bound + 1) if table[n] == m)
+    return PreimageResult(m, members, BOUNDED_SEARCH, bound)
 
 
 def phi_bound(m: int, config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:

@@ -11,11 +11,13 @@ bound always travels with the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import PHI, Family, FunctionId, evaluate_int, value_table
-from .preimage import NotFiniteFibre, is_expansive_family, preimage_closure
+from .preimage import (
+    NotFiniteFibre, is_expansive_family, preimage_closure, preimage_table,
+)
 from .reports import Counterexample, VerificationReport
 
 TAU = "TAU"
@@ -189,7 +191,7 @@ def verify_taubar_subset(f: FunctionId, bound: int,
 def verify_tau_subset(f: FunctionId, bound: int,
                       config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """For expansive-verified f: V(k, tau) subset of {1..k}, literally, for
-    every k <= bound (closures computed from a shared preimage table)."""
+    every k <= bound (closures computed from one preimage table)."""
     lemma = f"tau-subset {f}"
     if not is_expansive_family(f):
         raise ValueError(f"tau-subset check needs an expansive f, not {f}")
@@ -201,10 +203,7 @@ def verify_tau_subset(f: FunctionId, bound: int,
                 counterexample=Counterexample(
                     None, n, f">= {n}", table[n],
                     detail=f"expansiveness fails at n = {n}"))
-    pre: list[list[int]] = [[] for _ in range(bound + 1)]
-    for x in range(1, bound + 1):
-        if table[x] <= bound:
-            pre[table[x]].append(x)
+    pre = preimage_table(f, bound, config)
     for k in range(1, bound + 1):
         closure = {k}
         frontier = [k]
@@ -290,6 +289,27 @@ def residue_partition(modulus: int) -> list[Block]:
     return [ResidueBlock(modulus, r) for r in range(1, modulus)] + [ResidueBlock(modulus, 0)]
 
 
+def _weak_components(bound: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Weak components of the graph on 1..bound with the given edges (union
+    by find with path halving), each ascending, ordered by least member."""
+    parent = list(range(bound + 1))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+    groups: dict[int, list[int]] = {}
+    for x in range(1, bound + 1):
+        groups.setdefault(find(x), []).append(x)
+    return list(groups.values())
+
+
 def partition_map(blocks: Sequence[Block], bound: int) -> PartitionMapResult:
     """Build the block-successor map on 1..bound and check that the weak
     components of its restriction refine the partition blocks.
@@ -308,31 +328,14 @@ def partition_map(blocks: Sequence[Block], bound: int) -> PartitionMapResult:
 
     ftable: dict[int, int] = {}
     boundary: list[int] = []
-    parent = list(range(bound + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for x in range(1, bound + 1):
         nxt = blocks[owner[x]].successor(x)
+        if nxt is not None:
+            ftable[x] = nxt
         if nxt is None or nxt > bound:
             boundary.append(x)
-            if nxt is not None:
-                ftable[x] = nxt
-            continue
-        ftable[x] = nxt
-        ra, rb = find(x), find(nxt)
-        if ra != rb:
-            parent[ra] = rb
-
-    groups: dict[int, list[int]] = {}
-    for x in range(1, bound + 1):
-        groups.setdefault(find(x), []).append(x)
-    components = tuple(tuple(sorted(g)) for g in
-                       sorted(groups.values(), key=lambda g: g[0]))
+    components = tuple(map(tuple, _weak_components(
+        bound, ((x, y) for x, y in ftable.items() if y <= bound))))
 
     for comp in components:
         owners = {owner[x] for x in comp}
@@ -364,32 +367,13 @@ def component_census(f: FunctionId, bound: int,
     the infinite space.
     """
     table = value_table(f, bound, config)
-    parent = list(range(bound + 1))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    boundary = []
-    for n in range(1, bound + 1):
-        v = table[n]
-        if v > bound:
-            boundary.append(n)
-            continue
-        ra, rb = find(n), find(v)
-        if ra != rb:
-            parent[ra] = rb
-    sizes: dict[int, int] = {}
-    for n in range(1, bound + 1):
-        r = find(n)
-        sizes[r] = sizes.get(r, 0) + 1
-    comp_sizes = sorted(sizes.values(), reverse=True)
+    inside = range(1, bound + 1)
+    components = _weak_components(bound, ((n, table[n]) for n in inside if table[n] <= bound))
+    comp_sizes = sorted(map(len, components), reverse=True)
     return {
         "function": str(f),
         "bound": bound,
         "component_count": len(comp_sizes),
         "largest_components": comp_sizes[:10],
-        "boundary_elements": len(boundary),
+        "boundary_elements": sum(1 for n in inside if table[n] > bound),
     }

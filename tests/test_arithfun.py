@@ -177,3 +177,48 @@ def test_value_table_matches_evaluate():
 def test_scalar_value_empty_is_one():
     for f in ALL_SMALL:
         assert af.scalar_value(f, []) == 1
+
+
+# every function the bulk sweeps read: J_1..J_5, psi_1..psi_3, phi_star,
+# Omega, omega, d_2, d_3, sigma_1..sigma_3
+SWEPT = ([af.jordan(k) for k in range(1, 6)]
+         + [af.generalized_psi(k) for k in (1, 2, 3)]
+         + [af.PHI_STAR, af.BIG_OMEGA, af.SMALL_OMEGA, af.D, af.divisor_count(3)]
+         + [af.sigma(k) for k in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("f", SWEPT, ids=str)
+def test_value_table_matches_decomposition_scan(f):
+    bound = 20_000
+    table = af.value_table(f, bound)
+    assert table[0] == 0 and table[1] == 1
+    assert table[2:] == [af.scalar_value(f, pps) for _, pps in af.factored_range(bound)]
+
+
+def test_value_table_matches_oracle():
+    # the Jordan oracle counts tuples one at a time; a budget of 1e6 tuples
+    # covers J_3, J_4 and J_5 up to n = 100, 31 and 15 and keeps this test
+    # to seconds
+    config = DEFAULT_CONFIG.replace(oracle_tuple_budget=10 ** 6)
+    checked = 0
+    for f in SWEPT:
+        table = af.value_table(f, 300)
+        for n in range(1, 301):
+            try:
+                expected = af.oracle_evaluate(f, n, config)
+            except BudgetExceeded:
+                continue
+            assert table[n] == expected, (str(f), n)
+            checked += 1
+    assert checked > 4000
+
+
+def test_catalogue_sweep_matches_monotone_profiles():
+    bound = 20_000
+    sweep = af.catalogue_monotone_sweep(bound)
+    expected = {}
+    for key in sweep:  # "phi <= n", "J_5 > n", ...
+        name, relation, _ = key.split()
+        prof = af.monotone_profile(af.parse_function(name), bound)
+        expected[key] = prof.le_violation if relation == "<=" else prof.strict_violation
+    assert sweep == expected

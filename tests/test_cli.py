@@ -262,3 +262,10 @@ def test_preimage_inverter_method_and_sieve_independence():
                          "--sieve-bound", "10")
     assert code == 0
     assert doc["results"]["members"] == [14, 15, 23]
+
+
+def test_table_refuses_depth_past_the_cap(capsys):
+    # phi-anti, psi-orbit and j2-orbit run at --depth; their cap is 10000
+    code, out = run_cli("table", "orbit-numbers", "--depth", "10001", "--bound", "100")
+    assert code == 2 and out == ""
+    assert "depth 10001 outside 1..10000" in capsys.readouterr().err

@@ -1,0 +1,34 @@
+"""Smoke tests: the scripts under scripts/ run end to end at small budgets."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(name, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_certify_at_depth_runs():
+    proc = run_script("certify_at_depth.py", "--families", "3", "--depth", "5",
+                      "--bound", "2000")
+    assert proc.returncode == 0, proc.stderr
+    assert "\n0 failures," in proc.stdout
+    assert "FAIL" not in proc.stdout
+    # every scheme runs, each at min(--depth, its cap)
+    assert "a(omega) >= 3 certified at depth 5" in proc.stdout
+    assert "o(J_2) >= 3 certified at depth 5" in proc.stdout
+
+
+def test_explore_open_problems_runs():
+    proc = run_script("explore_open_problems.py", "--max-start", "6",
+                      "--max-depth", "2", "--max-families", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.count("(EXPERIMENTAL)") == 4
+    assert "Prefixes are evidence only; no claims are recorded." in proc.stdout
