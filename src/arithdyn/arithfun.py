@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, gcd
-from typing import Optional, Union
+from typing import Iterator, Optional, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 # factored_range is not used here but stays importable as
@@ -145,6 +146,14 @@ def _nat_scale(e: Nat, k: int, minus: int) -> Nat:
     raise BudgetExceeded(f"cannot scale symbolic exponent {e!r} by {k}")
 
 
+@lru_cache(maxsize=1024)
+def _tail_factors(tail: int, config: ToolConfig) -> tuple[tuple[int, Nat], ...]:
+    """The factorization of a tail p^k -+ 1 (J_k, psi_k) or p^e - 1
+    (phi_star), memoised: the iterates of an orbit share a few primes, so
+    the same tails come back at every step."""
+    return factorize(tail, config).explicit
+
+
 def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
              config: ToolConfig = DEFAULT_CONFIG) -> Value:
     """Exact value of f at n via multiplicative closed forms.
@@ -192,7 +201,7 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
                     parts.append((p, exp))
             else:
                 parts.append((p, exp))
-            parts.extend(factorize(tail, config).explicit)
+            parts.extend(_tail_factors(tail, config))
         return FactoredNatural(parts)
 
     if fam is Family.UNITARY_TOTIENT:
@@ -202,7 +211,7 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
                 raise BudgetExceeded("phi_star needs explicit exponents")
             if e * p.bit_length() > 140:
                 raise BudgetExceeded(f"phi_star factor {p}^{e}-1 too large to factor")
-            parts.extend(factorize(pow(p, e) - 1, config).explicit)
+            parts.extend(_tail_factors(pow(p, e) - 1, config))
         return FactoredNatural(parts)
 
     if fam is Family.DIVISOR_COUNT:
@@ -241,6 +250,35 @@ def evaluate_int(f: FunctionId, n: Union[int, FactoredNatural],
     if r is OVERFLOW:
         raise BudgetExceeded(f"{f}({n!r}) exceeds the bit budget")
     return r
+
+
+def forward_orbit(f: FunctionId, x: Union[int, FactoredNatural],
+                  config: ToolConfig = DEFAULT_CONFIG) -> Iterator[Value]:
+    """The iterates f(x), f(f(x)), ... in the form evaluate returns them.
+
+    Each iterate is fed back as it came: the MULTIPLICATIVE_VALUE families
+    stay factored, so a step factorises only the small tails p^k -+ 1 and
+    never an iterate; an int iterate (Omega, omega, d_l, sigma_l) is
+    factorised once, when the iterate after it is asked for.
+    """
+    while True:
+        x = evaluate(f, x, config)
+        yield x
+
+
+def orbit_values(f: FunctionId, x: int,
+                 config: ToolConfig = DEFAULT_CONFIG) -> Iterator[int]:
+    """forward_orbit as plain integers (to_integer on factored iterates); an
+    iterate past the bit budget is refused (BudgetExceeded), as evaluate_int
+    refuses it.  The refusal names the previous iterate in factored form, as
+    its digits may be too many to print."""
+    prev: Union[int, FactoredNatural] = x
+    for y in forward_orbit(f, x, config):
+        v = y if isinstance(y, int) else to_integer(y, config)
+        if v is OVERFLOW:
+            raise BudgetExceeded(f"{f}({prev!r}) exceeds the bit budget")
+        yield v
+        prev = y
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +509,12 @@ def catalogue_monotone_sweep(bound: int,
             return next((n for n in ns if table[n] > n), None)
         return next((n for n in ns if table[n] <= n), None)
 
-    # one table alive at a time: each is dropped when least_violation returns
-    return {f"{name} {'<=' if below else '>'} n":
-            least_violation(value_table(f, bound, config), below)
+    # each distinct (function, direction) is checked once ("psi > n" and
+    # "psi_1 > n" share one); one table alive at a time, each dropped when
+    # least_violation returns
+    found: dict[tuple[FunctionId, bool], Optional[int]] = {}
+    for _, f, below in _MONOTONE_CHECKS:
+        if (f, below) not in found:
+            found[f, below] = least_violation(value_table(f, bound, config), below)
+    return {f"{name} {'<=' if below else '>'} n": found[f, below]
             for name, f, below in _MONOTONE_CHECKS}

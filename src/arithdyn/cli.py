@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from typing import Any, Callable, Optional
 
 from . import __version__
@@ -138,9 +139,8 @@ def _cmd_phi_bound(args, config) -> tuple[str, Any]:
 
 def _cmd_orbit(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
-    seq = [args.n]
-    for _ in range(args.depth - 1):
-        seq.append(af.evaluate_int(f, seq[-1], config))
+    depth = _positive(args, "depth", 10)
+    seq = [args.n, *islice(af.orbit_values(f, args.n, config), depth - 1)]
     return "INFO", {"function": str(f), "start": args.n,
                     "iterates": [render_value(v, config) for v in seq]}
 

@@ -25,12 +25,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
-    BIG_OMEGA, D, FunctionId, J2, PHI, PSI, SMALL_OMEGA,
-    evaluate, monotone_profile, scalar_value,
+    BIG_OMEGA, D, Family, FunctionId, J2, MULTIPLICATIVE_VALUE, PHI, PSI,
+    SMALL_OMEGA, Value, evaluate, forward_orbit, monotone_profile, scalar_value,
 )
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW,
@@ -479,18 +479,6 @@ class EntropyEstimate:
             raise ValueError("mode is AMBIENT or CORE")
 
 
-def _as_factored(value, config: ToolConfig) -> FactoredNatural:
-    if isinstance(value, FactoredNatural):
-        return value
-    if isinstance(value, DeferredValue):
-        value = value.resolve(config)
-        if value is OVERFLOW:
-            raise BudgetExceeded("orbit value exceeded the bit budget")
-    if value.bit_length() > 128:
-        raise BudgetExceeded(f"cannot refactor {value.bit_length()}-bit orbit value")
-    return factorize(value, config)
-
-
 def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> EntropyEstimate:
     """#(A u f(A) u ... u f^(horizon-1)(A)) / horizon, computed exactly."""
@@ -498,14 +486,27 @@ def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
         raise ValueError("horizon >= 1")
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    current = {factorize(s, config) for s in seeds}
+    # one lazy orbit per distinct current iterate, keyed by the iterate in
+    # the form forward_orbit yields it (factored for J_k, psi_k, phi_star)
+    current: dict[Value, Iterator[Value]] = {}
+    for s in seeds:
+        x = factorize(s, config)
+        key = x if f.family in MULTIPLICATIVE_VALUE else s
+        current.setdefault(key, forward_orbit(f, x, config))
     acc = set(current)
     for _ in range(horizon - 1):
-        nxt = {_as_factored(evaluate(f, x, config), config) for x in current}
-        if nxt == current:
+        nxt: dict[Value, Iterator[Value]] = {}
+        for orbit in current.values():
+            y = next(orbit)
+            # the next step factorises an int iterate, so one past the
+            # factorizer's 128 bits is refused at the step that made it
+            if isinstance(y, int) and y.bit_length() > 128:
+                raise BudgetExceeded(f"cannot refactor {y.bit_length()}-bit orbit value")
+            nxt.setdefault(y, orbit)
+        if nxt.keys() == current.keys():
             break  # the set is fixed; further unions add nothing
         current = nxt
-        acc |= current
+        acc.update(current)
     return EntropyEstimate(f, tuple(seeds), horizon,
                            Fraction(len(acc), horizon), FORWARD,
                            set_size=len(acc))
@@ -617,9 +618,10 @@ def _search_orbits(f: FunctionId, budget: SearchBudget,
             continue
         seq = [start]
         seen = {start}
+        orbit = forward_orbit(f, start, config)
         ok = True
         while len(seq) < budget.max_depth:
-            v = evaluate(f, factorize(seq[-1], config), config)
+            v = next(orbit)
             v = v if isinstance(v, int) else to_integer(v, config)
             if v is OVERFLOW or v.bit_length() > budget.value_bits:
                 ok = False
@@ -637,15 +639,22 @@ def _search_orbits(f: FunctionId, budget: SearchBudget,
 
 def _search_antiorbits(f: FunctionId, budget: SearchBudget,
                        config: ToolConfig) -> list[CandidateFamily]:
-    from .preimage import NotFiniteFibre, preimage_bounded
+    from .preimage import NotFiniteFibre, fibre_table, preimage_bounded
 
-    def preimages(y: int) -> list[int]:
-        try:
-            return list(complete_preimage(f, y, config))
-        except NotFiniteFibre:
-            return list(preimage_bounded(f, y, budget.scan_bound, config).members)
-        except BudgetExceeded:
-            return []
+    if f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT):
+        # every node's bounded fibre comes from one table of 1..scan_bound
+        fibres = fibre_table(f, budget.scan_bound, config)
+
+        def preimages(y: int) -> list[int]:
+            return fibres.get(y, [])
+    else:
+        def preimages(y: int) -> list[int]:
+            try:
+                return list(complete_preimage(f, y, config))
+            except NotFiniteFibre:  # phi_star: the inverter, cut at scan_bound
+                return list(preimage_bounded(f, y, budget.scan_bound, config).members)
+            except BudgetExceeded:
+                return []
 
     used: set[int] = set()
     out: list[CandidateFamily] = []

@@ -738,8 +738,10 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
             continue
         if nat_certainly_different(ea, eb, config):
             return True
-    # same explicit primes; look for an interval whose reach provably differs
-    if len(a.intervals) == len(b.intervals):
+    # same explicit part; look for an interval whose reach provably differs.
+    # Only then: an explicit prime next to an interval can stand for the
+    # interval's missing end (7927*q[10..1000] == q[10..1001], 7927 = q[1001])
+    if a.explicit == b.explicit and len(a.intervals) == len(b.intervals):
         for (lo1, hi1), (lo2, hi2) in zip(a.intervals, b.intervals):
             if lo1 == lo2 and nat_certainly_different(hi1, hi2, config):
                 return True

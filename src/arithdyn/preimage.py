@@ -332,16 +332,22 @@ def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,
     return closure
 
 
+def fibre_table(f: FunctionId, bound: int,
+                config: ToolConfig = DEFAULT_CONFIG) -> dict[int, list[int]]:
+    """{y: ascending x <= bound with f(x) = y}: every bounded fibre of f at
+    once, from one value table."""
+    table = value_table(f, bound, config)
+    fibres: dict[int, list[int]] = {}
+    for x in range(1, bound + 1):
+        fibres.setdefault(table[x], []).append(x)
+    return fibres
+
+
 def preimage_table(f: FunctionId, bound: int,
                    config: ToolConfig = DEFAULT_CONFIG) -> list[list[int]]:
     """pre[y] = ascending x <= bound with f(x) = y, for y <= bound.
 
     For expansive f this is the complete fibre of every y <= bound.
     """
-    table = value_table(f, bound, config)
-    pre: list[list[int]] = [[] for _ in range(bound + 1)]
-    for x in range(1, bound + 1):
-        v = table[x]
-        if v <= bound:
-            pre[v].append(x)
-    return pre
+    fibres = fibre_table(f, bound, config)
+    return [fibres.get(y, []) for y in range(bound + 1)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .arithfun import PHI, Family, FunctionId, evaluate_int, value_table
+from .arithfun import PHI, Family, FunctionId, orbit_values, value_table
 from .preimage import (
     NotFiniteFibre, is_expansive_family, preimage_closure, preimage_table,
 )
@@ -47,16 +47,18 @@ def min_open_forward(f: FunctionId, x: int,
                      max_steps: int = 512, value_bits: int = 120,
                      config: ToolConfig = DEFAULT_CONFIG) -> MinimalOpenSet:
     """Forward orbit {f^n(x)}; COMPLETE once a cycle closes, TRUNCATED if
-    values outgrow the budget first (expansive maps do that)."""
+    values outgrow the budget first (expansive maps do that).  The iterates
+    come from arithfun.orbit_values, so none is factorised again."""
     if x < 1:
         raise ValueError("x >= 1")
     seen = {x}
     cur = x
+    orbit = orbit_values(f, x, config)
     for _ in range(max_steps):
         if cur.bit_length() > value_bits:
             return MinimalOpenSet(x, TAU_BAR, tuple(sorted(seen)), TRUNCATED,
                                   truncation_bound=max_steps)
-        cur = evaluate_int(f, cur, config)
+        cur = next(orbit)
         if cur in seen:
             return MinimalOpenSet(x, TAU_BAR, tuple(sorted(seen)), COMPLETE)
         seen.add(cur)

@@ -1,12 +1,13 @@
+from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arithdyn import arithfun as af
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
-    BudgetExceeded, DeferredValue, FactoredNatural, factorize,
+    BudgetExceeded, DeferredValue, FactoredNatural, factorize, to_integer,
 )
 
 ALL_SMALL = [
@@ -222,3 +223,55 @@ def test_catalogue_sweep_matches_monotone_profiles():
         prof = af.monotone_profile(af.parse_function(name), bound)
         expected[key] = prof.le_violation if relation == "<=" else prof.strict_violation
     assert sweep == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ALL_SMALL), st.integers(min_value=1, max_value=10 ** 4))
+def test_forward_orbit_equals_int_iteration(f, x):
+    # the factored-space orbit against evaluate_int on plain integers, for as
+    # long as the values stay within 120 bits
+    raw = af.forward_orbit(f, x)
+    values = af.orbit_values(f, x)
+    cur = x
+    for _ in range(200):
+        want = af.evaluate_int(f, cur)
+        got = next(raw)
+        if f.family in af.MULTIPLICATIVE_VALUE:
+            assert isinstance(got, FactoredNatural) and to_integer(got) == want
+        else:
+            assert got == want
+        assert next(values) == want
+        if want.bit_length() > 120:
+            break
+        cur = want
+
+
+def test_forward_orbit_factorises_only_tails(monkeypatch):
+    # 400 psi steps from 2 reach 400 bits; no iterate is factorised, only
+    # tails p + 1 of the few primes the orbit meets
+    bits = []
+    real = af.factorize
+
+    def spy(n, config=DEFAULT_CONFIG):
+        bits.append(n.bit_length())
+        return real(n, config)
+
+    monkeypatch.setattr(af, "factorize", spy)
+    af._tail_factors.cache_clear()
+    values = list(islice(af.orbit_values(af.PSI, 2), 399))
+    assert values[-1].bit_length() > 390
+    assert bits and max(bits) <= 4
+
+
+def test_catalogue_monotone_sweep_checks_each_function_once(monkeypatch):
+    built = []
+    real = af.value_table
+
+    def spy(f, bound, config=DEFAULT_CONFIG):
+        built.append(f)
+        return real(f, bound, config)
+
+    monkeypatch.setattr(af, "value_table", spy)
+    sweep = af.catalogue_monotone_sweep(500)
+    assert len(sweep) == 16 and sweep["psi > n"] == sweep["psi_1 > n"]
+    assert len(built) == 15 and len(set(built)) == 15  # psi once, not twice

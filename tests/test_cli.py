@@ -64,6 +64,26 @@ def test_orbit_and_family():
     assert [t["value"] for t in doc["results"]["terms"]] == [6, 12, 24]
 
 
+def test_orbit_past_128_bits():
+    # psi iterates from 2 pass 128 bits near step 128; the orbit stays factored
+    code, doc = run_json("orbit", "--fn", "psi", "--n", "2", "--depth", "400")
+    assert code == 0
+    iterates = doc["results"]["iterates"]
+    assert len(iterates) == 400 and iterates[-1] == "<399-bit integer>"
+    code, short = run_json("orbit", "--fn", "psi", "--n", "2", "--depth", "60")
+    assert iterates[:60] == short["results"]["iterates"]
+
+
+def test_orbit_refusals(capsys):
+    code, out = run_cli("orbit", "--fn", "psi", "--n", "2", "--depth", "0")
+    assert code == 2 and out == ""
+    assert "--depth must be >= 1, got 0" in capsys.readouterr().err
+    code, out = run_cli("orbit", "--fn", "psi", "--n", "2", "--depth", "100",
+                        "--bit-budget", "64")
+    assert code == 2 and out == ""
+    assert "psi(2^62*3) exceeds the bit budget" in capsys.readouterr().err
+
+
 def test_verify_lemma_list_covers_registry():
     code, doc = run_json("verify-lemma", "--list")
     assert code == 0

@@ -291,6 +291,51 @@ def test_search_backward_phi():
             assert af.evaluate_int(af.PHI, b) == a  # anti-orbit recurrence
 
 
+def test_search_backward_scan_families_read_one_table(monkeypatch):
+    # Omega, omega and d_l fibres hold every prime, so each node's bounded
+    # fibre is read from one value table of 1..scan_bound built per search
+    built = []
+    real = pre.value_table
+
+    def spy(f, bound, config=DEFAULT_CONFIG):
+        built.append((f, bound))
+        return real(f, bound, config)
+
+    monkeypatch.setattr(pre, "value_table", spy)
+    budget = dy.SearchBudget(max_start=12, max_depth=3, max_families=3, scan_bound=300)
+    found = dy.search_families(af.BIG_OMEGA, budget, dy.BACKWARD)
+    assert [c.values for c in found] == [(2, 4, 16), (3, 8, 256)]
+    assert built == [(af.BIG_OMEGA, 300)]
+    budget = dy.SearchBudget(max_start=12, max_depth=4, max_families=3, scan_bound=300)
+    found = dy.search_families(af.divisor_count(3), budget, dy.BACKWARD)
+    assert [c.values for c in found] == [(6, 9, 10, 8)]
+    for c in found:
+        for a, b in zip(c.values, c.values[1:]):
+            assert b in pre.preimage_bounded(af.divisor_count(3), a, 300).members
+
+
+@pytest.mark.parametrize("f", [af.PHI, af.PSI, af.PHI_STAR, af.BIG_OMEGA,
+                               af.SMALL_OMEGA, af.D, af.SIGMA1], ids=str)
+def test_entropy_estimate_matches_int_sets(f):
+    # the union of f^t(A) for t < horizon, computed on plain integers; the
+    # seeds 2 and 4 meet later iterates of the prime-counting families
+    seeds, horizon = [2, 4, 6, 12, 30], 8
+    current, acc = set(seeds), set(seeds)
+    for _ in range(horizon - 1):
+        current = {af.evaluate_int(f, x) for x in current}
+        acc |= current
+    est = dy.ent_set_estimate(f, seeds, horizon)
+    assert est.set_size == len(acc)
+    assert est.value == Fraction(len(acc), horizon)
+
+
+def test_entropy_estimate_refuses_int_iterates_past_128_bits():
+    # sigma_2 from 2 reaches 163 bits at step 7, an int too wide to factorise
+    assert dy.ent_set_estimate(af.sigma(2), [2], 7).set_size == 7
+    with pytest.raises(BudgetExceeded, match="163-bit"):
+        dy.ent_set_estimate(af.sigma(2), [2], 8)
+
+
 def test_entropy_estimate_validation():
     with pytest.raises(ValueError):
         dy.ent_set_estimate(af.PHI, [], 5)

@@ -208,6 +208,20 @@ def test_equal_interval_values_never_certified_different():
         pairwise_all_different([a, b])
 
 
+def test_explicit_prime_next_to_an_interval_is_not_certified_different():
+    # 7927 = q[1001], so 7927*q[10..1000] == q[10..1001]; under a 64-bit
+    # budget both overflow and only the same-lo rule could decide the pair
+    tight = DEFAULT_CONFIG.replace(bit_budget=64)
+    assert nth_prime(1001) == 7927
+    a = FactoredNatural(((7927, 1),), ((10, 1000),))
+    b = FactoredNatural((), ((10, 1001),))
+    assert to_integer(a) == to_integer(b)
+    with pytest.raises(ComparisonUndecided):
+        certainly_different(a, b, tight)
+    with pytest.raises(ComparisonUndecided):
+        pairwise_all_different([a, b], tight)
+
+
 def test_short_interval_past_prime_index_budget_is_refused():
     # equal values; OVERFLOW for the interval would certify them different
     tight = DEFAULT_CONFIG.replace(prime_index_budget=100)

@@ -27,8 +27,9 @@ def test_certify_at_depth_runs():
 
 
 def test_explore_open_problems_runs():
-    proc = run_script("explore_open_problems.py", "--max-start", "6",
-                      "--max-depth", "2", "--max-families", "1")
+    # past depth 2 the d_3 and d_4 anti-orbit searches expand many nodes
+    proc = run_script("explore_open_problems.py", "--max-start", "20",
+                      "--max-depth", "4", "--max-families", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("(EXPERIMENTAL)") == 4
     assert "Prefixes are evidence only; no claims are recorded." in proc.stdout

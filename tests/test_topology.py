@@ -190,3 +190,32 @@ def test_min_open_backward_matches_preimage_table_closures():
         m = tp.min_open_backward(af.PHI_STAR, x, scan_bound=bound)
         assert m.members == _table_closure(table, x), x
         assert (m.completeness, m.truncation_bound) == (tp.TRUNCATED, bound)
+
+
+EVERY_FAMILY = [
+    af.PHI, af.jordan(2), af.jordan(3), af.PSI, af.generalized_psi(2),
+    af.generalized_psi(3), af.PHI_STAR, af.BIG_OMEGA, af.SMALL_OMEGA, af.D,
+    af.divisor_count(3), af.sigma(1), af.sigma(2), af.sigma(3),
+]
+
+
+def _int_min_open_forward(f, x, max_steps=512, value_bits=120):
+    # the loop min_open_forward used before it iterated in factored form:
+    # every iterate an int, factorised again for the next step
+    seen, cur = {x}, x
+    for _ in range(max_steps):
+        if cur.bit_length() > value_bits:
+            return tuple(sorted(seen)), tp.TRUNCATED
+        cur = af.evaluate_int(f, cur)
+        if cur in seen:
+            return tuple(sorted(seen)), tp.COMPLETE
+        seen.add(cur)
+    return tuple(sorted(seen)), tp.TRUNCATED
+
+
+@pytest.mark.parametrize("f", EVERY_FAMILY, ids=str)
+def test_min_open_forward_matches_int_iteration(f):
+    for x in range(1, 201):
+        m = tp.min_open_forward(f, x)
+        assert (m.members, m.completeness) == _int_min_open_forward(f, x), x
+        assert m.truncation_bound == (512 if m.completeness == tp.TRUNCATED else None)
