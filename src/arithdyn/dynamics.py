@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
@@ -105,7 +106,9 @@ class FamilySpec:
 
 def family_terms(spec: FamilySpec, depth: int,
                  config: ToolConfig = DEFAULT_CONFIG) -> list[FactoredNatural]:
-    """The first `depth` terms of the family, exact factored form."""
+    """The first `depth` terms of the family, exact factored form, in a
+    new list on every call.  Tower terms (d, Omega, omega) are built once
+    per process and config, see _next_tower_term."""
     cap = scheme_depth_cap(spec.scheme, config)
     if not 1 <= depth <= cap:
         raise BudgetExceeded(
@@ -119,26 +122,40 @@ def family_terms(spec: FamilySpec, depth: int,
         return [FactoredNatural(((2, 2 ** (n + 1) * k + 2 ** n - 1), (3, 1)))
                 for n in range(1, depth + 1)]
 
-    p = spec.prime
-    terms = [FactoredNatural(((p, 1),))]
-    if spec.scheme is Scheme.SMALL_OMEGA_ANTI:
-        j = prime_index(p, config)
-    prev_value: Union[int, object] = p
-    for _ in range(depth - 1):
-        prev = terms[-1]
-        if spec.scheme is Scheme.D_ANTI:
-            exp = prev_value - 1 if prev_value is not OVERFLOW else DeferredValue(prev, -1)
-            term = FactoredNatural(((p, exp),))
-        elif spec.scheme is Scheme.OMEGA_ANTI:
-            exp = prev_value if prev_value is not OVERFLOW else DeferredValue(prev, 0)
-            term = FactoredNatural(((p, exp),))
-        else:  # SMALL_OMEGA_ANTI: p * q_{j+1} * ... * q_{j + x_n - 1}
-            hi = (j + prev_value - 1 if prev_value is not OVERFLOW
-                  else DeferredValue(prev, j - 1))
-            term = FactoredNatural(((p, 1),), ((j + 1, hi),))
-        terms.append(term)
-        prev_value = to_integer(term, config)
+    link = None
+    terms = []
+    for _ in range(depth):
+        link = _next_tower_term(spec, link, config)
+        terms.append(link[0])
     return terms
+
+
+@lru_cache(maxsize=1024)
+def _next_tower_term(spec: FamilySpec, prev: Optional[tuple],
+                     config: ToolConfig) -> tuple[FactoredNatural, Union[int, object]]:
+    """The (term, value) pair after ``prev`` in a tower family, or its
+    first pair when ``prev`` is None; value is to_integer(term, config).
+
+    Memoised per process (bounded like ``arithfun._tail_factors``): the
+    pairs of one (family, config) chain are built once, so a repeated or
+    deeper request reuses the term objects and the integer values cached
+    on them, and materialises nothing again."""
+    p = spec.prime
+    if prev is None:
+        return FactoredNatural(((p, 1),)), p
+    prev_term, prev_value = prev
+    if spec.scheme is Scheme.D_ANTI:
+        exp = prev_value - 1 if prev_value is not OVERFLOW else DeferredValue(prev_term, -1)
+        term = FactoredNatural(((p, exp),))
+    elif spec.scheme is Scheme.OMEGA_ANTI:
+        exp = prev_value if prev_value is not OVERFLOW else DeferredValue(prev_term, 0)
+        term = FactoredNatural(((p, exp),))
+    else:  # SMALL_OMEGA_ANTI: p * q_{j+1} * ... * q_{j + x_n - 1}
+        j = prime_index(p, config)
+        hi = (j + prev_value - 1 if prev_value is not OVERFLOW
+              else DeferredValue(prev_term, j - 1))
+        term = FactoredNatural(((p, 1),), ((j + 1, hi),))
+    return term, to_integer(term, config)
 
 
 def family_term(spec: FamilySpec, n: int,

@@ -169,11 +169,12 @@ def _factor_int(n: int) -> dict[int, int]:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # wheel over 6k+-1 up to a small cutoff, then rho
+    # wheel over 6k+-1 up to a small cutoff, then rho: past 1000 the wheel
+    # costs more than Pollard-Brent takes to split off the same factor
     d = 7
     incr = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while d * d <= n and d < 100_000:
+    while d * d <= n and d < 1000:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d

@@ -160,6 +160,60 @@ def test_verify_disjoint_builds_each_family_once(monkeypatch):
     assert built == specs
 
 
+TOWER_SCHEMES = (dy.Scheme.D_ANTI, dy.Scheme.OMEGA_ANTI, dy.Scheme.SMALL_OMEGA_ANTI)
+
+
+@pytest.mark.parametrize("scheme", TOWER_SCHEMES)
+def test_repeated_verify_materialises_nothing(monkeypatch, scheme):
+    specs = dy.default_family_specs(scheme, 5)
+    depth = dy.scheme_depth_cap(scheme, DEFAULT_CONFIG)
+    first = dy.verify_disjoint(specs, depth)
+    calls = []
+    real = factorint._materialise
+
+    def counting(x, config):
+        calls.append(x)
+        return real(x, config)
+
+    monkeypatch.setattr(factorint, "_materialise", counting)
+    again = dy.verify_disjoint(specs, depth)
+    assert calls == []
+    assert again == first and again.passed
+
+
+@pytest.mark.parametrize("scheme", list(dy.Scheme))
+def test_family_terms_returns_a_new_list(scheme):
+    spec = spec_of(scheme, 2)
+    a = dy.family_terms(spec, 4)
+    b = dy.family_terms(spec, 4)
+    assert a is not b and a == b
+    a.pop()
+    assert len(dy.family_terms(spec, 4)) == 4
+
+
+def test_deeper_tower_request_reuses_the_shallower_terms():
+    deeper = DEFAULT_CONFIG.replace(depth_cap_omega_anti=6)
+    spec = spec_of(dy.Scheme.OMEGA_ANTI, 1)
+    five = dy.family_terms(spec, 5, deeper)
+    six = dy.family_terms(spec, 6, deeper)
+    assert len(six) == 6
+    assert all(x is y for x, y in zip(five, six))
+
+
+def test_tower_terms_are_kept_per_config():
+    spec = spec_of(dy.Scheme.D_ANTI, 3)  # p = 7: 7, 7^6, 7^117648, ...
+    small = DEFAULT_CONFIG.replace(bit_budget=64)
+    wide = dy.family_terms(spec, 5)
+    narrow = dy.family_terms(spec, 5, small)
+    assert not any(x is y for x, y in zip(wide, narrow))
+    # 7^117648 fits the default budget, so the next exponent is an int
+    # there and deferred under 64 bits
+    assert not wide[3].has_deferred and narrow[3].has_deferred
+    values = [7, 7 ** 6, 7 ** 117648]
+    assert [to_integer(t) for t in wide[:3]] == values
+    assert [to_integer(t, small) for t in narrow] == [7, 7 ** 6] + [OVERFLOW] * 3
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from([dy.Scheme.PHI_ANTI, dy.Scheme.PSI_ORBIT, dy.Scheme.J2_ORBIT]),
        st.integers(min_value=1, max_value=50),

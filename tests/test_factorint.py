@@ -1,12 +1,12 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from arithdyn.config import DEFAULT_CONFIG, ToolConfig
 from arithdyn.factorint import (
     BudgetExceeded, ComparisonUndecided, DeferredValue, FactoredNatural, OVERFLOW,
     certainly_different, certainly_less, factorize, factored_range, is_prime,
     multiply, nat_add, nth_prime, pairwise_all_different, prime_index,
-    primes_upto, smallest_factor_table, to_integer,
+    prime_factors, primes_upto, smallest_factor_table, to_integer,
 )
 
 
@@ -139,6 +139,35 @@ def test_factorize_yields_primes(n):
     assert all(e >= 1 for _, e in f.explicit)
     primes = [p for p, _ in f.explicit]
     assert primes == sorted(primes)
+
+
+_WHEEL_PRIMES = primes_upto(1000)[3:]      # 7..997: split off by the wheel
+_RHO_BAND = primes_upto(100_000)[len(primes_upto(1000)):]  # 1009..99991
+
+
+def _next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prime_factors_of_known_prime_products(data):
+    # one prime of up to 60 bits, primes from 1000..100000 (split off by
+    # Pollard-Brent, not the wheel) and wheel primes, kept within 128 bits
+    bits = data.draw(st.integers(min_value=18, max_value=60))
+    q = _next_prime(data.draw(st.integers(min_value=2 ** (bits - 1),
+                                          max_value=2 ** bits - 1)))
+    want, n = {q: 1}, q
+    for pool, count in ((_RHO_BAND, 3), (_WHEEL_PRIMES, 2)):
+        for p in data.draw(st.lists(st.sampled_from(pool), min_size=1,
+                                    max_size=count, unique=True)):
+            e = data.draw(st.integers(min_value=1, max_value=3))
+            if (n * p ** e).bit_length() <= 128:
+                want[p] = e
+                n *= p ** e
+    assert prime_factors(n) == sorted(want.items())
 
 
 def test_spf_table_agrees_with_trial_division():
@@ -275,3 +304,76 @@ def test_sieve_budget_respected():
     tiny = DEFAULT_CONFIG.replace(sieve_bound=100)
     with pytest.raises(BudgetExceeded):
         smallest_factor_table(1000, tiny)
+
+
+# -- budget-differential: symbolic rules under a 64-bit budget against the
+# integers under the default budget
+
+
+@st.composite
+def _small_base(draw, near=None):
+    """A plain base and its value, for a DeferredValue over a small base."""
+    lo, hi = (2, 3000) if near is None else (max(2, near - 40), near)
+    n = draw(st.integers(min_value=lo, max_value=hi))
+    return factorize(n), n
+
+
+@st.composite
+def _value_shapes(draw):
+    """A value as {prime: exponent} times an optional q[lo..hi] of more
+    than 512 primes (so normalization keeps it an interval)."""
+    primes = draw(st.lists(st.sampled_from([2, 3, 5, 7]), max_size=2, unique=True))
+    explicit = {p: draw(st.integers(min_value=1, max_value=2000)) for p in primes}
+    interval = None
+    if draw(st.booleans()):
+        lo = draw(st.integers(min_value=5, max_value=15))
+        interval = (lo, lo + draw(st.integers(min_value=514, max_value=700)) - 1)
+    return explicit, interval
+
+
+@st.composite
+def _forms(draw, shape):
+    """One of the factored forms of a shape's value."""
+    explicit, interval = shape
+    parts = []
+    for p, e in explicit.items():
+        if draw(st.booleans()):
+            base, v = draw(_small_base())
+            e = DeferredValue(base, e - v)
+        parts.append((p, e))
+    if interval is None:
+        return FactoredNatural(parts)
+    lo, hi = interval
+    form = draw(st.sampled_from(["interval", "next_hi", "next_lo", "deferred_hi"]))
+    if form == "next_hi":
+        return FactoredNatural(parts + [(nth_prime(hi), 1)], [(lo, hi - 1)])
+    if form == "next_lo":
+        return FactoredNatural(parts + [(nth_prime(lo), 1)], [(lo + 1, hi)])
+    if form == "deferred_hi":
+        base, v = draw(_small_base(near=hi))
+        try:
+            return FactoredNatural(parts, [(lo, DeferredValue(base, hi - v))])
+        except ValueError:  # the base's bit-length bound cannot certify lo <= hi
+            pass
+    return FactoredNatural(parts, [(lo, hi)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_symbolic_rules_agree_with_integers_under_a_small_budget(data):
+    tight = DEFAULT_CONFIG.replace(bit_budget=64)
+    shape_a = data.draw(_value_shapes())
+    shape_b = shape_a if data.draw(st.booleans()) else data.draw(_value_shapes())
+    a, b = data.draw(_forms(shape_a)), data.draw(_forms(shape_b))
+    try:
+        different = certainly_different(a, b, tight)
+    except ComparisonUndecided:
+        different = None
+    less = certainly_less(a, b, tight), certainly_less(b, a, tight)
+    ia, ib = to_integer(a), to_integer(b)
+    assert ia is not OVERFLOW and ib is not OVERFLOW
+    if different is not None:
+        assert different == (ia != ib)
+    if shape_a == shape_b:
+        assert different is not True
+    assert less == (less[0] and ia < ib, less[1] and ib < ia)
