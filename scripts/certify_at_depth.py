@@ -4,8 +4,10 @@ per claim.  Deeper/wider runs strengthen every certified lower bound:
 
     python scripts/certify_at_depth.py --families 50 --depth 100 --bound 200000
 
-A scheme whose depth cap (ToolConfig.depth_cap_*) is below --depth runs at
-its cap; every printed certificate names the depth it holds at.
+Every scheme claim of the verify-lemma registry runs at --families.  Where
+--depth is past a scheme's cap (ToolConfig.depth_cap_*), that claim runs at
+its registry depth instead and its line says so, naming the cap's key;
+every printed certificate names the depth it holds at.
 """
 import argparse
 import sys
@@ -14,31 +16,36 @@ import time
 from arithdyn import arithfun as af
 from arithdyn import dynamics as dy
 from arithdyn import topology as tp
+from arithdyn.cli import LEMMAS
 from arithdyn.config import DEFAULT_CONFIG
 
 
 def main() -> int:
+    families, depth = LEMMAS["phi-antiorbit"].size  # the non-tower claims' size
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--families", type=int, default=20)
-    ap.add_argument("--depth", type=int, default=30)
+    ap.add_argument("--families", type=int, default=families)
+    ap.add_argument("--depth", type=int, default=depth)
     ap.add_argument("--bound", type=int, default=100_000,
                     help="monotone/topology sweep bound")
     args = ap.parse_args()
     config = DEFAULT_CONFIG
     failures = 0
 
-    def show(label, report):
+    def show(label, report, note=""):
         nonlocal failures
         ok = report.passed
         failures += 0 if ok else 1
         detail = report.certified_bound if ok else report.counterexample.describe()
-        print(f"{'PASS' if ok else 'FAIL'}  {label:<28} {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {label:<28} {detail}{note}")
 
     t0 = time.time()
-    for scheme in dy.Scheme:
-        depth = min(args.depth, dy.scheme_depth_cap(scheme, config))
-        rep = dy.verify_disjoint(dy.default_family_specs(scheme, args.families), depth, config)
-        show(scheme.value, rep)
+    for lemma in (claim for claim in LEMMAS.values() if claim.scheme is not None):
+        depth, note = args.depth, ""
+        cap = dy.scheme_depth_cap(lemma.scheme, config)
+        if depth > cap:
+            depth = lemma.size[1]
+            note = f" (--depth {args.depth} is past {lemma.scheme.cap_key} = {cap}; registry depth)"
+        show(lemma.scheme.value, lemma.certify((args.families, depth), config), note)
 
     sweep = af.catalogue_monotone_sweep(args.bound, config=config)
     bad = {k: v for k, v in sweep.items() if v is not None}

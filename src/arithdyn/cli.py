@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
-from typing import Any, Callable, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import __version__
 from .config import DEFAULT_CONFIG, ToolConfig
@@ -28,7 +28,7 @@ from .factorint import (
     to_integer,
 )
 from .preimage import NotExpansive, NotFiniteFibre
-from .reports import VerificationReport
+from .reports import Counterexample, VerificationReport
 
 SCHEMA_VERSION = 1
 
@@ -145,16 +145,12 @@ def _cmd_orbit(args, config) -> tuple[str, Any]:
                     "iterates": [render_value(v, config) for v in seq]}
 
 
-def _parse_scheme(name: str) -> dy.Scheme:
-    for s in dy.Scheme:
-        if s.value == name:
-            return s
-    raise ValueError(f"unknown scheme {name!r}; one of "
-                     + ", ".join(s.value for s in dy.Scheme))
-
-
 def _cmd_family(args, config) -> tuple[str, Any]:
-    scheme = _parse_scheme(args.scheme)
+    try:
+        scheme = dy.Scheme(args.scheme)
+    except ValueError:
+        raise ValueError(f"unknown scheme {args.scheme!r}; one of "
+                         + ", ".join(s.value for s in dy.Scheme)) from None
     spec = dy.FamilySpec(scheme, args.index)
     terms = dy.family_terms(spec, args.depth, config)
     return "INFO", {
@@ -259,16 +255,6 @@ def _positive(args, name: str, default: int) -> int:
     return value
 
 
-def _scheme_runner(scheme: dy.Scheme, default_families: int, default_depth: int):
-    # a depth past the scheme cap is refused downstream, never clamped
-    def run(args, config: ToolConfig) -> VerificationReport:
-        families = _positive(args, "families", default_families)
-        depth = _positive(args, "depth", default_depth)
-        specs = dy.default_family_specs(scheme, families)
-        return dy.verify_disjoint(specs, depth, config)
-    return run
-
-
 def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
     families = _positive(args, "families", 5)
     depth = _positive(args, "depth", 20)
@@ -281,7 +267,6 @@ def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
                 return rep
             builtin = dy.family_terms(dy.FamilySpec(scheme, fam), depth, config)
             if terms != builtin:
-                from .reports import Counterexample
                 return VerificationReport(
                     lemma_id="generic-note", families_checked=families,
                     depth=depth, status="FAIL",
@@ -307,19 +292,15 @@ def _monotone_runner(expected: str, default_fn: str):
         f = _fn_from(args, default_fn)
         bound = _positive(args, "bound", 10_000)
         rep = dy.classify_monotonicity(f, bound, config)
-        lemma = {"DECREASING_WEAK": "monotone-o-zero",
-                 "INCREASING_WEAK": "monotone-a-zero",
-                 "INCREASING_STRICT_ABOVE_1": "strict-o-positive"}[expected]
         ok = (rep.kind == expected
               or (expected == "INCREASING_WEAK"
                   and rep.kind == "INCREASING_STRICT_ABOVE_1"))
         if ok:
             return VerificationReport(
-                lemma_id=f"{lemma} {f}", families_checked=1, depth=bound,
+                lemma_id=f"{args.lemma} {f}", families_checked=1, depth=bound,
                 status="PASS", certified_bound="; ".join(rep.conclusions))
-        from .reports import Counterexample
         return VerificationReport(
-            lemma_id=f"{lemma} {f}", families_checked=1, depth=bound,
+            lemma_id=f"{args.lemma} {f}", families_checked=1, depth=bound,
             status="FAIL",
             counterexample=Counterexample(
                 None, rep.witness or 0, expected, rep.kind,
@@ -329,7 +310,6 @@ def _monotone_runner(expected: str, default_fn: str):
 
 def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
     bound = _positive(args, "bound", 50)
-    from .reports import Counterexample
     for m in range(1, bound + 1):
         members = pre.inverse_phi(m, config).members
         cert = to_integer(pre.phi_bound(m, config), config)
@@ -350,7 +330,6 @@ def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
 
 def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
     count = _positive(args, "families", 100)
-    from .reports import Counterexample
     for f, target in ((af.SMALL_OMEGA, 1), (af.BIG_OMEGA, 1), (af.D, 2)):
         witnesses = pre.nonfinite_fibre_witness(f, target, count, config)
         for p in witnesses:
@@ -391,52 +370,80 @@ def _partition_runner(args, config: ToolConfig) -> VerificationReport:
     return tp.partition_map(tp.odds_evens(), _positive(args, "bound", 1000)).report
 
 
-LEMMAS: dict[str, tuple[str, Callable]] = {
-    "phi-antiorbit": ("disjoint phi anti-orbit families 2^k 3^n",
-                      _scheme_runner(dy.Scheme.PHI_ANTI, 20, 30)),
-    "d-antiorbit": ("disjoint d anti-orbit towers p^(x-1)",
-                    _scheme_runner(dy.Scheme.D_ANTI, 5, 5)),
-    "omega-antiorbit": ("disjoint Omega anti-orbit towers p^x",
-                        _scheme_runner(dy.Scheme.OMEGA_ANTI, 5, 5)),
-    "smallomega-antiorbit": ("disjoint omega anti-orbit primorial blocks",
-                             _scheme_runner(dy.Scheme.SMALL_OMEGA_ANTI, 5, 6)),
-    "psi-orbit": ("disjoint psi orbit families 3^k 2^n",
-                  _scheme_runner(dy.Scheme.PSI_ORBIT, 20, 30)),
-    "j2-orbit": ("disjoint J_2 orbit families 2^e 3",
-                 _scheme_runner(dy.Scheme.J2_ORBIT, 20, 30)),
-    "generic-note": ("generic multiplicative construction subsumes psi/J_2",
-                     _generic_note_runner),
-    "monotone-o-zero": ("f(n) <= n forces orbit number 0 (hypothesis check)",
-                        _monotone_runner("DECREASING_WEAK", "phi")),
-    "monotone-a-zero": ("f(n) >= n forces anti-orbit number 0 (hypothesis check)",
-                        _monotone_runner("INCREASING_WEAK", "psi")),
-    "strict-o-positive": ("f(n) > n above 1 forces orbit number > 0",
-                          _monotone_runner("INCREASING_STRICT_ABOVE_1", "psi")),
-    "phi-finite-fibre": ("phi fibres complete and inside the certificate bound",
-                         _phi_finite_fibre_runner),
-    "nonfinite-fibre": ("primes witness infinite fibres of omega/Omega/d",
-                        _nonfinite_fibre_runner),
-    "tau-subset": ("V(k, tau_f) within {1..k} for expansive f",
-                   _tau_subset_runner),
-    "taubar-subset": ("V(k, taubar_f) within {1..k} for decreasing f",
-                      _taubar_subset_runner),
-    "connected-forward": ("orbits of decreasing f reach 1; connectivity",
-                          _connected_runner),
-    "separation": ("expansive f splits off {1}; disconnection",
-                   _separation_runner),
-    "partition-example": ("successor map on a partition has the blocks as components",
-                          _partition_runner),
+class Lemma(NamedTuple):
+    """One registry claim: its description and runner, or for a scheme
+    claim its scheme and default (families, depth) in place of a runner."""
+    description: str
+    runner: Optional[Callable[[argparse.Namespace, ToolConfig], VerificationReport]] = None
+    scheme: Optional[dy.Scheme] = None
+    size: tuple[int, int] = (0, 0)
+
+    def size_at(self, args) -> tuple[int, int]:
+        """(--families, --depth), each defaulting to the claim's size."""
+        families, depth = self.size
+        return _positive(args, "families", families), _positive(args, "depth", depth)
+
+    def certify(self, size: tuple[int, int], config: ToolConfig) -> VerificationReport:
+        """Disjointness of size[0] families of the scheme to depth size[1];
+        a depth past the scheme cap is refused downstream, never clamped."""
+        families, depth = size
+        return dy.verify_disjoint(dy.default_family_specs(self.scheme, families),
+                                  depth, config)
+
+    def run(self, args, config: ToolConfig) -> VerificationReport:
+        if self.scheme is None:
+            return self.runner(args, config)
+        return self.certify(self.size_at(args), config)
+
+
+# The one battery registry: verify-lemma runs it, `table orbit-numbers` and
+# scripts/certify_at_depth.py read their scheme claims and sizes from it.
+LEMMAS: dict[str, Lemma] = {
+    "phi-antiorbit": Lemma("disjoint phi anti-orbit families 2^k 3^n",
+                           scheme=dy.Scheme.PHI_ANTI, size=(20, 30)),
+    "d-antiorbit": Lemma("disjoint d anti-orbit towers p^(x-1)",
+                         scheme=dy.Scheme.D_ANTI, size=(5, 5)),
+    "omega-antiorbit": Lemma("disjoint Omega anti-orbit towers p^x",
+                             scheme=dy.Scheme.OMEGA_ANTI, size=(5, 5)),
+    "smallomega-antiorbit": Lemma("disjoint omega anti-orbit primorial blocks",
+                                  scheme=dy.Scheme.SMALL_OMEGA_ANTI, size=(5, 6)),
+    "psi-orbit": Lemma("disjoint psi orbit families 3^k 2^n",
+                       scheme=dy.Scheme.PSI_ORBIT, size=(20, 30)),
+    "j2-orbit": Lemma("disjoint J_2 orbit families 2^e 3",
+                      scheme=dy.Scheme.J2_ORBIT, size=(20, 30)),
+    "generic-note": Lemma("generic multiplicative construction subsumes psi/J_2",
+                          _generic_note_runner),
+    "monotone-o-zero": Lemma("f(n) <= n forces orbit number 0 (hypothesis check)",
+                             _monotone_runner("DECREASING_WEAK", "phi")),
+    "monotone-a-zero": Lemma("f(n) >= n forces anti-orbit number 0 (hypothesis check)",
+                             _monotone_runner("INCREASING_WEAK", "psi")),
+    "strict-o-positive": Lemma("f(n) > n above 1 forces orbit number > 0",
+                               _monotone_runner("INCREASING_STRICT_ABOVE_1", "psi")),
+    "phi-finite-fibre": Lemma("phi fibres complete and inside the certificate bound",
+                              _phi_finite_fibre_runner),
+    "nonfinite-fibre": Lemma("primes witness infinite fibres of omega/Omega/d",
+                             _nonfinite_fibre_runner),
+    "tau-subset": Lemma("V(k, tau_f) within {1..k} for expansive f",
+                        _tau_subset_runner),
+    "taubar-subset": Lemma("V(k, taubar_f) within {1..k} for decreasing f",
+                           _taubar_subset_runner),
+    "connected-forward": Lemma("orbits of decreasing f reach 1; connectivity",
+                               _connected_runner),
+    "separation": Lemma("expansive f splits off {1}; disconnection",
+                        _separation_runner),
+    "partition-example": Lemma("successor map on a partition has the blocks as components",
+                               _partition_runner),
 }
 
 
 def _cmd_verify_lemma(args, config) -> tuple[str, Any]:
     if args.list or args.lemma is None:
-        rows = [{"id": name, "description": desc} for name, (desc, _) in LEMMAS.items()]
+        rows = [{"id": name, "description": lemma.description}
+                for name, lemma in LEMMAS.items()]
         return "INFO", {"lemmas": rows}
     if args.lemma not in LEMMAS:
         raise ValueError(f"unknown lemma id {args.lemma!r}; try verify-lemma --list")
-    _, runner = LEMMAS[args.lemma]
-    rep = runner(args, config)
+    rep = LEMMAS[args.lemma].run(args, config)
     return rep.status, rep.to_payload()
 
 
@@ -452,41 +459,43 @@ def _cmd_table(args, config) -> tuple[str, Any]:
     raise ValueError("table name is orbit-numbers or connectivity")
 
 
+# `table orbit-numbers`, row by row: functions, orbit_number, anti_orbit_number.
+# A cell naming a registry claim holds its certificate at --families x
+# --depth, or at the claim's own size for the pinned tower claims, whose
+# depth caps sit far below the other rows' depths.  Other cells are text.
+_ZERO = "0 {cond}"
+_ORBIT_TABLE = (
+    ("phi (=J_1)", _ZERO, "phi-antiorbit"),
+    ("d (=d_2)", _ZERO, "d-antiorbit"),
+    ("Omega", _ZERO, "omega-antiorbit"),
+    ("omega", _ZERO, "smallomega-antiorbit"),
+    ("phi_star", _ZERO, "open problem; no verdict (see `search`)"),
+    ("J_2", "j2-orbit", _ZERO),
+    ("psi (=psi_1)", "psi-orbit", _ZERO),
+    ("sigma_k, psi_k, J_(k+2) (k <= 3)", "> 0 {cond}", _ZERO),
+)
+_PINNED = frozenset({"d-antiorbit", "omega-antiorbit", "smallomega-antiorbit"})
+
+
 def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:
     bound = _positive(args, "bound", 10_000)
-    families = _positive(args, "families", 20)
-    depth = _positive(args, "depth", 30)
+    sizes = {cell: LEMMAS[cell].size if cell in _PINNED else LEMMAS[cell].size_at(args)
+             for row in _ORBIT_TABLE for cell in row[1:] if cell in LEMMAS}
     sweep = af.catalogue_monotone_sweep(bound, config=config)
     hypothesis_fail = {k: v for k, v in sweep.items() if v is not None}
+    reports = {cell: LEMMAS[cell].certify(size, config) for cell, size in sizes.items()}
+    cond = f"(conditional: hypothesis verified up to {bound} only)"
 
-    def certify(scheme: dy.Scheme, fams: int, dep: int) -> str:
-        # a depth past the scheme cap is refused downstream, never clamped
-        rep = dy.verify_disjoint(dy.default_family_specs(scheme, fams), dep, config)
+    def fill(cell: str) -> str:
+        rep = reports.get(cell)
+        if rep is None:
+            return cell.format(cond=cond)
         return rep.certified_bound if rep.passed else f"FAILED: {rep.counterexample.describe()}"
 
-    cond = f"(conditional: hypothesis verified up to {bound} only)"
-    rows = [
-        {"functions": "phi (=J_1)", "orbit_number": f"0 {cond}",
-         "anti_orbit_number": certify(dy.Scheme.PHI_ANTI, families, depth)},
-        {"functions": "d (=d_2)", "orbit_number": f"0 {cond}",
-         "anti_orbit_number": certify(dy.Scheme.D_ANTI, 5, 5)},
-        {"functions": "Omega", "orbit_number": f"0 {cond}",
-         "anti_orbit_number": certify(dy.Scheme.OMEGA_ANTI, 5, 5)},
-        {"functions": "omega", "orbit_number": f"0 {cond}",
-         "anti_orbit_number": certify(dy.Scheme.SMALL_OMEGA_ANTI, 5, 6)},
-        {"functions": "phi_star", "orbit_number": f"0 {cond}",
-         "anti_orbit_number": "open problem; no verdict (see `search`)"},
-        {"functions": "J_2", "orbit_number": certify(dy.Scheme.J2_ORBIT, families, depth),
-         "anti_orbit_number": f"0 {cond}"},
-        {"functions": "psi (=psi_1)", "orbit_number": certify(dy.Scheme.PSI_ORBIT, families, depth),
-         "anti_orbit_number": f"0 {cond}"},
-        {"functions": "sigma_k, psi_k, J_(k+2) (k <= 3)",
-         "orbit_number": f"> 0 {cond}", "anti_orbit_number": f"0 {cond}"},
-    ]
-    status = "PASS" if not hypothesis_fail and all(
-        "FAILED" not in r["orbit_number"] and "FAILED" not in r["anti_orbit_number"]
-        for r in rows) else "FAIL"
-    return status, {
+    rows = [{"functions": label, "orbit_number": fill(orbit), "anti_orbit_number": fill(anti)}
+            for label, orbit, anti in _ORBIT_TABLE]
+    passed = not hypothesis_fail and all(rep.passed for rep in reports.values())
+    return "PASS" if passed else "FAIL", {
         "table": "orbit-numbers",
         "monotone_bound": bound,
         "monotone_hypothesis_failures": hypothesis_fail,
@@ -656,9 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--families", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--bound", type=int)
-    p.add_argument("--fn")
-    p.add_argument("--k", type=int, help="parameter for J/psi/sigma")
-    p.add_argument("--l", type=int, help="parameter for d")
+    add_fn(p, required=False)
 
     p = add("entropy", _cmd_entropy, help="partial set-theoretical entropy")
     add_fn(p)

@@ -3,16 +3,16 @@ and partial set-theoretical entropy estimates.
 
 Six built-in family schemes realize the catalogued constructions:
 
-====================  ======================================  ==========
-scheme                n-th member of family k (or prime p)    direction
-====================  ======================================  ==========
-PHI_ANTI              2^k * 3^n                               anti-orbit
-D_ANTI                x_1 = p, x_{n+1} = p^(x_n - 1)          anti-orbit
-OMEGA_ANTI            x_1 = p, x_{n+1} = p^(x_n)              anti-orbit
-SMALL_OMEGA_ANTI      x_1 = p, x_{n+1} = p*q_{j+1}...q_{j+x_n-1}  anti-orbit
-PSI_ORBIT             3^k * 2^n                               orbit
-J2_ORBIT              2^(2^(n+1) k + 2^n - 1) * 3             orbit
-====================  ======================================  ==========
+=================  =====  ==========================================  ==========
+scheme (name)      f      n-th member of family k (or prime p)        direction
+=================  =====  ==========================================  ==========
+phi-anti           phi    2^k * 3^n                                   anti-orbit
+d-anti             d      x_1 = p, x_{n+1} = p^(x_n - 1)              anti-orbit
+omega-anti         Omega  x_1 = p, x_{n+1} = p^(x_n)                  anti-orbit
+smallomega-anti    omega  x_1 = p, x_{n+1} = p*q_{j+1}...q_{j+x_n-1}  anti-orbit
+psi-orbit          psi    3^k * 2^n                                   orbit
+j2-orbit           J_2    2^(2^(n+1) k + 2^n - 1) * 3                 orbit
+=================  =====  ==========================================  ==========
 
 Anti-orbit terms grow as exponent towers; once a term's value passes the
 bit budget the next term's shape holds a DeferredValue and the recurrence
@@ -47,37 +47,25 @@ class MismatchedScheme(Exception):
 
 
 class Scheme(enum.Enum):
-    PHI_ANTI = "phi-anti"
-    D_ANTI = "d-anti"
-    OMEGA_ANTI = "omega-anti"
-    SMALL_OMEGA_ANTI = "smallomega-anti"
-    PSI_ORBIT = "psi-orbit"
-    J2_ORBIT = "j2-orbit"
+    """A built-in family scheme.  The value is its name ("phi-anti"); each
+    member also carries the function its families follow, whether they
+    are anti-orbits, and the ToolConfig key of its depth cap."""
+    PHI_ANTI = ("phi-anti", PHI, True, "depth_cap_phi_anti")
+    D_ANTI = ("d-anti", D, True, "depth_cap_d_anti")
+    OMEGA_ANTI = ("omega-anti", BIG_OMEGA, True, "depth_cap_omega_anti")
+    SMALL_OMEGA_ANTI = ("smallomega-anti", SMALL_OMEGA, True, "depth_cap_smallomega_anti")
+    PSI_ORBIT = ("psi-orbit", PSI, False, "depth_cap_psi_orbit")
+    J2_ORBIT = ("j2-orbit", J2, False, "depth_cap_j2_orbit")
 
-
-SCHEME_FUNCTION = {
-    Scheme.PHI_ANTI: PHI,
-    Scheme.D_ANTI: D,
-    Scheme.OMEGA_ANTI: BIG_OMEGA,
-    Scheme.SMALL_OMEGA_ANTI: SMALL_OMEGA,
-    Scheme.PSI_ORBIT: PSI,
-    Scheme.J2_ORBIT: J2,
-}
-
-ANTI_SCHEMES = {Scheme.PHI_ANTI, Scheme.D_ANTI, Scheme.OMEGA_ANTI,
-                Scheme.SMALL_OMEGA_ANTI}
-ORBIT_SCHEMES = {Scheme.PSI_ORBIT, Scheme.J2_ORBIT}
+    def __new__(cls, value: str, function: FunctionId, anti: bool, cap_key: str):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.function, member.anti, member.cap_key = function, anti, cap_key
+        return member
 
 
 def scheme_depth_cap(scheme: Scheme, config: ToolConfig) -> int:
-    return {
-        Scheme.PHI_ANTI: config.depth_cap_phi_anti,
-        Scheme.D_ANTI: config.depth_cap_d_anti,
-        Scheme.OMEGA_ANTI: config.depth_cap_omega_anti,
-        Scheme.SMALL_OMEGA_ANTI: config.depth_cap_smallomega_anti,
-        Scheme.PSI_ORBIT: config.depth_cap_psi_orbit,
-        Scheme.J2_ORBIT: config.depth_cap_j2_orbit,
-    }[scheme]
+    return getattr(config, scheme.cap_key)
 
 
 @dataclass(frozen=True)
@@ -112,7 +100,8 @@ def family_terms(spec: FamilySpec, depth: int,
     cap = scheme_depth_cap(spec.scheme, config)
     if not 1 <= depth <= cap:
         raise BudgetExceeded(
-            f"depth {depth} outside 1..{cap} for {spec.scheme.value}")
+            f"depth {depth} outside 1..{cap} for {spec.scheme.value} "
+            f"({spec.scheme.cap_key})")
     k = spec.index
     if spec.scheme is Scheme.PHI_ANTI:
         return [FactoredNatural(((2, k), (3, n))) for n in range(1, depth + 1)]
@@ -185,11 +174,10 @@ def _value_matches(value, expected: FactoredNatural, config: ToolConfig) -> bool
 
 
 def _check_scheme(spec: FamilySpec, f: FunctionId, anti: bool) -> None:
-    want_anti = spec.scheme in ANTI_SCHEMES
-    if want_anti != anti:
+    if spec.scheme.anti != anti:
         kind = "anti-orbit" if anti else "orbit"
         raise MismatchedScheme(f"{spec.scheme.value} is not an {kind} scheme")
-    expected_f = SCHEME_FUNCTION[spec.scheme]
+    expected_f = spec.scheme.function
     if f != expected_f:
         raise MismatchedScheme(
             f"{spec.scheme.value} is a {expected_f} family, not {f}")
@@ -248,8 +236,8 @@ def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
     scheme = specs[0].scheme
     if any(s.scheme is not scheme for s in specs):
         raise MismatchedScheme("verify_disjoint needs a single scheme")
-    anti = scheme in ANTI_SCHEMES
-    f = SCHEME_FUNCTION[scheme]
+    anti = scheme.anti
+    f = scheme.function
     lemma = f"{scheme.value} x{len(specs)} depth {depth}"
     notes: list[str] = []
     all_terms: list[FactoredNatural] = []
@@ -578,15 +566,6 @@ def surjective_core_membership(f: FunctionId, x: int,
         raise ValueError(f"{f} not expansive below {x}")  # pragma: no cover
     return any(scalar_value(f, prime_factors(y, config)) == y
                for y in preimage_closure(f, x, None, config))
-
-
-IN_CORE = "IN_CORE"
-NOT_IN_CORE = "NOT_IN_CORE"
-
-
-def surjective_core_verdict(f: FunctionId, x: int,
-                            config: ToolConfig = DEFAULT_CONFIG) -> str:
-    return IN_CORE if surjective_core_membership(f, x, config) else NOT_IN_CORE
 
 
 # ---------------------------------------------------------------------------

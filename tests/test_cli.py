@@ -135,7 +135,9 @@ def test_verify_lemma_refuses_zero_parameters(capsys):
 def test_verify_lemma_refuses_depth_past_the_cap(capsys):
     code, out = run_cli("verify-lemma", "d-antiorbit", "--depth", "6")
     assert code == 2 and out == ""
-    assert "outside 1..5" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "outside 1..5" in err
+    assert "(depth_cap_d_anti)" in err  # the refusal names its budget key
 
 
 def test_lemma_failure_exit_code():
@@ -288,4 +290,40 @@ def test_table_refuses_depth_past_the_cap(capsys):
     # phi-anti, psi-orbit and j2-orbit run at --depth; their cap is 10000
     code, out = run_cli("table", "orbit-numbers", "--depth", "10001", "--bound", "100")
     assert code == 2 and out == ""
-    assert "depth 10001 outside 1..10000" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "depth 10001 outside 1..10000" in err
+    assert "(depth_cap_phi_anti)" in err
+
+
+def test_table_rows_match_the_registry():
+    code, doc = run_json("table", "orbit-numbers")
+    assert code == 0 and doc["status"] == "PASS"
+    cond = "(conditional: hypothesis verified up to 10000 only)"
+    rows = [(r["functions"], r["orbit_number"], r["anti_orbit_number"])
+            for r in doc["results"]["rows"]]
+    assert rows == [
+        ("phi (=J_1)", f"0 {cond}", "a(phi) >= 20 certified at depth 30"),
+        ("d (=d_2)", f"0 {cond}", "a(d) >= 5 certified at depth 5"),
+        ("Omega", f"0 {cond}", "a(Omega) >= 5 certified at depth 5"),
+        ("omega", f"0 {cond}", "a(omega) >= 5 certified at depth 6"),
+        ("phi_star", f"0 {cond}", "open problem; no verdict (see `search`)"),
+        ("J_2", "o(J_2) >= 20 certified at depth 30", f"0 {cond}"),
+        ("psi (=psi_1)", "o(psi) >= 20 certified at depth 30", f"0 {cond}"),
+        ("sigma_k, psi_k, J_(k+2) (k <= 3)", f"> 0 {cond}", f"0 {cond}"),
+    ]
+    # each certified cell is what verify-lemma gives for its id at defaults
+    certified = {"phi-antiorbit": rows[0][2], "d-antiorbit": rows[1][2],
+                 "omega-antiorbit": rows[2][2], "smallomega-antiorbit": rows[3][2],
+                 "j2-orbit": rows[5][1], "psi-orbit": rows[6][1]}
+    for lemma, cell in certified.items():
+        code, doc = run_json("verify-lemma", lemma)
+        assert code == 0 and doc["results"]["certified_bound"] == cell, lemma
+    # --families/--depth move the phi, J_2 and psi rows; the towers stay pinned
+    code, doc = run_json("table", "orbit-numbers", "--families", "3", "--depth", "7",
+                         "--bound", "100")
+    assert code == 0
+    moved = [(r["orbit_number"], r["anti_orbit_number"]) for r in doc["results"]["rows"]]
+    assert moved[0][1] == "a(phi) >= 3 certified at depth 7"
+    assert [cells[1] for cells in moved[1:4]] == [row[2] for row in rows[1:4]]
+    assert moved[5][0] == "o(J_2) >= 3 certified at depth 7"
+    assert moved[6][0] == "o(psi) >= 3 certified at depth 7"

@@ -219,8 +219,8 @@ def test_tower_terms_are_kept_per_config():
        st.integers(min_value=1, max_value=50),
        st.integers(min_value=2, max_value=25))
 def test_recurrence_exactness_property(scheme, index, depth):
-    f = dy.SCHEME_FUNCTION[scheme]
-    if scheme in dy.ANTI_SCHEMES:
+    f = scheme.function
+    if scheme.anti:
         assert dy.verify_antiorbit(dy.FamilySpec(scheme, index), f, depth).passed
     else:
         assert dy.verify_orbit(dy.FamilySpec(scheme, index), f, depth).passed
@@ -309,11 +309,11 @@ def test_ent_cset_core_mode():
 
 
 def test_surjective_core():
-    assert dy.surjective_core_verdict(af.PSI, 1) == dy.IN_CORE
-    assert dy.surjective_core_verdict(af.PSI, 2) == dy.NOT_IN_CORE
+    assert dy.surjective_core_membership(af.PSI, 1) is True
+    assert dy.surjective_core_membership(af.PSI, 2) is False
     # exhaustive finite-tree search: the closure of 12 under psi-preimages
     # is {2,...,9,11,12} and contains no fixed point
-    assert dy.surjective_core_verdict(af.PSI, 12) == dy.NOT_IN_CORE
+    assert dy.surjective_core_membership(af.PSI, 12) is False
     with pytest.raises(ValueError):
         dy.surjective_core_membership(af.PHI, 5)
 

@@ -26,6 +26,25 @@ def test_certify_at_depth_runs():
     assert "o(J_2) >= 3 certified at depth 5" in proc.stdout
 
 
+
+def test_certify_at_depth_substitutes_the_registry_depth_past_a_cap():
+    proc = run_script("certify_at_depth.py", "--families", "3", "--depth", "7",
+                      "--bound", "2000")
+    assert proc.returncode == 0, proc.stderr
+    lines = {line.split()[1]: line for line in proc.stdout.splitlines()
+             if line.startswith(("PASS", "FAIL"))}
+    for scheme, cert, depth, key in (
+            ("d-anti", "a(d)", 5, "depth_cap_d_anti"),
+            ("omega-anti", "a(Omega)", 5, "depth_cap_omega_anti"),
+            ("smallomega-anti", "a(omega)", 6, "depth_cap_smallomega_anti")):
+        assert f"PASS  {scheme} " in lines[scheme]
+        assert f"{cert} >= 3 certified at depth {depth} " in lines[scheme]
+        assert key in lines[scheme]
+    for scheme, cert in (("phi-anti", "a(phi)"), ("psi-orbit", "o(psi)"),
+                         ("j2-orbit", "o(J_2)")):
+        assert lines[scheme].endswith(f"{cert} >= 3 certified at depth 7")
+
+
 def test_explore_open_problems_runs():
     # past depth 2 the d_3 and d_4 anti-orbit searches expand many nodes
     proc = run_script("explore_open_problems.py", "--max-start", "20",
