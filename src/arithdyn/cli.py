@@ -27,7 +27,7 @@ from .factorint import (
     BudgetExceeded, ComparisonUndecided, FactoredNatural, OVERFLOW, factorize,
     to_integer,
 )
-from .preimage import NotExpansive, NotFiniteFibre
+from .preimage import NotExpansive
 from .reports import Counterexample, VerificationReport
 
 SCHEMA_VERSION = 1
@@ -108,21 +108,11 @@ def _cmd_oracle_eval(args, config) -> tuple[str, Any]:
 
 def _cmd_preimage(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
-    if f == af.PHI or pre.is_expansive_family(f):
-        result = pre.PreimageResult(
-            args.m, pre.complete_preimage(f, args.m, config), pre.COMPLETE)
-        method = ("divisor-driven inverse totient" if f == af.PHI
-                  else "divisor-driven inversion (complete)")
-    elif args.bound is not None:
-        result = pre.preimage_bounded(f, args.m, args.bound, config)
-        method = f"bounded scan of 1..{args.bound}"
-    else:
-        raise NotFiniteFibre(
-            f"{f} admits no complete enumeration; pass --bound for a bounded search")
+    fibres = pre.fibres(f, args.bound, config)
     return "INFO", {
-        "function": str(f), "target": args.m, "members": list(result.members),
-        "completeness": result.completeness, "search_bound": result.search_bound,
-        "method": method,
+        "function": str(f), "target": args.m, "members": list(fibres.of(args.m)),
+        "completeness": fibres.completeness, "search_bound": fibres.search_bound,
+        "method": fibres.method,
     }
 
 
@@ -730,7 +720,7 @@ def run(argv=None, out=None) -> int:
     try:
         config = _load_config(args)
         status, results = args.handler(args, config)
-    except (BudgetExceeded, NotFiniteFibre, NotExpansive, dy.MismatchedScheme,
+    except (BudgetExceeded, NotExpansive, dy.MismatchedScheme,
             ComparisonUndecided, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

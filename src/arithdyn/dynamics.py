@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
-    BIG_OMEGA, D, Family, FunctionId, J2, MULTIPLICATIVE_VALUE, PHI, PSI,
+    BIG_OMEGA, D, FunctionId, J2, MULTIPLICATIVE_VALUE, PHI, PSI,
     SMALL_OMEGA, Value, evaluate, forward_orbit, monotone_profile, scalar_value,
 )
 from .factorint import (
@@ -38,7 +38,7 @@ from .factorint import (
     factorize, nth_prime, pairwise_all_different, prime_factors, prime_index,
     to_integer,
 )
-from .preimage import complete_preimage, is_expansive_family, preimage_closure
+from .preimage import complete_preimage, fibres, is_expansive_family, preimage_closure
 from .reports import Counterexample, VerificationReport
 
 
@@ -635,22 +635,13 @@ def _search_orbits(f: FunctionId, budget: SearchBudget,
 
 def _search_antiorbits(f: FunctionId, budget: SearchBudget,
                        config: ToolConfig) -> list[CandidateFamily]:
-    from .preimage import NotFiniteFibre, fibre_table, preimage_bounded
+    fibre = fibres(f, budget.scan_bound, config).of
 
-    if f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT):
-        # every node's bounded fibre comes from one table of 1..scan_bound
-        fibres = fibre_table(f, budget.scan_bound, config)
-
-        def preimages(y: int) -> list[int]:
-            return fibres.get(y, [])
-    else:
-        def preimages(y: int) -> list[int]:
-            try:
-                return list(complete_preimage(f, y, config))
-            except NotFiniteFibre:  # phi_star: the inverter, cut at scan_bound
-                return list(preimage_bounded(f, y, budget.scan_bound, config).members)
-            except BudgetExceeded:
-                return []
+    def preimages(y: int) -> Sequence[int]:
+        try:
+            return fibre(y)
+        except BudgetExceeded:  # phi past inverse_phi_budget
+            return []
 
     used: set[int] = set()
     out: list[CandidateFamily] = []

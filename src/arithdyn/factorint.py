@@ -325,9 +325,6 @@ class DeferredValue:
     def shift(self, delta: int) -> "DeferredValue":
         return DeferredValue(self.base, self.offset + delta)
 
-    def bit_length_lower_bound(self) -> int:
-        return _nat_bitlen_lb(self)
-
     def resolve(self, config: ToolConfig = DEFAULT_CONFIG):
         v = to_integer(self.base, config)
         if v is OVERFLOW:
@@ -521,21 +518,8 @@ class FactoredNatural:
                 final_ivals.append((lo, hi))
 
         for p in exp_map:
-            for lo, hi in final_ivals:
-                # explicit prime must not fall inside an interval's range
-                if p < nth_prime(lo):
-                    continue
-                if isinstance(hi, int) and hi <= DEFAULT_CONFIG.prime_index_budget:
-                    if p <= nth_prime(hi) and is_prime(p):
-                        idx = prime_index(p)
-                        if lo <= idx <= hi:
-                            raise ValueError(
-                                f"prime {p} duplicated by interval [{lo}..{hi}]")
-                else:
-                    idx = prime_index(p)
-                    if idx >= lo and not nat_certainly_less(hi, idx):
-                        raise ValueError(
-                            f"prime {p} may fall inside interval [{lo}..{hi!r}]")
+            if final_ivals and not _prime_outside_intervals(p, final_ivals, DEFAULT_CONFIG):
+                raise ValueError(f"prime {p} may fall inside an interval factor")
 
         self.explicit = tuple(sorted(exp_map.items()))
         self.intervals = tuple(final_ivals)
@@ -585,16 +569,6 @@ class FactoredNatural:
         if v is OVERFLOW:
             raise OverflowError(f"{self!r} exceeds the bit budget")
         return v
-
-    # -- constructors ----------------------------------------------------
-
-    @classmethod
-    def one(cls) -> "FactoredNatural":
-        return cls()
-
-    @classmethod
-    def from_prime_power(cls, p: int, e: Nat) -> "FactoredNatural":
-        return cls(((p, e),))
 
 
 ONE = FactoredNatural()
@@ -734,7 +708,7 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
         ea, eb = pa.get(p), pb.get(p)
         if ea is None or eb is None:
             absent = b if eb is None else a
-            if _prime_outside_intervals(p, absent, config):
+            if _prime_outside_intervals(p, absent.intervals, config):
                 return True
             continue
         if nat_certainly_different(ea, eb, config):
@@ -755,9 +729,10 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
     raise ComparisonUndecided(f"cannot compare {a!r} and {b!r}")
 
 
-def _prime_outside_intervals(p: int, x: FactoredNatural, config: ToolConfig) -> bool:
-    """True if prime p certainly does not occur in x's interval factors."""
-    for lo, hi in x.intervals:
+def _prime_outside_intervals(p: int, intervals: Iterable[tuple[int, Nat]],
+                             config: ToolConfig) -> bool:
+    """True if prime p certainly does not occur in the interval factors."""
+    for lo, hi in intervals:
         if p < nth_prime(lo, config):
             continue
         if isinstance(hi, int) and hi <= config.prime_index_budget:

@@ -1,25 +1,30 @@
 """Exact preimage enumeration where finite-fibre structure permits.
 
-Three regimes:
+``fibres(f, bound)`` is the one fibre policy: every caller that needs
+f^-1(y) for many y (the CLI, closures, the backward search) takes its
+lookup from there, and it alone decides how the fibre is found:
 
-* the multiplicative families (Jordan J_k, generalized psi_k, sigma_k and
-  the unitary totient phi_star) are inverted by one divisor-driven
-  recursion: each prime power p^a of a preimage of m has f(p^a) | m, so the
-  fibre is the set of coprime products of such candidates whose values
-  multiply to exactly m.  The result is complete for phi, whose explicit
-  (astronomical) containment bound stays available as a checkable
-  certificate, and for the expansive families (f(n) >= n pointwise);
-  phi_star fibres are only ever asked for below a bound;
-* the scan of 1..m, complete for expansive f, stays as the test oracle;
-* Omega, omega and d_l contain all primes in one fibre and admit only
-  witness lists and bounded scans, never complete enumerations.
+* complete, for phi (``inverse_phi``, within its budget) and for the
+  expansive families J_k (k >= 2), psi_k and sigma_k, through one
+  divisor-driven inverter: each prime power p^a of a preimage of m has
+  f(p^a) | m, so the fibre is the set of coprime products of such
+  candidates whose values multiply to exactly m;
+* cut at ``bound``, for phi_star (the same inverter, members <= bound) and
+  for Omega, omega and d_l (one ``fibre_table`` of 1..bound): the latter
+  contain all primes in one fibre and admit only witness lists and bounded
+  scans, never complete enumerations;
+* refused (``NotFiniteFibre``) when no bound is given and no complete
+  method exists.
+
+``preimage_closure`` is the one closure routine built on it.  The scan of
+1..m, complete for expansive f, stays as the test oracle.
 """
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, isqrt, lcm
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
@@ -31,8 +36,9 @@ from .factorint import (
 )
 
 
-class NotFiniteFibre(Exception):
-    """Raised when a complete fibre enumeration is impossible in principle."""
+class NotFiniteFibre(ValueError):
+    """Raised when a complete fibre enumeration is impossible in principle;
+    a ValueError, because a bound is the missing argument."""
 
 
 class NotExpansive(Exception):
@@ -289,36 +295,68 @@ def nonfinite_fibre_witness(f: FunctionId, target: int, count: int,
     return [nth_prime(i, config) for i in range(1, count + 1)]
 
 
+def fibre_table(f: FunctionId, bound: int,
+                config: ToolConfig = DEFAULT_CONFIG) -> dict[int, list[int]]:
+    """{y: ascending x <= bound with f(x) = y}: every bounded fibre of f at
+    once, from one value table."""
+    table = value_table(f, bound, config)
+    by_value: dict[int, list[int]] = {}
+    for x in range(1, bound + 1):
+        by_value.setdefault(table[x], []).append(x)
+    return by_value
+
+
+class Fibres(NamedTuple):
+    """f's fibres under the policy `fibres` chose: of(y) is f^-1(y),
+    ascending, complete or cut at search_bound; method says how."""
+    of: Callable[[int], Sequence[int]]
+    completeness: str
+    search_bound: Optional[int]
+    method: str
+
+
+def fibres(f: FunctionId, bound: Optional[int] = None,
+           config: ToolConfig = DEFAULT_CONFIG) -> Fibres:
+    """The fibre lookup for f: complete where f admits that (phi and the
+    expansive families, whatever the bound), else cut at `bound`.
+
+    Omega, omega and d_l read one fibre table of 1..bound, built here once,
+    so a lookup is a dict lookup.  Without a bound they, and phi_star,
+    raise NotFiniteFibre.
+    """
+    if f == PHI:
+        return Fibres(lambda y: inverse_phi(y, config).members, COMPLETE, None,
+                      "divisor-driven inverse totient")
+    if is_expansive_family(f):
+        return Fibres(lambda y: _invert(f, y, None, config), COMPLETE, None,
+                      "divisor-driven inversion (complete)")
+    if bound is None:
+        raise NotFiniteFibre(f"{f} admits no complete enumeration without a bound")
+    if bound < 1:
+        raise ValueError("bound >= 1")
+    if f.family in _INVERTIBLE:  # phi_star
+        return Fibres(lambda y: _invert(f, y, bound, config), BOUNDED_SEARCH, bound,
+                      f"divisor-driven inversion, members <= {bound}")
+    table = fibre_table(f, bound, config)
+    return Fibres(lambda y: table.get(y, ()), BOUNDED_SEARCH, bound,
+                  f"bounded scan of 1..{bound}")
+
+
 def complete_preimage(f: FunctionId, m: int,
                       config: ToolConfig = DEFAULT_CONFIG) -> tuple[int, ...]:
     """Complete fibre for functions that admit one; raises otherwise."""
-    if f == PHI:
-        return inverse_phi(m, config).members
-    if is_expansive_family(f):
-        return _invert(f, m, None, config)
-    if f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT):
-        raise NotFiniteFibre(f"{f} is not finite fibre")
-    raise NotFiniteFibre(f"no complete enumeration method for {f}")
+    return fibres(f, None, config).of(m)
 
 
 def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,
                      config: ToolConfig = DEFAULT_CONFIG) -> set[int]:
-    """x and all its iterated preimages.
-
-    Fibres are complete where f admits that (phi and the expansive
-    families) and cut at scan_bound otherwise.  A node above scan_bound
-    joins the closure but is not expanded.
+    """x and all its iterated preimages, with the fibres of
+    `fibres(f, scan_bound)`.  A node above scan_bound joins the closure but
+    is not expanded.
     """
     if x < 1:
         raise ValueError("x >= 1")
-    if f == PHI or is_expansive_family(f):
-        def fibre(y: int) -> tuple[int, ...]:
-            return complete_preimage(f, y, config)
-    elif scan_bound is None:
-        raise ValueError(f"{f} needs a scan_bound")
-    else:
-        def fibre(y: int) -> tuple[int, ...]:
-            return preimage_bounded(f, y, scan_bound, config).members
+    fibre = fibres(f, scan_bound, config).of
     closure = {x}
     frontier = [x]
     while frontier:
@@ -332,22 +370,11 @@ def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,
     return closure
 
 
-def fibre_table(f: FunctionId, bound: int,
-                config: ToolConfig = DEFAULT_CONFIG) -> dict[int, list[int]]:
-    """{y: ascending x <= bound with f(x) = y}: every bounded fibre of f at
-    once, from one value table."""
-    table = value_table(f, bound, config)
-    fibres: dict[int, list[int]] = {}
-    for x in range(1, bound + 1):
-        fibres.setdefault(table[x], []).append(x)
-    return fibres
-
-
 def preimage_table(f: FunctionId, bound: int,
                    config: ToolConfig = DEFAULT_CONFIG) -> list[list[int]]:
     """pre[y] = ascending x <= bound with f(x) = y, for y <= bound.
 
     For expansive f this is the complete fibre of every y <= bound.
     """
-    fibres = fibre_table(f, bound, config)
-    return [fibres.get(y, []) for y in range(bound + 1)]
+    by_value = fibre_table(f, bound, config)
+    return [by_value.get(y, []) for y in range(bound + 1)]

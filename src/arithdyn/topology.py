@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .arithfun import PHI, Family, FunctionId, orbit_values, value_table
+from .arithfun import Family, FunctionId, orbit_values, value_table
 from .preimage import (
-    NotFiniteFibre, is_expansive_family, preimage_closure, preimage_table,
+    BOUNDED_SEARCH, NotFiniteFibre, fibre_table, fibres, is_expansive_family,
+    preimage_closure,
 )
 from .reports import Counterexample, VerificationReport
 
@@ -79,14 +80,15 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
         raise ValueError("x >= 1")
     if f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT):
         raise NotFiniteFibre(f"{f} is not finite fibre; no complete closure exists")
-    if is_expansive_family(f):
+    if is_expansive_family(f):  # f(n) >= n keeps the closure inside {1..x}
         closure = preimage_closure(f, x, None, config)
         return MinimalOpenSet(x, TAU, tuple(sorted(closure)), COMPLETE)
     if scan_bound is None:
         raise ValueError(f"{f} needs a scan_bound")
     closure = preimage_closure(f, x, scan_bound, config)
-    # phi fibres are complete, so only the unexpanded nodes cut phi's closure
-    truncated = f != PHI or max(closure) > scan_bound
+    # with complete fibres (phi) only the unexpanded nodes cut the closure
+    truncated = (fibres(f, scan_bound, config).completeness == BOUNDED_SEARCH
+                 or max(closure) > scan_bound)
     return MinimalOpenSet(x, TAU, tuple(sorted(closure)),
                           TRUNCATED if truncated else COMPLETE,
                           truncation_bound=scan_bound if truncated else None)
@@ -193,7 +195,9 @@ def verify_taubar_subset(f: FunctionId, bound: int,
 def verify_tau_subset(f: FunctionId, bound: int,
                       config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """For expansive-verified f: V(k, tau) subset of {1..k}, literally, for
-    every k <= bound (closures computed from one preimage table)."""
+    every k <= bound.  V(k, tau) is k with the V(x, tau) of its fibre
+    members x, so one ascending pass over one fibre table gives the largest
+    member of every V(k, tau)."""
     lemma = f"tau-subset {f}"
     if not is_expansive_family(f):
         raise ValueError(f"tau-subset check needs an expansive f, not {f}")
@@ -205,21 +209,15 @@ def verify_tau_subset(f: FunctionId, bound: int,
                 counterexample=Counterexample(
                     None, n, f">= {n}", table[n],
                     detail=f"expansiveness fails at n = {n}"))
-    pre = preimage_table(f, bound, config)
+    by_value = fibre_table(f, bound, config)
+    max_reach = list(range(bound + 1))  # max of V(k, tau), once k is passed
     for k in range(1, bound + 1):
-        closure = {k}
-        frontier = [k]
-        while frontier:
-            y = frontier.pop()
-            for member in pre[y]:
-                if member > k:
-                    return VerificationReport(
-                        lemma_id=lemma, families_checked=1, depth=bound,
-                        status="FAIL",
-                        counterexample=Counterexample(None, k, f"<= {k}", member))
-                if member not in closure:
-                    closure.add(member)
-                    frontier.append(member)
+        for member in by_value.get(k, ()):
+            if max_reach[member] > k:  # a member above k is not passed yet
+                return VerificationReport(
+                    lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
+                    counterexample=Counterexample(None, k, f"<= {k}", max_reach[member]))
+            max_reach[k] = max(max_reach[k], max_reach[member])
     return VerificationReport(
         lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
         certified_bound=f"V(k, tau_{f}) within {{1..k}} for all k <= {bound}")

@@ -284,6 +284,32 @@ def test_preimage_inverter_method_and_sieve_independence():
                          "--sieve-bound", "10")
     assert code == 0
     assert doc["results"]["members"] == [14, 15, 23]
+    # bounded fibres name their method: the inverter for phi_star, a scan
+    # of one value table for Omega/omega/d_l
+    code, doc = run_json("preimage", "--fn", "phi_star", "--m", "6", "--bound", "100")
+    assert doc["results"]["method"] == "divisor-driven inversion, members <= 100"
+    assert doc["results"]["members"] == [7, 12, 14]
+    code, doc = run_json("preimage", "--fn", "Omega", "--m", "1", "--bound", "10")
+    assert doc["results"]["method"] == "bounded scan of 1..10"
+    assert doc["results"]["members"] == [1, 2, 3, 5, 7]
+
+
+@pytest.mark.parametrize("fn, depth, candidates", [
+    ("phi", 4, [[2, 4, 8, 15], [6, 18, 54, 81], [10, 22, 46, 47]]),
+    ("psi", 4, [[6, 4, 3, 2], [24, 12, 8, 7]]),
+    ("phi_star", 4, [[2, 3, 4, 5], [6, 7, 8, 9], [10, 22, 46, 47]]),
+    ("Omega", 3, [[2, 4, 16], [3, 8, 256]]),
+    ("d_3", 4, [[6, 9, 10, 8], [15, 81, 210, 864], [18, 45, 162, 420]]),
+])
+def test_search_backward(fn, depth, candidates):
+    # complete fibres (phi, psi), the inverter cut at the scan bound
+    # (phi_star) and one fibre table (Omega, d_3) behind one search
+    code, doc = run_json("search", "--direction", "backward", "--fn", fn,
+                         "--max-start", "30", "--max-depth", str(depth),
+                         "--max-families", "3")
+    assert code == 0 and doc["status"] == "INFO"
+    assert doc["results"]["direction"] == "BACKWARD"
+    assert doc["results"]["candidates"] == candidates
 
 
 def test_table_refuses_depth_past_the_cap(capsys):

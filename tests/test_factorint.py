@@ -93,6 +93,13 @@ def test_interval_invariants():
     big = FactoredNatural((), ((3, 10 ** 9),))
     with pytest.raises(ValueError):
         FactoredNatural(((7, 1),), ((4, DeferredValue(big, 0)),))  # 7 = q_4 inside
+    # 7 = q_4 against intervals too long to expand: in budget and past it
+    with pytest.raises(ValueError):
+        FactoredNatural(((7, 1),), ((3, 2000),))
+    assert FactoredNatural(((7, 1),), ((5, 2000),)).explicit == ((7, 1),)
+    with pytest.raises(ValueError):
+        FactoredNatural(((7, 1),), ((3, 10 ** 9),))
+    assert FactoredNatural(((2, 1),), ((3, 10 ** 9),)).intervals == ((3, 10 ** 9),)
 
 
 def test_adjacent_intervals_merge():

@@ -197,6 +197,41 @@ def test_expansive_targets_past_the_sieve_bound():
         pre.preimage_expansive(af.PSI, 7776, tiny)
 
 
+CATALOGUE = ("phi", "J_2", "J_3", "psi", "psi_2", "psi_3", "phi_star", "Omega",
+             "omega", "d", "d_3", "sigma_1", "sigma_2", "sigma_3")
+POLICY_BOUND = 2000
+
+
+@pytest.mark.parametrize("name", CATALOGUE)
+def test_fibre_policy(name):
+    f = af.parse_function(name)
+    complete = f == af.PHI or pre.is_expansive_family(f)
+    fib = pre.fibres(f, POLICY_BOUND)
+    if complete:
+        assert fib.completeness == pre.COMPLETE and fib.search_bound is None
+        reference = (lambda m: pre.inverse_phi(m).members) if f == af.PHI else (
+            lambda m: pre.preimage_expansive(f, m).members)
+        unbounded = pre.fibres(f).of
+        for m in range(1, 301):
+            assert tuple(fib.of(m)) == tuple(unbounded(m)) == reference(m), (name, m)
+    else:
+        assert fib.completeness == pre.BOUNDED_SEARCH
+        assert fib.search_bound == POLICY_BOUND
+        table = af.value_table(f, POLICY_BOUND)
+        expected = {}
+        for x in range(1, POLICY_BOUND + 1):
+            expected.setdefault(table[x], []).append(x)
+        for m in range(1, POLICY_BOUND + 1):
+            assert list(fib.of(m)) == expected.get(m, []), (name, m)
+        with pytest.raises(pre.NotFiniteFibre):
+            pre.fibres(f)
+        with pytest.raises(pre.NotFiniteFibre):
+            pre.complete_preimage(f, 1)
+    if f == af.PHI:
+        with pytest.raises(BudgetExceeded):
+            fib.of(DEFAULT_CONFIG.inverse_phi_budget + 2)
+
+
 def test_preimage_bounded_validation():
     with pytest.raises(ValueError):
         pre.preimage_bounded(af.PSI, 3, 0)
