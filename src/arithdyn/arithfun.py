@@ -19,17 +19,19 @@ closed forms, so the two can check each other.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 # factored_range is not used here but stays importable as
 # arithfun.factored_range, the decomposition the value tables are tested on
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, Nat, ONE, OVERFLOW,
-    factored_range, factorize, nat_add, smallest_factor_table, to_integer,
+    factored_range, factorize, nat_add, primes_upto, smallest_factor_table,
+    to_integer,
 )
 from .reports import Counterexample, VerificationReport
 
@@ -427,21 +429,70 @@ def oracle_evaluate(f: FunctionId, n: int,
 # identity and monotonicity sweeps
 
 
+def prime_power_values(f: FunctionId, bound: int,
+                       config: ToolConfig = DEFAULT_CONFIG) -> Iterator[tuple[int, int]]:
+    """(q, f(q)) for every prime power 2 <= q <= bound, prime by prime (so
+    not in order of q), from primes_upto and scalar_value.
+
+    The pointwise hypotheses below (f against the identity, psi_k * J_k =
+    J_2k) are decided on these values alone.  Write n >= 2 as a product of
+    coprime prime powers n = q_1 ... q_r:
+
+    * multiplicative f (every family but Omega and omega): f(n) =
+      f(q_1) ... f(q_r) with every factor positive, so each of f(n) <= n,
+      < n, >= n and > n holds at n when it holds at every q_i, and so does
+      an identity between multiplicative functions;
+    * additive f (Omega, omega): f(n) = f(q_1) + ... + f(q_r), and
+      q_1 + ... + q_r <= q_1 ... q_r, so f(n) <= n and f(n) < n hold at n
+      when they hold at every q_i; f(2) = 1, so f(n) >= n and f(n) > n
+      already fail at n = 2.
+
+    Either way an n where the hypothesis fails has a failing prime power
+    q_i <= n (for the additive >= and >, the prime power 2), so the least
+    failure in 2..bound is the least failing prime power.  Composite n are
+    never evaluated.
+    """
+    for p in primes_upto(bound, config):
+        q, a = p, 1
+        while q <= bound:
+            yield q, scalar_value(f, [(p, a)])
+            q *= p
+            a += 1
+
+
+def least_violations(f: FunctionId, bound: int,
+                     violated: tuple[Callable[[int, int], bool], ...],
+                     config: ToolConfig = DEFAULT_CONFIG) -> list[Optional[tuple[int, int]]]:
+    """For each predicate in `violated`, one of operator.lt, le, gt and ge
+    read as violated(f(n), n), the least n in 2..bound it holds at, as
+    (n, f(n)), or None.  One pass over prime_power_values, which says why
+    the prime powers decide it."""
+    least: list[Optional[tuple[int, int]]] = [None] * len(violated)
+    for q, v in prime_power_values(f, bound, config):
+        for i, holds in enumerate(violated):
+            if holds(v, q) and (least[i] is None or q < least[i][0]):
+                least[i] = (q, v)
+    return least
+
+
 def identity_check_psi_jordan(k: int, n_max: int,
                               config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Check psi_k(n) * J_k(n) == J_2k(n) for 1 <= n <= n_max."""
+    """Check psi_k(n) * J_k(n) == J_2k(n) for 1 <= n <= n_max.  All three
+    are multiplicative and agree at 1, so the prime powers decide it (see
+    prime_power_values) and the least failure is a prime power."""
     if k < 1:
         raise ValueError("k >= 1")
-    psi_k = value_table(generalized_psi(k), n_max, config)
-    j_k = value_table(jordan(k), n_max, config)
-    j_2k = value_table(jordan(2 * k), n_max, config)
-    for n in range(1, n_max + 1):
-        lhs, rhs = psi_k[n] * j_k[n], j_2k[n]
-        if lhs != rhs:
-            return VerificationReport(
-                lemma_id=f"psi-jordan-identity k={k}",
-                families_checked=1, depth=n_max, status="FAIL",
-                counterexample=Counterexample(None, n, rhs, lhs))
+    rows = zip(prime_power_values(generalized_psi(k), n_max, config),
+               prime_power_values(jordan(k), n_max, config),
+               prime_power_values(jordan(2 * k), n_max, config))
+    failure = min(((q, j_2k, psi_k * j_k) for (q, psi_k), (_, j_k), (_, j_2k) in rows
+                   if psi_k * j_k != j_2k), default=None)
+    if failure is not None:
+        n, rhs, lhs = failure
+        return VerificationReport(
+            lemma_id=f"psi-jordan-identity k={k}",
+            families_checked=1, depth=n_max, status="FAIL",
+            counterexample=Counterexample(None, n, rhs, lhs))
     return VerificationReport(
         lemma_id=f"psi-jordan-identity k={k}",
         families_checked=1, depth=n_max, status="PASS",
@@ -473,13 +524,9 @@ class MonotoneProfile:
 
 def monotone_profile(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> MonotoneProfile:
-    table = value_table(f, bound, config)
-    ns = range(2, bound + 1)
-    return MonotoneProfile(
-        f, bound, True,
-        next((n for n in ns if table[n] > n), None),
-        next((n for n in ns if table[n] < n), None),
-        next((n for n in ns if table[n] <= n), None))
+    """The three least violations, decided on the prime powers <= bound."""
+    least = least_violations(f, bound, (operator.gt, operator.lt, operator.le), config)
+    return MonotoneProfile(f, bound, True, *(None if v is None else v[0] for v in least))
 
 
 # (name, function, True for "f(n) <= n", False for "f(n) > n above 1")
@@ -497,24 +544,19 @@ _MONOTONE_CHECKS = (
 
 def catalogue_monotone_sweep(bound: int,
                              config: ToolConfig = DEFAULT_CONFIG) -> dict[str, Optional[int]]:
-    """Every monotonicity hypothesis the lemmas need, each checked on every
-    n <= bound.  Returns {check name: least violating n or None}.
+    """Every monotonicity hypothesis the lemmas need, each decided for every
+    n <= bound on the prime powers <= bound (see prime_power_values).
+    Returns {check name: least violating n or None}.
 
     Checks: phi/phi_star/Omega/omega/d weakly below n; psi/J_2 and
     sigma_k/psi_k/J_{k+2} (k <= 3) strictly above n for n >= 2.
     """
-    def least_violation(table: list[int], below: bool) -> Optional[int]:
-        ns = range(2, bound + 1)
-        if below:
-            return next((n for n in ns if table[n] > n), None)
-        return next((n for n in ns if table[n] <= n), None)
-
     # each distinct (function, direction) is checked once ("psi > n" and
-    # "psi_1 > n" share one); one table alive at a time, each dropped when
-    # least_violation returns
+    # "psi_1 > n" share one)
     found: dict[tuple[FunctionId, bool], Optional[int]] = {}
     for _, f, below in _MONOTONE_CHECKS:
         if (f, below) not in found:
-            found[f, below] = least_violation(value_table(f, bound, config), below)
+            (least,) = least_violations(f, bound, (operator.gt if below else operator.le,), config)
+            found[f, below] = None if least is None else least[0]
     return {f"{name} {'<=' if below else '>'} n": found[f, below]
             for name, f, below in _MONOTONE_CHECKS}

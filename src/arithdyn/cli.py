@@ -198,7 +198,7 @@ def _cmd_components(args, config) -> tuple[str, Any]:
 
 def _cmd_separation(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
-    rep = tp.separation_check(f, args.bound, config)
+    rep = tp.separation_check(f, _positive(args, "bound", 10_000), config)
     return rep.status, rep.to_payload()
 
 

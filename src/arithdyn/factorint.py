@@ -195,9 +195,10 @@ def _factor_int(n: int) -> dict[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# lazily grown prime list (q_1 = 2, q_2 = 3, ...)
+# lazily grown prime list (q_1 = 2, q_2 = 3, ...), kept for the process as
+# machine integers: 8 bytes a prime, where a list of ints takes 36
 
-_primes: list[int] = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+_primes = array("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 _prime_limit: int = 38  # primes below this are all present
 
 
@@ -248,10 +249,16 @@ def prime_index(p: int, config: ToolConfig = DEFAULT_CONFIG) -> int:
     return bisect.bisect_left(_primes, p) + 1
 
 
-def primes_upto(limit: int, config: ToolConfig = DEFAULT_CONFIG) -> list[int]:
-    """All primes <= limit, ascending (shared list slice, do not mutate)."""
+def _check_sieve_request(limit: int, config: ToolConfig) -> None:
+    """The one refusal of a sieve past the run's sieve_bound."""
     if limit > config.sieve_bound:
-        raise BudgetExceeded(f"limit {limit} exceeds sieve bound")
+        raise BudgetExceeded(f"sieve request {limit} exceeds sieve bound "
+                             f"{config.sieve_bound} (sieve_bound)")
+
+
+def primes_upto(limit: int, config: ToolConfig = DEFAULT_CONFIG) -> array:
+    """All primes <= limit, ascending (a copy of a slice of the cache)."""
+    _check_sieve_request(limit, config)
     _extend_primes_upto(limit)
     return _primes[:bisect.bisect_right(_primes, limit)]
 
@@ -264,9 +271,7 @@ _spf_cache: dict[str, object] = {"bound": 0, "table": None}
 
 def smallest_factor_table(bound: int, config: ToolConfig = DEFAULT_CONFIG) -> array:
     """spf[n] = smallest prime factor of n (spf[p] = p), valid for 2..bound."""
-    if bound > config.sieve_bound:
-        raise BudgetExceeded(
-            f"sieve request {bound} exceeds sieve bound {config.sieve_bound}")
+    _check_sieve_request(bound, config)
     if _spf_cache["bound"] >= bound:
         return _spf_cache["table"]  # type: ignore[return-value]
     spf = array("q", bytes(8 * (bound + 1)))

@@ -10,11 +10,14 @@ bound always travels with the verdict.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .arithfun import Family, FunctionId, orbit_values, value_table
+from .arithfun import (
+    Family, FunctionId, least_violations, orbit_values, scalar_value, value_table,
+)
 from .preimage import (
     BOUNDED_SEARCH, NotFiniteFibre, fibre_table, fibres, is_expansive_family,
     preimage_closure,
@@ -100,32 +103,27 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
 
 def contains_one_forward(f: FunctionId, bound: int,
                          config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(n) < n for 1 < n <= bound and f(1) = 1, then the
-    conclusion 1 in V(k, taubar) checked directly for every k <= bound."""
+    """Hypothesis f(1) = 1 and f(n) < n for 1 < n <= bound, decided on the
+    prime powers <= bound (arithfun.prime_power_values), with the
+    conclusion 1 in V(k, taubar) for every k <= bound.
+
+    The conclusion follows from the hypothesis by induction on k: f(k) < k,
+    so the orbit of k enters the orbit of a smaller point, which reaches 1.
+    """
     lemma = f"connected-forward {f}"
-    table = value_table(f, bound, config)
-    if table[1] != 1:
+    one = scalar_value(f, [])
+    if one != 1:
         return VerificationReport(
             lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-            counterexample=Counterexample(None, 1, 1, table[1],
-                                          detail="f(1) != 1"))
-    for n in range(2, bound + 1):
-        if table[n] >= n:
-            return VerificationReport(
-                lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                counterexample=Counterexample(
-                    None, n, f"< {n}", table[n],
-                    detail=f"hypothesis f(n) < n fails at n = {n}"))
-    reaches = bytearray(bound + 1)
-    reaches[1] = 1
-    for k in range(2, bound + 1):
-        # f(k) < k, so the flag below is already decided
-        reaches[k] = reaches[table[k]]
-        if not reaches[k]:
-            return VerificationReport(  # pragma: no cover
-                lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                counterexample=Counterexample(None, k, 1, table[k],
-                                              detail="orbit fails to reach 1"))
+            counterexample=Counterexample(None, 1, 1, one, detail="f(1) != 1"))
+    (failure,) = least_violations(f, bound, (operator.ge,), config)
+    if failure is not None:
+        n, value = failure
+        return VerificationReport(
+            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
+            counterexample=Counterexample(
+                None, n, f"< {n}", value,
+                detail=f"hypothesis f(n) < n fails at n = {n}"))
     return VerificationReport(
         lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
         certified_bound=(
@@ -136,30 +134,27 @@ def contains_one_forward(f: FunctionId, bound: int,
 
 def separation_check(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(1) = 1 and f(n) >= n for 1 < n <= bound, yielding the
+    """Hypothesis f(1) = 1 and f(n) >= n for 1 < n <= bound, decided on the
+    prime powers <= bound (arithfun.prime_power_values), yielding the
     disconnection verdict {1} | N\\{1}, tagged conditional-at-bound.
 
-    Also checks directly that no n in 2..bound maps to 1 and that the fibre
-    of 1 inside the window is exactly {1}.
+    The fibre of 1 inside the window is then {1}: f(n) >= n >= 2 for every
+    other n, so no n > 1 maps to 1.
     """
     lemma = f"separation {f}"
-    table = value_table(f, bound, config)
-    if table[1] != 1:
+    one = scalar_value(f, [])
+    if one != 1:
         return VerificationReport(
             lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-            counterexample=Counterexample(None, 1, 1, table[1], detail="f(1) != 1"))
-    for n in range(2, bound + 1):
-        if table[n] < n:
-            return VerificationReport(
-                lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                counterexample=Counterexample(
-                    None, n, f">= {n}", table[n],
-                    detail=f"hypothesis f(n) >= n fails at n = {n}"))
-        if table[n] == 1:
-            return VerificationReport(  # pragma: no cover
-                lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                counterexample=Counterexample(None, n, "!= 1", 1,
-                                              detail="fibre of 1 is not {1}"))
+            counterexample=Counterexample(None, 1, 1, one, detail="f(1) != 1"))
+    (failure,) = least_violations(f, bound, (operator.lt,), config)
+    if failure is not None:
+        n, value = failure
+        return VerificationReport(
+            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
+            counterexample=Counterexample(
+                None, n, f">= {n}", value,
+                detail=f"hypothesis f(n) >= n fails at n = {n}"))
     return VerificationReport(
         lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
         certified_bound=(
@@ -195,20 +190,21 @@ def verify_taubar_subset(f: FunctionId, bound: int,
 def verify_tau_subset(f: FunctionId, bound: int,
                       config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """For expansive-verified f: V(k, tau) subset of {1..k}, literally, for
-    every k <= bound.  V(k, tau) is k with the V(x, tau) of its fibre
-    members x, so one ascending pass over one fibre table gives the largest
-    member of every V(k, tau)."""
+    every k <= bound.  Expansiveness is decided on the prime powers
+    (arithfun.prime_power_values), so the fibre table is the one table
+    built.  V(k, tau) is k with the V(x, tau) of its fibre members x, so one
+    ascending pass over it gives the largest member of every V(k, tau)."""
     lemma = f"tau-subset {f}"
     if not is_expansive_family(f):
         raise ValueError(f"tau-subset check needs an expansive f, not {f}")
-    table = value_table(f, bound, config)
-    for n in range(2, bound + 1):
-        if table[n] < n:
-            return VerificationReport(  # pragma: no cover
-                lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                counterexample=Counterexample(
-                    None, n, f">= {n}", table[n],
-                    detail=f"expansiveness fails at n = {n}"))
+    (failure,) = least_violations(f, bound, (operator.lt,), config)
+    if failure is not None:
+        n, value = failure
+        return VerificationReport(  # pragma: no cover
+            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
+            counterexample=Counterexample(
+                None, n, f">= {n}", value,
+                detail=f"expansiveness fails at n = {n}"))
     by_value = fibre_table(f, bound, config)
     max_reach = list(range(bound + 1))  # max of V(k, tau), once k is passed
     for k in range(1, bound + 1):

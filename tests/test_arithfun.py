@@ -1,10 +1,12 @@
+import io
+import operator
 from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from arithdyn import arithfun as af
+from arithdyn import arithfun as af, cli, dynamics as dy, preimage as pre, topology as tp
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, factorize, to_integer,
@@ -264,14 +266,84 @@ def test_forward_orbit_factorises_only_tails(monkeypatch):
 
 
 def test_catalogue_monotone_sweep_checks_each_function_once(monkeypatch):
-    built = []
-    real = af.value_table
+    walked = []
+    real = af.prime_power_values
 
     def spy(f, bound, config=DEFAULT_CONFIG):
-        built.append(f)
+        walked.append(f)
         return real(f, bound, config)
 
-    monkeypatch.setattr(af, "value_table", spy)
+    monkeypatch.setattr(af, "prime_power_values", spy)
     sweep = af.catalogue_monotone_sweep(500)
     assert len(sweep) == 16 and sweep["psi > n"] == sweep["psi_1 > n"]
-    assert len(built) == 15 and len(set(built)) == 15  # psi once, not twice
+    assert len(walked) == 15 and len(set(walked)) == 15  # psi once, not twice
+
+
+def test_prime_power_values_lists_every_prime_power():
+    for bound in (1, 2, 16, 17, 1000):
+        got = dict(af.prime_power_values(af.J2, bound))
+        pps = {n: pps[0] for n, pps in af.factored_range(bound) if len(pps) == 1}
+        assert got == {q: af.scalar_value(af.J2, [pp]) for q, pp in pps.items()}, bound
+
+
+def test_pointwise_checks_build_no_value_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pointwise hypothesis built a value table")
+
+    for module in (af, tp, pre):
+        monkeypatch.setattr(module, "value_table", refuse)
+    assert af.monotone_profile(af.PHI, 3000).ge_violation == 2
+    assert all(v is None for v in af.catalogue_monotone_sweep(3000).values())
+    assert af.identity_check_psi_jordan(2, 3000).passed
+    assert tp.contains_one_forward(af.PHI, 3000).passed
+    assert tp.separation_check(af.PSI, 3000).passed
+    assert dy.classify_monotonicity(af.PSI, 3000).kind == dy.INCREASING_STRICT_ABOVE_1
+    assert dy.surjective_core_membership(af.PSI, 1) is True
+    assert cli.run(["table", "connectivity", "--bound", "3000"], out=io.StringIO()) == 0
+
+
+def _least_by_scan(table, bound, violated):
+    """(n, f(n)) for the least n in 2..bound with violated(f(n), n): the
+    full-table scan the prime-power decisions replaced."""
+    return next(((n, table[n]) for n in range(2, bound + 1) if violated(table[n], n)), None)
+
+
+def _failure_fields(rep):
+    cx = rep.counterexample
+    return None if rep.passed else (cx.position, cx.expected, cx.actual)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SWEPT), st.integers(min_value=1, max_value=3000))
+@example(af.D, 2).via("d(2) = 2: no strict decrease, no strict increase")
+@example(af.PHI, 2).via("phi(2) = 1 < 2")
+@example(af.PSI, 2).via("psi(2) = 3 > 2")
+def test_prime_power_decisions_match_a_full_table_scan(f, bound):
+    table = af.value_table(f, bound)
+    le, ge, strict = (_least_by_scan(table, bound, rel)
+                      for rel in (operator.gt, operator.lt, operator.le))
+    prof = af.monotone_profile(f, bound)
+    assert (prof.le_violation, prof.ge_violation, prof.strict_violation) == tuple(
+        None if v is None else v[0] for v in (le, ge, strict))
+    below = _least_by_scan(table, bound, operator.ge)
+    assert _failure_fields(tp.contains_one_forward(f, bound)) == (
+        None if below is None else (below[0], f"< {below[0]}", below[1]))
+    assert _failure_fields(tp.separation_check(f, bound)) == (
+        None if ge is None else (ge[0], f">= {ge[0]}", ge[1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=3000))
+def test_sweep_and_identity_match_a_full_table_scan(bound):
+    expected = {}
+    for name, f, below in af._MONOTONE_CHECKS:
+        least = _least_by_scan(af.value_table(f, bound), bound,
+                               operator.gt if below else operator.le)
+        expected[f"{name} {'<=' if below else '>'} n"] = None if least is None else least[0]
+    assert af.catalogue_monotone_sweep(bound) == expected
+    for k in (1, 2, 3):
+        psi_k, j_k, j_2k = (af.value_table(f, bound) for f in (
+            af.generalized_psi(k), af.jordan(k), af.jordan(2 * k)))
+        failure = next(((n, j_2k[n], psi_k[n] * j_k[n]) for n in range(1, bound + 1)
+                        if psi_k[n] * j_k[n] != j_2k[n]), None)
+        assert _failure_fields(af.identity_check_psi_jordan(k, bound)) == failure

@@ -276,6 +276,21 @@ def test_runners_refuse_non_positive_parameters(capsys, command, target, flag):
         assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
 
 
+def test_sieve_refusal_names_its_key(capsys):
+    # the connectivity checks walk the primes up to --bound
+    code, out = run_cli("table", "connectivity", "--bound", "200", "--sieve-bound", "100")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: sieve request 200 exceeds sieve bound 100 (sieve_bound)\n")
+
+
+def test_separation_refuses_non_positive_bound(capsys):
+    for value in ("0", "-3"):
+        code, out = run_cli("separation", "--fn", "psi", "--bound", value)
+        assert code == 2 and out == ""
+        assert f"--bound must be >= 1, got {value}" in capsys.readouterr().err
+
+
 def test_preimage_inverter_method_and_sieve_independence():
     code, doc = run_json("preimage", "--fn", "psi", "--m", "12")
     assert doc["results"]["method"] == "divisor-driven inversion (complete)"

@@ -309,8 +309,11 @@ def test_pairwise_collision_detection():
 
 def test_sieve_budget_respected():
     tiny = DEFAULT_CONFIG.replace(sieve_bound=100)
-    with pytest.raises(BudgetExceeded):
+    refusal = r"^sieve request 1000 exceeds sieve bound 100 \(sieve_bound\)$"
+    with pytest.raises(BudgetExceeded, match=refusal):
         smallest_factor_table(1000, tiny)
+    with pytest.raises(BudgetExceeded, match=refusal):
+        primes_upto(1000, tiny)
 
 
 # -- budget-differential: symbolic rules under a 64-bit budget against the
