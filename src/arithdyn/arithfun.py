@@ -451,7 +451,12 @@ def prime_power_values(f: FunctionId, bound: int,
     q_i <= n (for the additive >= and >, the prime power 2), so the least
     failure in 2..bound is the least failing prime power.  Composite n are
     never evaluated.
+
+    A bound below 1 is refused (ValueError): every check that reads these
+    values would otherwise PASS vacuously.
     """
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     for p in primes_upto(bound, config):
         q, a = p, 1
         while q <= bound:
@@ -504,7 +509,6 @@ class MonotoneProfile:
     """Pointwise comparison of f against the identity on 1..bound."""
     function: FunctionId
     bound: int
-    fixes_one: bool
     le_violation: Optional[int]      # least n with f(n) > n
     ge_violation: Optional[int]      # least n with f(n) < n
     strict_violation: Optional[int]  # least n > 1 with f(n) <= n
@@ -519,14 +523,14 @@ class MonotoneProfile:
 
     @property
     def strictly_increasing_above_1(self) -> bool:
-        return self.strict_violation is None and self.fixes_one
+        return self.strict_violation is None
 
 
 def monotone_profile(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> MonotoneProfile:
     """The three least violations, decided on the prime powers <= bound."""
     least = least_violations(f, bound, (operator.gt, operator.lt, operator.le), config)
-    return MonotoneProfile(f, bound, True, *(None if v is None else v[0] for v in least))
+    return MonotoneProfile(f, bound, *(None if v is None else v[0] for v in least))
 
 
 # (name, function, True for "f(n) <= n", False for "f(n) > n above 1")

@@ -277,15 +277,17 @@ def _fn_from(args, default: str) -> af.FunctionId:
     return parse_function_args(args)
 
 
-def _monotone_runner(expected: str, default_fn: str):
+def _monotone_runner(expected: str, default_fn: str, violation: str):
+    """The runner of one monotone lemma: PASS when the profile has no
+    `violation` of the lemma's own hypothesis (le_violation for f(n) <= n,
+    ge_violation for f(n) >= n, strict_violation for f(n) > n above 1),
+    else FAIL at that least violating n."""
     def run(args, config: ToolConfig) -> VerificationReport:
         f = _fn_from(args, default_fn)
         bound = _positive(args, "bound", 10_000)
         rep = dy.classify_monotonicity(f, bound, config)
-        ok = (rep.kind == expected
-              or (expected == "INCREASING_WEAK"
-                  and rep.kind == "INCREASING_STRICT_ABOVE_1"))
-        if ok:
+        n = getattr(rep.profile, violation)
+        if n is None:
             return VerificationReport(
                 lemma_id=f"{args.lemma} {f}", families_checked=1, depth=bound,
                 status="PASS", certified_bound="; ".join(rep.conclusions))
@@ -293,7 +295,7 @@ def _monotone_runner(expected: str, default_fn: str):
             lemma_id=f"{args.lemma} {f}", families_checked=1, depth=bound,
             status="FAIL",
             counterexample=Counterexample(
-                None, rep.witness or 0, expected, rep.kind,
+                None, n, expected, rep.kind,
                 detail="hypothesis fails on the scanned range"))
     return run
 
@@ -404,11 +406,12 @@ LEMMAS: dict[str, Lemma] = {
     "generic-note": Lemma("generic multiplicative construction subsumes psi/J_2",
                           _generic_note_runner),
     "monotone-o-zero": Lemma("f(n) <= n forces orbit number 0 (hypothesis check)",
-                             _monotone_runner("DECREASING_WEAK", "phi")),
+                             _monotone_runner("DECREASING_WEAK", "phi", "le_violation")),
     "monotone-a-zero": Lemma("f(n) >= n forces anti-orbit number 0 (hypothesis check)",
-                             _monotone_runner("INCREASING_WEAK", "psi")),
+                             _monotone_runner("INCREASING_WEAK", "psi", "ge_violation")),
     "strict-o-positive": Lemma("f(n) > n above 1 forces orbit number > 0",
-                               _monotone_runner("INCREASING_STRICT_ABOVE_1", "psi")),
+                               _monotone_runner("INCREASING_STRICT_ABOVE_1", "psi",
+                                                "strict_violation")),
     "phi-finite-fibre": Lemma("phi fibres complete and inside the certificate bound",
                               _phi_finite_fibre_runner),
     "nonfinite-fibre": Lemma("primes witness infinite fibres of omega/Omega/d",

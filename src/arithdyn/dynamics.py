@@ -30,7 +30,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
-    BIG_OMEGA, D, FunctionId, J2, MULTIPLICATIVE_VALUE, PHI, PSI,
+    BIG_OMEGA, D, FunctionId, J2, MULTIPLICATIVE_VALUE, MonotoneProfile, PHI, PSI,
     SMALL_OMEGA, Value, evaluate, forward_orbit, monotone_profile, scalar_value,
 )
 from .factorint import (
@@ -427,7 +427,7 @@ class MonotonicityReport:
     bound: int
     kind: str
     conclusions: tuple[str, ...]
-    witness: Optional[int] = None  # least n violating the nearest hypothesis
+    profile: MonotoneProfile  # the least violation of each hypothesis
 
 
 def classify_monotonicity(f: FunctionId, bound: int,
@@ -447,14 +447,13 @@ def classify_monotonicity(f: FunctionId, bound: int,
         conclusions.append(f"o({f}) > 0 {cond}")
     if prof.strictly_increasing_above_1:
         kind = INCREASING_STRICT_ABOVE_1
-        witness = None
     elif prof.weakly_decreasing:
-        kind, witness = DECREASING_WEAK, prof.ge_violation
+        kind = DECREASING_WEAK
     elif prof.weakly_increasing:
-        kind, witness = INCREASING_WEAK, prof.strict_violation
+        kind = INCREASING_WEAK
     else:
-        kind, witness = NO_MONOTONE_CLASS, prof.le_violation or prof.ge_violation
-    return MonotonicityReport(f, bound, kind, tuple(conclusions), witness)
+        kind = NO_MONOTONE_CLASS
+    return MonotonicityReport(f, bound, kind, tuple(conclusions), prof)
 
 
 # ---------------------------------------------------------------------------

@@ -116,9 +116,6 @@ def is_prime(n: int) -> bool:
     """Miller-Rabin primality test, deterministic below 3.3e24."""
     if n < 2:
         return False
-    spf = _spf_cache["table"]
-    if spf is not None and n < len(spf):  # type: ignore[arg-type]
-        return spf[n] == n  # type: ignore[index]
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if n % p == 0:
             return n == p
@@ -585,9 +582,6 @@ def prime_factors(n: int, config: ToolConfig = DEFAULT_CONFIG) -> list[tuple[int
         raise ValueError(f"factorize needs a natural >= 1, got {n!r}")
     if n.bit_length() > 128:
         raise ValueError("factorize handles inputs up to 128 bits")
-    spf = _spf_cache["table"]
-    if spf is not None and n < len(spf):  # type: ignore[arg-type]
-        return _spf_decompose(n, spf)  # type: ignore[arg-type]
     return sorted(_factor_int(n).items())
 
 

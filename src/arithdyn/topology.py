@@ -19,8 +19,7 @@ from .arithfun import (
     Family, FunctionId, least_violations, orbit_values, scalar_value, value_table,
 )
 from .preimage import (
-    BOUNDED_SEARCH, NotFiniteFibre, fibre_table, fibres, is_expansive_family,
-    preimage_closure,
+    BOUNDED_SEARCH, NotFiniteFibre, fibres, is_expansive_family, preimage_closure,
 )
 from .reports import Counterexample, VerificationReport
 
@@ -101,122 +100,92 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
 # connectivity lemma checks
 
 
+# the relation each hypothesis asks of f(n) against n, and the predicate
+# violated(f(n), n) that least_violations reads as its failure
+_VIOLATED = {"<": operator.ge, "<=": operator.gt, ">=": operator.lt}
+
+
+def _pointwise_lemma(lemma: str, f: FunctionId, bound: int, relation: str,
+                     conclusion: str, config: ToolConfig) -> VerificationReport:
+    """Check the hypothesis f(1) = 1 and f(n) <relation> n for 1 < n <=
+    bound, decided on the prime powers <= bound
+    (arithfun.prime_power_values), and report FAIL at the least n where it
+    fails or PASS with the lemma's conclusion."""
+    one = scalar_value(f, [])
+    if one != 1:
+        counterexample = Counterexample(None, 1, 1, one, detail="f(1) != 1")
+    else:
+        (failure,) = least_violations(f, bound, (_VIOLATED[relation],), config)
+        if failure is None:
+            return VerificationReport(
+                lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
+                certified_bound=conclusion)
+        n, value = failure
+        counterexample = Counterexample(
+            None, n, f"{relation} {n}", value,
+            detail=f"hypothesis f(n) {relation} n fails at n = {n}")
+    return VerificationReport(lemma_id=lemma, families_checked=1, depth=bound,
+                              status="FAIL", counterexample=counterexample)
+
+
 def contains_one_forward(f: FunctionId, bound: int,
                          config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(1) = 1 and f(n) < n for 1 < n <= bound, decided on the
-    prime powers <= bound (arithfun.prime_power_values), with the
+    """Hypothesis f(1) = 1 and f(n) < n for 1 < n <= bound, with the
     conclusion 1 in V(k, taubar) for every k <= bound.
 
     The conclusion follows from the hypothesis by induction on k: f(k) < k,
     so the orbit of k enters the orbit of a smaller point, which reaches 1.
     """
-    lemma = f"connected-forward {f}"
-    one = scalar_value(f, [])
-    if one != 1:
-        return VerificationReport(
-            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-            counterexample=Counterexample(None, 1, 1, one, detail="f(1) != 1"))
-    (failure,) = least_violations(f, bound, (operator.ge,), config)
-    if failure is not None:
-        n, value = failure
-        return VerificationReport(
-            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-            counterexample=Counterexample(
-                None, n, f"< {n}", value,
-                detail=f"hypothesis f(n) < n fails at n = {n}"))
-    return VerificationReport(
-        lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
-        certified_bound=(
-            f"1 in V(k, taubar_{f}) for all k <= {bound}; "
-            f"(N, taubar_{f}) and (N, tau_{f}) connected "
-            f"(conditional: hypothesis verified up to {bound} only)"))
+    return _pointwise_lemma(
+        f"connected-forward {f}", f, bound, "<",
+        f"1 in V(k, taubar_{f}) for all k <= {bound}; "
+        f"(N, taubar_{f}) and (N, tau_{f}) connected "
+        f"(conditional: hypothesis verified up to {bound} only)", config)
 
 
 def separation_check(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(1) = 1 and f(n) >= n for 1 < n <= bound, decided on the
-    prime powers <= bound (arithfun.prime_power_values), yielding the
+    """Hypothesis f(1) = 1 and f(n) >= n for 1 < n <= bound, yielding the
     disconnection verdict {1} | N\\{1}, tagged conditional-at-bound.
 
     The fibre of 1 inside the window is then {1}: f(n) >= n >= 2 for every
     other n, so no n > 1 maps to 1.
     """
-    lemma = f"separation {f}"
-    one = scalar_value(f, [])
-    if one != 1:
-        return VerificationReport(
-            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-            counterexample=Counterexample(None, 1, 1, one, detail="f(1) != 1"))
-    (failure,) = least_violations(f, bound, (operator.lt,), config)
-    if failure is not None:
-        n, value = failure
-        return VerificationReport(
-            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-            counterexample=Counterexample(
-                None, n, f">= {n}", value,
-                detail=f"hypothesis f(n) >= n fails at n = {n}"))
-    return VerificationReport(
-        lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
-        certified_bound=(
-            f"{{1}}, N\\{{1}} separates (N, taubar_{f}) and (N, tau_{f}) "
-            f"(conditional: hypothesis verified up to {bound} only)"))
+    return _pointwise_lemma(
+        f"separation {f}", f, bound, ">=",
+        f"{{1}}, N\\{{1}} separates (N, taubar_{f}) and (N, tau_{f}) "
+        f"(conditional: hypothesis verified up to {bound} only)", config)
 
 
 def verify_taubar_subset(f: FunctionId, bound: int,
                          config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """For decreasing-verified f: V(k, taubar) subset of {1..k}, literally,
-    for every k <= bound."""
-    lemma = f"taubar-subset {f}"
-    table = value_table(f, bound, config)
-    max_reach = list(range(bound + 1))  # max of forward orbit of k
-    for k in range(2, bound + 1):
-        v = table[k]
-        if v > k:
-            return VerificationReport(
-                lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                counterexample=Counterexample(
-                    None, k, f"<= {k}", v,
-                    detail=f"hypothesis f(n) <= n fails at n = {k}"))
-        max_reach[k] = max(k, max_reach[v])
-        if max_reach[k] > k:
-            return VerificationReport(  # pragma: no cover
-                lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                counterexample=Counterexample(None, k, f"<= {k}", max_reach[k]))
-    return VerificationReport(
-        lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
-        certified_bound=f"V(k, taubar_{f}) within {{1..k}} for all k <= {bound}")
+    """Hypothesis f(1) = 1 and f(n) <= n for 1 < n <= bound, with the
+    conclusion V(k, taubar) within {1..k}, literally, for every k <= bound.
+
+    The conclusion follows by induction along the orbit: an iterate x <= k
+    has f(x) <= x <= k, so every iterate of k stays inside 1..k.
+    """
+    return _pointwise_lemma(
+        f"taubar-subset {f}", f, bound, "<=",
+        f"V(k, taubar_{f}) within {{1..k}} for all k <= {bound}", config)
 
 
 def verify_tau_subset(f: FunctionId, bound: int,
                       config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """For expansive-verified f: V(k, tau) subset of {1..k}, literally, for
-    every k <= bound.  Expansiveness is decided on the prime powers
-    (arithfun.prime_power_values), so the fibre table is the one table
-    built.  V(k, tau) is k with the V(x, tau) of its fibre members x, so one
-    ascending pass over it gives the largest member of every V(k, tau)."""
-    lemma = f"tau-subset {f}"
+    """Hypothesis f(1) = 1 and f(n) >= n for 1 < n <= bound, with the
+    conclusion V(k, tau) within {1..k}, literally, for every k <= bound.
+
+    The conclusion follows by induction along the preimages: a preimage x
+    of y <= k has x <= f(x) = y <= k, so every iterated preimage of k lies
+    inside 1..k.  That needs f(x) >= x for every x, including x above the
+    bound, so f must be an expansive family (preimage.is_expansive_family);
+    any other f is refused.
+    """
     if not is_expansive_family(f):
         raise ValueError(f"tau-subset check needs an expansive f, not {f}")
-    (failure,) = least_violations(f, bound, (operator.lt,), config)
-    if failure is not None:
-        n, value = failure
-        return VerificationReport(  # pragma: no cover
-            lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-            counterexample=Counterexample(
-                None, n, f">= {n}", value,
-                detail=f"expansiveness fails at n = {n}"))
-    by_value = fibre_table(f, bound, config)
-    max_reach = list(range(bound + 1))  # max of V(k, tau), once k is passed
-    for k in range(1, bound + 1):
-        for member in by_value.get(k, ()):
-            if max_reach[member] > k:  # a member above k is not passed yet
-                return VerificationReport(
-                    lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
-                    counterexample=Counterexample(None, k, f"<= {k}", max_reach[member]))
-            max_reach[k] = max(max_reach[k], max_reach[member])
-    return VerificationReport(
-        lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
-        certified_bound=f"V(k, tau_{f}) within {{1..k}} for all k <= {bound}")
+    return _pointwise_lemma(
+        f"tau-subset {f}", f, bound, ">=",
+        f"V(k, tau_{f}) within {{1..k}} for all k <= {bound}", config)
 
 
 # ---------------------------------------------------------------------------

@@ -292,6 +292,10 @@ def test_pointwise_checks_build_no_value_table(monkeypatch):
 
     for module in (af, tp, pre):
         monkeypatch.setattr(module, "value_table", refuse)
+    for module in (tp, pre):
+        monkeypatch.setattr(module, "fibre_table", refuse, raising=False)
+    assert tp.verify_tau_subset(af.PSI, 3000).passed
+    assert tp.verify_taubar_subset(af.PHI, 3000).passed
     assert af.monotone_profile(af.PHI, 3000).ge_violation == 2
     assert all(v is None for v in af.catalogue_monotone_sweep(3000).values())
     assert af.identity_check_psi_jordan(2, 3000).passed
@@ -330,6 +334,26 @@ def test_prime_power_decisions_match_a_full_table_scan(f, bound):
         None if below is None else (below[0], f"< {below[0]}", below[1]))
     assert _failure_fields(tp.separation_check(f, bound)) == (
         None if ge is None else (ge[0], f">= {ge[0]}", ge[1]))
+    assert _failure_fields(tp.verify_taubar_subset(f, bound)) == (
+        None if le is None else (le[0], f"<= {le[0]}", le[1]))
+    if pre.is_expansive_family(f):
+        assert _failure_fields(tp.verify_tau_subset(f, bound)) == (
+            None if ge is None else (ge[0], f">= {ge[0]}", ge[1]))
+
+
+@pytest.mark.parametrize("bound", [0, -5])
+def test_pointwise_checks_refuse_a_bound_below_one(bound):
+    checks = [
+        lambda: tp.contains_one_forward(af.PHI, bound),
+        lambda: tp.separation_check(af.PSI, bound),
+        lambda: tp.verify_taubar_subset(af.PHI, bound),
+        lambda: tp.verify_tau_subset(af.PSI, bound),
+        lambda: af.identity_check_psi_jordan(1, bound),
+        lambda: af.monotone_profile(af.PHI, bound),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):
+            check()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,9 +1,10 @@
 import io
 import json
+import operator
 
 import pytest
 
-from arithdyn import cli
+from arithdyn import arithfun as af, cli
 
 
 def run_cli(*argv):
@@ -145,6 +146,36 @@ def test_lemma_failure_exit_code():
                          "--bound", "100")
     assert code == 1
     assert doc["results"]["counterexample"]["position"] == 2
+
+
+@pytest.mark.parametrize("lemma,fn,position", [
+    # the nearest class's witness used to stand in: position 0 ...
+    ("monotone-o-zero", "psi", 2),
+    ("monotone-o-zero", "sigma_3", 2),
+    # ... or an n where the lemma's own hypothesis holds
+    ("monotone-a-zero", "d_3", 5),
+    ("strict-o-positive", "d", 2),
+    ("strict-o-positive", "d_4", 5),
+    # unchanged: the nearest class's witness was already the right one
+    ("monotone-a-zero", "phi", 2),
+])
+def test_monotone_failures_name_their_own_least_violation(lemma, fn, position):
+    violated = {"monotone-o-zero": operator.gt, "monotone-a-zero": operator.lt,
+                "strict-o-positive": operator.le}[lemma]
+    code, doc = run_json("verify-lemma", lemma, "--fn", fn)
+    assert code == 1
+    assert doc["results"]["counterexample"]["position"] == position
+    f = af.parse_function(fn)
+    assert [violated(af.evaluate_int(f, n), n) for n in range(2, position + 1)] == (
+        [False] * (position - 2) + [True])
+
+
+def test_monotone_lemma_passes_where_its_own_hypothesis_holds():
+    # d(2) = 2 >= 2: d is not in the strict class, but f(n) >= n holds to 2
+    code, doc = run_json("verify-lemma", "monotone-a-zero", "--fn", "d", "--bound", "2")
+    assert code == 0
+    assert "a(d) = 0 (conditional: hypothesis verified up to 2 only)" in (
+        doc["results"]["certified_bound"])
 
 
 def test_entropy_commands():

@@ -17,13 +17,16 @@ def run_script(name, *args):
 
 def test_certify_at_depth_runs():
     proc = run_script("certify_at_depth.py", "--families", "3", "--depth", "5",
-                      "--bound", "2000")
+                      "--bound", "30000")
     assert proc.returncode == 0, proc.stderr
     assert "\n0 failures," in proc.stdout
     assert "FAIL" not in proc.stdout
     # every scheme runs, each at min(--depth, its cap)
     assert "a(omega) >= 3 certified at depth 5" in proc.stdout
     assert "o(J_2) >= 3 certified at depth 5" in proc.stdout
+    # the subset checks read no table, so nothing caps them below --bound
+    assert "V(k, tau_psi) within {1..k} for all k <= 30000" in proc.stdout
+    assert "V(k, taubar_phi) within {1..k} for all k <= 30000" in proc.stdout
 
 
 
@@ -43,6 +46,20 @@ def test_certify_at_depth_substitutes_the_registry_depth_past_a_cap():
     for scheme, cert in (("phi-anti", "a(phi)"), ("psi-orbit", "o(psi)"),
                          ("j2-orbit", "o(J_2)")):
         assert lines[scheme].endswith(f"{cert} >= 3 certified at depth 7")
+
+
+def test_span_tracer_finds_every_entry_point():
+    # perfbench/spans.py patches arithdyn functions by name, so a rename
+    # would break `perfbench/run.py --trace 1` with an AttributeError
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), str(ROOT / "perfbench"), env.get("PYTHONPATH")) if p)
+    code = ("from arithdyn import arithfun, cli, dynamics, preimage, topology\n"
+            "import spans\n"
+            "spans.Tracer().install()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_explore_open_problems_runs():

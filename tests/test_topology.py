@@ -3,7 +3,6 @@ import pytest
 from arithdyn import arithfun as af
 from arithdyn import topology as tp
 from arithdyn import preimage as pre
-from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.preimage import NotFiniteFibre
 
 
@@ -95,22 +94,6 @@ def test_tau_subset():
     assert rep.passed
     with pytest.raises(ValueError):
         tp.verify_tau_subset(af.PHI, 100)
-
-
-def test_tau_subset_builds_one_table(monkeypatch):
-    # expansiveness is decided on the prime powers; only the fibre table
-    # of 1..bound is built
-    built = []
-    real = pre.value_table
-
-    def spy(f, bound, config=DEFAULT_CONFIG):
-        built.append((f, bound))
-        return real(f, bound, config)
-
-    monkeypatch.setattr(pre, "value_table", spy)
-    monkeypatch.setattr(tp, "value_table", spy)
-    assert tp.verify_tau_subset(af.PSI, 500).passed
-    assert built == [(af.PSI, 500)]
 
 
 def test_taubar_subset():
