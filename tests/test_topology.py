@@ -3,6 +3,7 @@ import pytest
 from arithdyn import arithfun as af
 from arithdyn import topology as tp
 from arithdyn import preimage as pre
+from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.preimage import NotFiniteFibre
 
 
@@ -94,6 +95,27 @@ def test_tau_subset():
     assert rep.passed
     with pytest.raises(ValueError):
         tp.verify_tau_subset(af.PHI, 100)
+
+
+def test_tau_subset_builds_one_table(monkeypatch):
+    # expansiveness is decided on the prime powers, and once f(x) >= x
+    # every preimage of k lies in 1..k: neither the value table nor the
+    # fibre table of 1..bound is built any more
+    built = []
+
+    def spy(real):
+        def wrapped(f, bound, config=DEFAULT_CONFIG):
+            built.append((real.__name__, f, bound))
+            return real(f, bound, config)
+        return wrapped
+
+    for name in ("value_table", "fibre_table"):
+        real = getattr(pre, name)
+        for module in (af, pre, tp):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(real))
+    assert tp.verify_tau_subset(af.PSI, 500).passed
+    assert built == []
 
 
 def test_taubar_subset():
