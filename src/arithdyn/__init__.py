@@ -12,8 +12,7 @@ from .arithfun import (
 from .dynamics import (
     FamilySpec, GenericFamilySpec, Scheme, family_term, family_terms,
     verify_antiorbit, verify_orbit, verify_disjoint, generic_family_terms,
-    classify_monotonicity, ent_set_estimate, ent_cset_estimate,
-    search_families,
+    ent_set_estimate, ent_cset_estimate, search_families,
 )
 from .preimage import inverse_phi, phi_bound, preimage_expansive
 from .reports import Counterexample, VerificationReport
@@ -28,8 +27,8 @@ __all__ = [
     "parse_function", "evaluate", "evaluate_int", "oracle_evaluate",
     "FamilySpec", "GenericFamilySpec", "Scheme", "family_term", "family_terms",
     "verify_antiorbit", "verify_orbit", "verify_disjoint",
-    "generic_family_terms", "classify_monotonicity", "ent_set_estimate",
-    "ent_cset_estimate", "search_families",
+    "generic_family_terms", "ent_set_estimate", "ent_cset_estimate",
+    "search_families",
     "inverse_phi", "phi_bound", "preimage_expansive",
     "Counterexample", "VerificationReport",
 ]

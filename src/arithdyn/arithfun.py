@@ -222,21 +222,15 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
             if k == 2 and len(n.explicit) == 1:
                 return deferred[0].shift(1)  # C(e+1, 1) = e + 1
             raise BudgetExceeded("symbolic exponents support d_2 on prime powers only")
-        out = 1
-        for _, e in n.explicit:
-            out *= comb(e + k - 1, k - 1)
-        return out
+        return scalar_value(f, n.explicit)
 
     # sigma_l
-    out = 1
     for p, e in n.explicit:
         if not isinstance(e, int):
             raise BudgetExceeded("sigma_l needs explicit exponents")
         if k * (e + 1) * p.bit_length() > config.bit_budget:
             raise BudgetExceeded(f"sigma_{k}({n!r}) exceeds the bit budget")
-        pk = pow(p, k)
-        out *= (pow(pk, e + 1) - 1) // (pk - 1)
-    return out
+    return scalar_value(f, n.explicit)
 
 
 def evaluate_int(f: FunctionId, n: Union[int, FactoredNatural],
@@ -480,6 +474,36 @@ def least_violations(f: FunctionId, bound: int,
     return least
 
 
+# the relation a pointwise hypothesis asks of f(n) against n, and the
+# predicate violated(f(n), n) that least_violations reads as its failure
+_VIOLATED = {"<": operator.ge, "<=": operator.gt, ">=": operator.lt, ">": operator.le}
+
+
+def pointwise_lemma(lemma: str, f: FunctionId, bound: int, relation: str,
+                    conclusion: str,
+                    config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
+    """Check the hypothesis f(1) = 1 and f(n) <relation> n for 1 < n <=
+    bound, decided on the prime powers <= bound (prime_power_values), and
+    report FAIL at the least n where it fails or PASS with the lemma's
+    conclusion.  Every pointwise lemma of the catalogue is decided and
+    reported here."""
+    one = scalar_value(f, [])
+    if one != 1:
+        counterexample = Counterexample(None, 1, 1, one, detail="f(1) != 1")
+    else:
+        (failure,) = least_violations(f, bound, (_VIOLATED[relation],), config)
+        if failure is None:
+            return VerificationReport(
+                lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
+                certified_bound=conclusion)
+        n, value = failure
+        counterexample = Counterexample(
+            None, n, f"{relation} {n}", value,
+            detail=f"hypothesis f(n) {relation} n fails at n = {n}")
+    return VerificationReport(lemma_id=lemma, families_checked=1, depth=bound,
+                              status="FAIL", counterexample=counterexample)
+
+
 def identity_check_psi_jordan(k: int, n_max: int,
                               config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Check psi_k(n) * J_k(n) == J_2k(n) for 1 <= n <= n_max.  All three
@@ -512,18 +536,6 @@ class MonotoneProfile:
     le_violation: Optional[int]      # least n with f(n) > n
     ge_violation: Optional[int]      # least n with f(n) < n
     strict_violation: Optional[int]  # least n > 1 with f(n) <= n
-
-    @property
-    def weakly_decreasing(self) -> bool:
-        return self.le_violation is None
-
-    @property
-    def weakly_increasing(self) -> bool:
-        return self.ge_violation is None
-
-    @property
-    def strictly_increasing_above_1(self) -> bool:
-        return self.strict_violation is None
 
 
 def monotone_profile(f: FunctionId, bound: int,

@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from itertools import islice
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -271,32 +272,13 @@ def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
                         f"({families} families, depth {depth})")
 
 
-def _fn_from(args, default: str) -> af.FunctionId:
-    if getattr(args, "fn", None) is None:
-        return af.parse_function(default)
-    return parse_function_args(args)
-
-
-def _monotone_runner(expected: str, default_fn: str, violation: str):
-    """The runner of one monotone lemma: PASS when the profile has no
-    `violation` of the lemma's own hypothesis (le_violation for f(n) <= n,
-    ge_violation for f(n) >= n, strict_violation for f(n) > n above 1),
-    else FAIL at that least violating n."""
+def _pointwise_runner(check: Callable[[af.FunctionId, int, ToolConfig], VerificationReport],
+                      default_fn: str, default_bound: int):
+    """The runner of a pointwise lemma: check(f, bound, config) with f from
+    --fn (default_fn when not given) and bound from --bound."""
     def run(args, config: ToolConfig) -> VerificationReport:
-        f = _fn_from(args, default_fn)
-        bound = _positive(args, "bound", 10_000)
-        rep = dy.classify_monotonicity(f, bound, config)
-        n = getattr(rep.profile, violation)
-        if n is None:
-            return VerificationReport(
-                lemma_id=f"{args.lemma} {f}", families_checked=1, depth=bound,
-                status="PASS", certified_bound="; ".join(rep.conclusions))
-        return VerificationReport(
-            lemma_id=f"{args.lemma} {f}", families_checked=1, depth=bound,
-            status="FAIL",
-            counterexample=Counterexample(
-                None, n, expected, rep.kind,
-                detail="hypothesis fails on the scanned range"))
+        f = af.parse_function(default_fn) if args.fn is None else parse_function_args(args)
+        return check(f, _positive(args, "bound", default_bound), config)
     return run
 
 
@@ -336,26 +318,6 @@ def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
         status="PASS",
         certified_bound=(f"first {count} primes lie in omega^-1(1), "
                          f"Omega^-1(1) and d^-1(2); fibres exceed any finite bound"))
-
-
-def _tau_subset_runner(args, config: ToolConfig) -> VerificationReport:
-    f = _fn_from(args, "psi")
-    return tp.verify_tau_subset(f, _positive(args, "bound", 1000), config)
-
-
-def _taubar_subset_runner(args, config: ToolConfig) -> VerificationReport:
-    f = _fn_from(args, "phi")
-    return tp.verify_taubar_subset(f, _positive(args, "bound", 1000), config)
-
-
-def _connected_runner(args, config: ToolConfig) -> VerificationReport:
-    f = _fn_from(args, "phi")
-    return tp.contains_one_forward(f, _positive(args, "bound", 10_000), config)
-
-
-def _separation_runner(args, config: ToolConfig) -> VerificationReport:
-    f = _fn_from(args, "psi")
-    return tp.separation_check(f, _positive(args, "bound", 10_000), config)
 
 
 def _partition_runner(args, config: ToolConfig) -> VerificationReport:
@@ -406,24 +368,26 @@ LEMMAS: dict[str, Lemma] = {
     "generic-note": Lemma("generic multiplicative construction subsumes psi/J_2",
                           _generic_note_runner),
     "monotone-o-zero": Lemma("f(n) <= n forces orbit number 0 (hypothesis check)",
-                             _monotone_runner("DECREASING_WEAK", "phi", "le_violation")),
+                             _pointwise_runner(partial(dy.monotone_lemma, "monotone-o-zero"),
+                                               "phi", 10_000)),
     "monotone-a-zero": Lemma("f(n) >= n forces anti-orbit number 0 (hypothesis check)",
-                             _monotone_runner("INCREASING_WEAK", "psi", "ge_violation")),
+                             _pointwise_runner(partial(dy.monotone_lemma, "monotone-a-zero"),
+                                               "psi", 10_000)),
     "strict-o-positive": Lemma("f(n) > n above 1 forces orbit number > 0",
-                               _monotone_runner("INCREASING_STRICT_ABOVE_1", "psi",
-                                                "strict_violation")),
+                               _pointwise_runner(partial(dy.monotone_lemma, "strict-o-positive"),
+                                                 "psi", 10_000)),
     "phi-finite-fibre": Lemma("phi fibres complete and inside the certificate bound",
                               _phi_finite_fibre_runner),
     "nonfinite-fibre": Lemma("primes witness infinite fibres of omega/Omega/d",
                              _nonfinite_fibre_runner),
     "tau-subset": Lemma("V(k, tau_f) within {1..k} for expansive f",
-                        _tau_subset_runner),
+                        _pointwise_runner(tp.verify_tau_subset, "psi", 1000)),
     "taubar-subset": Lemma("V(k, taubar_f) within {1..k} for decreasing f",
-                           _taubar_subset_runner),
+                           _pointwise_runner(tp.verify_taubar_subset, "phi", 1000)),
     "connected-forward": Lemma("orbits of decreasing f reach 1; connectivity",
-                               _connected_runner),
+                               _pointwise_runner(tp.contains_one_forward, "phi", 10_000)),
     "separation": Lemma("expansive f splits off {1}; disconnection",
-                        _separation_runner),
+                        _pointwise_runner(tp.separation_check, "psi", 10_000)),
     "partition-example": Lemma("successor map on a partition has the blocks as components",
                                _partition_runner),
 }

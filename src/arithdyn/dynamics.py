@@ -30,8 +30,8 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
-    BIG_OMEGA, D, FunctionId, J2, MULTIPLICATIVE_VALUE, MonotoneProfile, PHI, PSI,
-    SMALL_OMEGA, Value, evaluate, forward_orbit, monotone_profile, scalar_value,
+    BIG_OMEGA, D, FunctionId, J2, MULTIPLICATIVE_VALUE, PHI, PSI, SMALL_OMEGA,
+    Value, evaluate, forward_orbit, monotone_profile, pointwise_lemma, scalar_value,
 )
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW,
@@ -412,48 +412,33 @@ def j2_generic_spec(families: int = 5) -> GenericFamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# monotonicity classification
+# monotone lemmas
 
 
-DECREASING_WEAK = "DECREASING_WEAK"
-INCREASING_WEAK = "INCREASING_WEAK"
-INCREASING_STRICT_ABOVE_1 = "INCREASING_STRICT_ABOVE_1"
-NO_MONOTONE_CLASS = "NONE"
+# lemma id -> (the hypothesis f(n) <relation> n, the conclusion it forces)
+MONOTONE_LEMMAS = {
+    "monotone-o-zero": ("<=", "o({f}) = 0"),
+    "monotone-a-zero": (">=", "a({f}) = 0"),
+    "strict-o-positive": (">", "o({f}) > 0"),
+}
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    function: FunctionId
-    bound: int
-    kind: str
-    conclusions: tuple[str, ...]
-    profile: MonotoneProfile  # the least violation of each hypothesis
+def monotone_lemma(lemma: str, f: FunctionId, bound: int,
+                   config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
+    """The monotone lemma `lemma` of MONOTONE_LEMMAS for f: its hypothesis
+    checked for n <= bound by arithfun.pointwise_lemma, its conclusion
+    tagged conditional-at-bound.
 
-
-def classify_monotonicity(f: FunctionId, bound: int,
-                          config: ToolConfig = DEFAULT_CONFIG) -> MonotonicityReport:
-    """Check f against the identity pointwise on 1..bound and report which
-    monotone-map conclusions apply, always tagged conditional-at-bound."""
-    if bound < 2:
-        raise ValueError("bound >= 2")
-    prof = monotone_profile(f, bound, config)
-    cond = f"(conditional: hypothesis verified up to {bound} only)"
-    conclusions = []
-    if prof.weakly_decreasing:
-        conclusions.append(f"o({f}) = 0 {cond}")
-    if prof.weakly_increasing:
-        conclusions.append(f"a({f}) = 0 {cond}")
-    if prof.strictly_increasing_above_1:
-        conclusions.append(f"o({f}) > 0 {cond}")
-    if prof.strictly_increasing_above_1:
-        kind = INCREASING_STRICT_ABOVE_1
-    elif prof.weakly_decreasing:
-        kind = DECREASING_WEAK
-    elif prof.weakly_increasing:
-        kind = INCREASING_WEAK
-    else:
-        kind = NO_MONOTONE_CLASS
-    return MonotonicityReport(f, bound, kind, tuple(conclusions), prof)
+    f(n) <= n keeps the orbit of x inside 1..x, so no orbit is infinite;
+    f(n) >= n keeps every backward chain from x inside 1..x, so no
+    anti-orbit is infinite; f(n) > n above 1 makes the orbit of 2 strictly
+    increasing, hence infinite.
+    """
+    relation, conclusion = MONOTONE_LEMMAS[lemma]
+    return pointwise_lemma(
+        f"{lemma} {f}", f, bound, relation,
+        f"{conclusion.format(f=f)} (conditional: hypothesis verified up to {bound} only)",
+        config)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +545,7 @@ def surjective_core_membership(f: FunctionId, x: int,
     if x < 1:
         raise ValueError("x >= 1")
     # verify expansiveness on the range the tree can touch
-    prof = monotone_profile(f, max(x, 2), config)
-    if not prof.weakly_increasing:
+    if monotone_profile(f, max(x, 2), config).ge_violation is not None:
         raise ValueError(f"{f} not expansive below {x}")  # pragma: no cover
     return any(scalar_value(f, prime_factors(y, config)) == y
                for y in preimage_closure(f, x, None, config))

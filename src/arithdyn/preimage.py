@@ -368,13 +368,3 @@ def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,
                 closure.add(member)
                 frontier.append(member)
     return closure
-
-
-def preimage_table(f: FunctionId, bound: int,
-                   config: ToolConfig = DEFAULT_CONFIG) -> list[list[int]]:
-    """pre[y] = ascending x <= bound with f(x) = y, for y <= bound.
-
-    For expansive f this is the complete fibre of every y <= bound.
-    """
-    by_value = fibre_table(f, bound, config)
-    return [by_value.get(y, []) for y in range(bound + 1)]

@@ -10,13 +10,12 @@ bound always travels with the verdict.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
-    Family, FunctionId, least_violations, orbit_values, scalar_value, value_table,
+    Family, FunctionId, orbit_values, pointwise_lemma, value_table,
 )
 from .preimage import (
     BOUNDED_SEARCH, NotFiniteFibre, fibres, is_expansive_family, preimage_closure,
@@ -100,34 +99,6 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
 # connectivity lemma checks
 
 
-# the relation each hypothesis asks of f(n) against n, and the predicate
-# violated(f(n), n) that least_violations reads as its failure
-_VIOLATED = {"<": operator.ge, "<=": operator.gt, ">=": operator.lt}
-
-
-def _pointwise_lemma(lemma: str, f: FunctionId, bound: int, relation: str,
-                     conclusion: str, config: ToolConfig) -> VerificationReport:
-    """Check the hypothesis f(1) = 1 and f(n) <relation> n for 1 < n <=
-    bound, decided on the prime powers <= bound
-    (arithfun.prime_power_values), and report FAIL at the least n where it
-    fails or PASS with the lemma's conclusion."""
-    one = scalar_value(f, [])
-    if one != 1:
-        counterexample = Counterexample(None, 1, 1, one, detail="f(1) != 1")
-    else:
-        (failure,) = least_violations(f, bound, (_VIOLATED[relation],), config)
-        if failure is None:
-            return VerificationReport(
-                lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
-                certified_bound=conclusion)
-        n, value = failure
-        counterexample = Counterexample(
-            None, n, f"{relation} {n}", value,
-            detail=f"hypothesis f(n) {relation} n fails at n = {n}")
-    return VerificationReport(lemma_id=lemma, families_checked=1, depth=bound,
-                              status="FAIL", counterexample=counterexample)
-
-
 def contains_one_forward(f: FunctionId, bound: int,
                          config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Hypothesis f(1) = 1 and f(n) < n for 1 < n <= bound, with the
@@ -136,7 +107,7 @@ def contains_one_forward(f: FunctionId, bound: int,
     The conclusion follows from the hypothesis by induction on k: f(k) < k,
     so the orbit of k enters the orbit of a smaller point, which reaches 1.
     """
-    return _pointwise_lemma(
+    return pointwise_lemma(
         f"connected-forward {f}", f, bound, "<",
         f"1 in V(k, taubar_{f}) for all k <= {bound}; "
         f"(N, taubar_{f}) and (N, tau_{f}) connected "
@@ -151,7 +122,7 @@ def separation_check(f: FunctionId, bound: int,
     The fibre of 1 inside the window is then {1}: f(n) >= n >= 2 for every
     other n, so no n > 1 maps to 1.
     """
-    return _pointwise_lemma(
+    return pointwise_lemma(
         f"separation {f}", f, bound, ">=",
         f"{{1}}, N\\{{1}} separates (N, taubar_{f}) and (N, tau_{f}) "
         f"(conditional: hypothesis verified up to {bound} only)", config)
@@ -165,7 +136,7 @@ def verify_taubar_subset(f: FunctionId, bound: int,
     The conclusion follows by induction along the orbit: an iterate x <= k
     has f(x) <= x <= k, so every iterate of k stays inside 1..k.
     """
-    return _pointwise_lemma(
+    return pointwise_lemma(
         f"taubar-subset {f}", f, bound, "<=",
         f"V(k, taubar_{f}) within {{1..k}} for all k <= {bound}", config)
 
@@ -183,7 +154,7 @@ def verify_tau_subset(f: FunctionId, bound: int,
     """
     if not is_expansive_family(f):
         raise ValueError(f"tau-subset check needs an expansive f, not {f}")
-    return _pointwise_lemma(
+    return pointwise_lemma(
         f"tau-subset {f}", f, bound, ">=",
         f"V(k, tau_{f}) within {{1..k}} for all k <= {bound}", config)
 

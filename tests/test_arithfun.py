@@ -155,12 +155,12 @@ def test_identity_check():
 
 def test_monotone_profile_shapes():
     prof = af.monotone_profile(af.PHI, 5000)
-    assert prof.weakly_decreasing and not prof.weakly_increasing
+    assert prof.le_violation is None
     assert prof.ge_violation == 2  # phi(2) = 1 < 2
     prof = af.monotone_profile(af.PSI, 5000)
-    assert prof.strictly_increasing_above_1
+    assert prof.strict_violation is None
     prof = af.monotone_profile(af.D, 5000)
-    assert prof.weakly_decreasing
+    assert prof.le_violation is None
     assert prof.strict_violation == 2  # d(2) = 2, not > 2
 
 
@@ -301,7 +301,9 @@ def test_pointwise_checks_build_no_value_table(monkeypatch):
     assert af.identity_check_psi_jordan(2, 3000).passed
     assert tp.contains_one_forward(af.PHI, 3000).passed
     assert tp.separation_check(af.PSI, 3000).passed
-    assert dy.classify_monotonicity(af.PSI, 3000).kind == dy.INCREASING_STRICT_ABOVE_1
+    for lemma, f in (("monotone-o-zero", af.PHI), ("monotone-a-zero", af.PSI),
+                     ("strict-o-positive", af.PSI)):
+        assert dy.monotone_lemma(lemma, f, 3000).passed, lemma
     assert dy.surjective_core_membership(af.PSI, 1) is True
     assert cli.run(["table", "connectivity", "--bound", "3000"], out=io.StringIO()) == 0
 
@@ -329,6 +331,11 @@ def test_prime_power_decisions_match_a_full_table_scan(f, bound):
     prof = af.monotone_profile(f, bound)
     assert (prof.le_violation, prof.ge_violation, prof.strict_violation) == tuple(
         None if v is None else v[0] for v in (le, ge, strict))
+    for lemma, relation, least in (("monotone-o-zero", "<=", le),
+                                   ("monotone-a-zero", ">=", ge),
+                                   ("strict-o-positive", ">", strict)):
+        assert _failure_fields(dy.monotone_lemma(lemma, f, bound)) == (
+            None if least is None else (least[0], f"{relation} {least[0]}", least[1]))
     below = _least_by_scan(table, bound, operator.ge)
     assert _failure_fields(tp.contains_one_forward(f, bound)) == (
         None if below is None else (below[0], f"< {below[0]}", below[1]))
@@ -350,6 +357,9 @@ def test_pointwise_checks_refuse_a_bound_below_one(bound):
         lambda: tp.verify_tau_subset(af.PSI, bound),
         lambda: af.identity_check_psi_jordan(1, bound),
         lambda: af.monotone_profile(af.PHI, bound),
+        lambda: dy.monotone_lemma("monotone-o-zero", af.PHI, bound),
+        lambda: dy.monotone_lemma("monotone-a-zero", af.PSI, bound),
+        lambda: dy.monotone_lemma("strict-o-positive", af.PSI, bound),
     ]
     for check in checks:
         with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):

@@ -119,12 +119,67 @@ FAST_LEMMA_ARGS = {
 }
 
 
+def _passed(lemma, families, depth, certified_bound, notes=None):
+    results = {"certified_bound": certified_bound, "depth": depth,
+               "families_checked": families, "lemma": lemma, "status": "PASS"}
+    if notes is not None:
+        results["notes"] = notes
+    return results
+
+
+_COND_500 = "(conditional: hypothesis verified up to 500 only)"
+
+# the whole `results` payload of each FAST_LEMMA_ARGS run, written out so a
+# change to any report text shows here
+FAST_LEMMA_RESULTS = {
+    "phi-antiorbit": _passed("phi-anti x4 depth 6", 4, 6,
+                             "a(phi) >= 4 certified at depth 6"),
+    "d-antiorbit": _passed("d-anti x3 depth 4", 3, 4, "a(d) >= 3 certified at depth 4"),
+    "omega-antiorbit": _passed("omega-anti x3 depth 4", 3, 4,
+                               "a(Omega) >= 3 certified at depth 4"),
+    "smallomega-antiorbit": _passed(
+        "smallomega-anti x3 depth 5", 3, 5, "a(omega) >= 3 certified at depth 5",
+        ["terms past the bit budget checked by exact symbolic equality"]),
+    "psi-orbit": _passed("psi-orbit x4 depth 6", 4, 6, "o(psi) >= 4 certified at depth 6"),
+    "j2-orbit": _passed("j2-orbit x4 depth 6", 4, 6, "o(J_2) >= 4 certified at depth 6"),
+    "generic-note": _passed(
+        "generic-note", 2, 8,
+        "generic construction subsumes psi/J_2 orbits (2 families, depth 8)",
+        ["psi generic spec reproduces psi-orbit", "J_2 generic spec reproduces j2-orbit"]),
+    "monotone-o-zero": _passed("monotone-o-zero phi", 1, 500, f"o(phi) = 0 {_COND_500}"),
+    "monotone-a-zero": _passed("monotone-a-zero psi", 1, 500, f"a(psi) = 0 {_COND_500}"),
+    "strict-o-positive": _passed("strict-o-positive psi", 1, 500,
+                                 f"o(psi) > 0 {_COND_500}"),
+    "phi-finite-fibre": _passed(
+        "phi-finite-fibre", 1, 20,
+        "phi^-1(m) enumerated completely and contained in the certificate bound for m <= 20"),
+    "nonfinite-fibre": _passed(
+        "nonfinite-fibre", 3, 50,
+        "first 50 primes lie in omega^-1(1), Omega^-1(1) and d^-1(2); "
+        "fibres exceed any finite bound"),
+    "tau-subset": _passed("tau-subset psi", 1, 300,
+                          "V(k, tau_psi) within {1..k} for all k <= 300"),
+    "taubar-subset": _passed("taubar-subset phi", 1, 300,
+                             "V(k, taubar_phi) within {1..k} for all k <= 300"),
+    "connected-forward": _passed(
+        "connected-forward phi", 1, 500,
+        "1 in V(k, taubar_phi) for all k <= 500; "
+        f"(N, taubar_phi) and (N, tau_phi) connected {_COND_500}"),
+    "separation": _passed(
+        "separation psi", 1, 500,
+        f"{{1}}, N\\{{1}} separates (N, taubar_psi) and (N, tau_psi) {_COND_500}"),
+    "partition-example": _passed(
+        "partition-example", 2, 100,
+        "2 window components refine the 2 partition blocks at bound 100"),
+}
+
+
 def test_every_lemma_id_runs_and_passes():
-    assert set(FAST_LEMMA_ARGS) == set(cli.LEMMAS)
+    assert set(FAST_LEMMA_ARGS) == set(FAST_LEMMA_RESULTS) == set(cli.LEMMAS)
     for lemma, extra in FAST_LEMMA_ARGS.items():
         code, doc = run_json("verify-lemma", lemma, *extra)
         assert code == 0, (lemma, doc)
-        assert doc["results"]["status"] == "PASS", lemma
+        assert doc["results"] == FAST_LEMMA_RESULTS[lemma], lemma
 
 
 def test_verify_lemma_refuses_zero_parameters(capsys):
@@ -176,6 +231,15 @@ def test_monotone_lemma_passes_where_its_own_hypothesis_holds():
     assert code == 0
     assert "a(d) = 0 (conditional: hypothesis verified up to 2 only)" in (
         doc["results"]["certified_bound"])
+    # at bound 1 every hypothesis holds vacuously on 2..1, as for the
+    # other pointwise lemmas
+    for lemma, conclusion in (("monotone-o-zero", "o(psi) = 0"),
+                              ("monotone-a-zero", "a(psi) = 0"),
+                              ("strict-o-positive", "o(psi) > 0")):
+        code, doc = run_json("verify-lemma", lemma, "--fn", "psi", "--bound", "1")
+        assert code == 0, lemma
+        assert doc["results"]["certified_bound"] == (
+            f"{conclusion} (conditional: hypothesis verified up to 1 only)")
 
 
 def test_entropy_commands():

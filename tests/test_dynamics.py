@@ -258,18 +258,20 @@ def test_generic_model_consistency_failure():
 
 
 def test_classify_monotonicity():
-    rep = dy.classify_monotonicity(af.PHI, 5000)
-    assert rep.kind == dy.DECREASING_WEAK
-    assert any("o(phi) = 0" in c for c in rep.conclusions)
-    assert all("conditional" in c for c in rep.conclusions)
-    rep = dy.classify_monotonicity(af.PSI, 5000)
-    assert rep.kind == dy.INCREASING_STRICT_ABOVE_1
-    assert any("a(psi) = 0" in c for c in rep.conclusions)
-    assert any("o(psi) > 0" in c for c in rep.conclusions)
-    rep = dy.classify_monotonicity(af.SIGMA1, 5000)
-    assert rep.kind == dy.INCREASING_STRICT_ABOVE_1
-    rep = dy.classify_monotonicity(af.D, 5000)
-    assert rep.kind == dy.DECREASING_WEAK  # d(n) <= n, but d(2) = 2 kills strictness
+    cond = "(conditional: hypothesis verified up to 5000 only)"
+    for lemma, f, conclusion in (("monotone-o-zero", af.PHI, "o(phi) = 0"),
+                                 ("monotone-a-zero", af.PSI, "a(psi) = 0"),
+                                 ("strict-o-positive", af.PSI, "o(psi) > 0"),
+                                 ("strict-o-positive", af.SIGMA1, "o(sigma_1) > 0")):
+        rep = dy.monotone_lemma(lemma, f, 5000)
+        assert rep.passed and rep.lemma_id == f"{lemma} {f}"
+        assert rep.certified_bound == f"{conclusion} {cond}"
+    assert dy.monotone_lemma("monotone-o-zero", af.D, 5000).passed  # d(n) <= n ...
+    rep = dy.monotone_lemma("strict-o-positive", af.D, 5000)  # ... but d(2) = 2
+    assert not rep.passed
+    cx = rep.counterexample
+    assert (cx.position, cx.expected, cx.actual) == (2, "> 2", 2)
+    assert cx.detail == "hypothesis f(n) > n fails at n = 2"
 
 
 def test_ent_set_examples():
@@ -401,11 +403,11 @@ def test_surjective_core_matches_table_closures():
     bound = 200
     for f in (af.PSI, af.SIGMA1, af.J2):
         values = af.value_table(f, bound)
-        table = pre.preimage_table(f, bound)
+        table = pre.fibre_table(f, bound)
         for x in range(1, bound + 1):
             acc, frontier = {x}, [x]
             while frontier:
-                for c in table[frontier.pop()]:
+                for c in table.get(frontier.pop(), []):
                     if c not in acc:
                         acc.add(c)
                         frontier.append(c)

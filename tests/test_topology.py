@@ -187,11 +187,11 @@ def test_minimal_open_set_validation():
         tp.MinimalOpenSet(1, "other", (1,), tp.COMPLETE)
 
 
-def _table_closure(pre_table, x):
+def _table_closure(fibre_table, x):
     acc, frontier = {x}, [x]
     while frontier:
         y = frontier.pop()
-        for c in pre_table[y]:
+        for c in fibre_table.get(y, []):
             if c not in acc:
                 acc.add(c)
                 frontier.append(c)
@@ -202,12 +202,12 @@ def test_min_open_backward_matches_preimage_table_closures():
     bound = 3000
     for name in ("psi", "psi_2", "J_2", "sigma_1"):
         f = af.parse_function(name)
-        table = pre.preimage_table(f, bound)
+        table = pre.fibre_table(f, bound)
         for x in range(1, bound + 1, 29):
             m = tp.min_open_backward(f, x)
             assert m.members == _table_closure(table, x), (name, x)
             assert m.completeness == tp.COMPLETE
-    table = pre.preimage_table(af.PHI_STAR, bound)
+    table = pre.fibre_table(af.PHI_STAR, bound)
     for x in range(1, bound + 1, 29):
         m = tp.min_open_backward(af.PHI_STAR, x, scan_bound=bound)
         assert m.members == _table_closure(table, x), x
