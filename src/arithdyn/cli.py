@@ -14,7 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -552,7 +552,9 @@ def emit(report: Report, fmt: str, out=None) -> None:
 # parser
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged.
     # global flags live on a parent so they parse both before and after the
     # subcommand; SUPPRESS keeps subparser defaults from clobbering them
     common = argparse.ArgumentParser(add_help=False)

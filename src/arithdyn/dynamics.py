@@ -14,9 +14,10 @@ psi-orbit          psi    3^k * 2^n                                   orbit
 j2-orbit           J_2    2^(2^(n+1) k + 2^n - 1) * 3                 orbit
 =================  =====  ==========================================  ==========
 
-Anti-orbit terms grow as exponent towers; once a term's value passes the
-bit budget the next term's shape holds a DeferredValue and the recurrence
-is checked by exact symbolic equality instead of integer comparison.
+Anti-orbit terms grow as exponent towers; once a term's certified size
+passes the bit budget its shape holds the previous term as a DeferredValue,
+and the recurrence is checked by exact symbolic equality instead of integer
+comparison.
 Infinite orbit/anti-orbit numbers are never reported as infinite, only as
 ">= c certified at depth d".
 """
@@ -26,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
@@ -34,7 +35,7 @@ from .arithfun import (
     Value, evaluate, forward_orbit, monotone_profile, pointwise_lemma, scalar_value,
 )
 from .factorint import (
-    BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW,
+    BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _value_bitlen_lb,
     factorize, nth_prime, pairwise_all_different, prime_factors, prime_index,
     to_integer,
 )
@@ -62,6 +63,10 @@ class Scheme(enum.Enum):
         member._value_ = value
         member.function, member.anti, member.cap_key = function, anti, cap_key
         return member
+
+
+# the schemes whose terms are built from the previous term's value
+TOWER_SCHEMES = frozenset((Scheme.D_ANTI, Scheme.OMEGA_ANTI, Scheme.SMALL_OMEGA_ANTI))
 
 
 def scheme_depth_cap(scheme: Scheme, config: ToolConfig) -> int:
@@ -111,40 +116,68 @@ def family_terms(spec: FamilySpec, depth: int,
         return [FactoredNatural(((2, 2 ** (n + 1) * k + 2 ** n - 1), (3, 1)))
                 for n in range(1, depth + 1)]
 
-    link = None
+    term = None
     terms = []
     for _ in range(depth):
-        link = _next_tower_term(spec, link, config)
-        terms.append(link[0])
+        term = _next_tower_term(spec, term, config)
+        terms.append(term)
     return terms
 
 
 @lru_cache(maxsize=1024)
-def _next_tower_term(spec: FamilySpec, prev: Optional[tuple],
-                     config: ToolConfig) -> tuple[FactoredNatural, Union[int, object]]:
-    """The (term, value) pair after ``prev`` in a tower family, or its
-    first pair when ``prev`` is None; value is to_integer(term, config).
+def _next_tower_term(spec: FamilySpec, prev: Optional[FactoredNatural],
+                     config: ToolConfig) -> FactoredNatural:
+    """The term after ``prev`` in a tower family, or its first term when
+    ``prev`` is None.
 
-    Memoised per process (bounded like ``arithfun._tail_factors``): the
-    pairs of one (family, config) chain are built once, so a repeated or
-    deeper request reuses the term objects and the integer values cached
-    on them, and materialises nothing again."""
+    The next term's shape holds the value of ``prev`` plus an offset (the
+    link): an exponent for d and Omega, an interval end for omega.  The
+    link is an int only if the next term might still fit the bit budget.
+    Otherwise it is DeferredValue(prev, offset), and prev is never
+    materialised: evaluate returns that DeferredValue at the next term, so
+    the recurrence is decided by identity.
+
+    Memoised per process (bounded like ``arithfun._tail_factors``) on the
+    previous term: the terms of one (family, config) chain are built once,
+    so a repeated or deeper request reuses the term objects and the integer
+    values cached on them, and materialises nothing again."""
     p = spec.prime
     if prev is None:
-        return FactoredNatural(((p, 1),)), p
-    prev_term, prev_value = prev
-    if spec.scheme is Scheme.D_ANTI:
-        exp = prev_value - 1 if prev_value is not OVERFLOW else DeferredValue(prev_term, -1)
-        term = FactoredNatural(((p, exp),))
-    elif spec.scheme is Scheme.OMEGA_ANTI:
-        exp = prev_value if prev_value is not OVERFLOW else DeferredValue(prev_term, 0)
-        term = FactoredNatural(((p, exp),))
-    else:  # SMALL_OMEGA_ANTI: p * q_{j+1} * ... * q_{j + x_n - 1}
+        return FactoredNatural(((p, 1),))
+    if spec.scheme is Scheme.SMALL_OMEGA_ANTI:  # p * q_{j+1} * ... * q_{j + x_n - 1}
         j = prime_index(p, config)
-        hi = (j + prev_value - 1 if prev_value is not OVERFLOW
-              else DeferredValue(prev_term, j - 1))
-        term = FactoredNatural(((p, 1),), ((j + 1, hi),))
-    return term, to_integer(term, config)
+        offset = j - 1
+
+        def shape(link):
+            return FactoredNatural(((p, 1),), ((j + 1, link),))
+    else:
+        offset = -1 if spec.scheme is Scheme.D_ANTI else 0
+
+        def shape(link):
+            return FactoredNatural(((p, link),))
+    deferred = DeferredValue(prev, offset)
+    try:
+        term = shape(deferred)
+        if _value_bitlen_lb(term) > config.bit_budget:
+            return term
+    except ValueError:  # a small prev cannot certify a nonempty interval
+        pass
+    value = to_integer(prev, config)
+    return shape(deferred if value is OVERFLOW else value + offset)
+
+
+def _past_bit_budget(term: FactoredNatural, config: ToolConfig) -> bool:
+    """to_integer(term, config) is OVERFLOW, decided from bit-length bounds
+    where they settle it, so a term is materialised only when they do not."""
+    if _value_bitlen_lb(term) > config.bit_budget:
+        return True
+    if not term.has_deferred:
+        bits_ub = (1 + sum(e * p.bit_length() for p, e in term.explicit)
+                   + sum((hi - lo + 1) * nth_prime(hi, config).bit_length()
+                         for lo, hi in term.intervals))
+        if bits_ub <= config.bit_budget:
+            return False
+    return to_integer(term, config) is OVERFLOW
 
 
 def family_term(spec: FamilySpec, n: int,
@@ -188,7 +221,7 @@ def _verify_family(spec: FamilySpec, f: FunctionId, terms: list[FactoredNatural]
     depth = len(terms)
     lemma = f"{spec.scheme.value} {spec.describe()}"
     notes = []
-    if any(t.has_deferred for t in terms):
+    if spec.scheme in TOWER_SCHEMES and any(_past_bit_budget(t, config) for t in terms[:-1]):
         notes.append("terms past the bit budget checked by exact symbolic equality")
     for i in range(depth - 1):
         # anti-orbit: f(term_{n+1}) = term_n; orbit: f(term_n) = term_{n+1}
@@ -629,23 +662,30 @@ def _search_antiorbits(f: FunctionId, budget: SearchBudget,
     used: set[int] = set()
     out: list[CandidateFamily] = []
 
-    def extend(chain: list[int], seen: set[int]) -> Optional[list[int]]:
-        if len(chain) == budget.max_depth:
-            return chain
-        for x in preimages(chain[-1]):
-            if x in seen or x in used or x == chain[-1]:
+    def extend(start: int) -> Optional[list[int]]:
+        """The first chain of max_depth fresh preimages from start, depth
+        first; untried[i] iterates the untried preimages of chain[i]."""
+        chain, seen, untried = [start], {start}, []
+        while len(chain) < budget.max_depth:
+            if len(untried) < len(chain):
+                untried.append(iter(preimages(chain[-1])))
+            x = next((x for x in untried[-1] if x not in seen and x not in used), None)
+            if x is not None:
+                chain.append(x)
+                seen.add(x)
                 continue
-            got = extend(chain + [x], seen | {x})
-            if got:
-                return got
-        return None
+            untried.pop()
+            seen.discard(chain.pop())
+            if not chain:
+                return None
+        return chain
 
     for start in range(2, budget.max_start + 1):
         if len(out) >= budget.max_families:
             break
         if start in used:
             continue
-        chain = extend([start], {start})
+        chain = extend(start)
         if chain:
             out.append(CandidateFamily(BACKWARD, tuple(chain)))
             used.update(chain)

@@ -18,16 +18,20 @@ result of :func:`to_integer`, which any thread may fill with the same value.
 Prime tables are grown lazily and only ever appended to, so concurrent
 readers are safe.
 
-Two rules keep certified comparisons cheap:
+Three rules keep certified comparisons cheap:
 
-* each value is materialised at most once per object: :func:`to_integer`
-  stores its result (the integer or ``OVERFLOW``) on the FactoredNatural,
-  keyed by the budgets it depends on, so the cache lives and dies with the
-  term and a call under other budgets recomputes;
+* structure decides before values do: :func:`certainly_different` tries
+  prime support, exponents, interval reach and magnitude first, and
+  materialises both values only when none of them decides;
 * a *plain* value (int exponents, no intervals) has a unique normal form by
   unique factorization, so two plain values are equal exactly when their
   structures are, and :func:`pairwise_all_different` decides every
-  plain-vs-plain pair by hashing, without materialising either value.
+  plain-vs-plain pair by hashing, without materialising either value; it
+  compares other values only inside buckets of one smallest prime factor;
+* each value is materialised at most once per object: :func:`to_integer`
+  stores its result (the integer or ``OVERFLOW``) on the FactoredNatural,
+  keyed by the budgets it depends on, so the cache lives and dies with the
+  term and a call under other budgets recomputes.
 """
 from __future__ import annotations
 
@@ -391,13 +395,17 @@ def nat_certainly_equal(u: Nat, v: Nat) -> bool:
 
 
 def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG) -> bool:
+    """True only when u != v is certain; False means 'not certified'."""
     if isinstance(u, int) and isinstance(v, int):
         return u != v
     if isinstance(u, DeferredValue) and isinstance(v, DeferredValue):
+        if u.offset == v.offset:  # certainly_different tests the bases for equality
+            try:
+                return certainly_different(u.base, v.base, config)
+            except ComparisonUndecided:
+                return False
         if u.base == v.base:
-            return u.offset != v.offset
-        if u.offset == v.offset:
-            return certainly_different(u.base, v.base, config)
+            return True
         # fall through to magnitude separation
     a, b = (u, v) if isinstance(u, int) else (v, u)
     if isinstance(a, int):
@@ -407,9 +415,7 @@ def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG)
     # when both resolve
     ru = nat_resolve(u, config)
     rv = nat_resolve(v, config)
-    if ru is not OVERFLOW and rv is not OVERFLOW:
-        return ru != rv
-    raise ComparisonUndecided(f"cannot separate {u!r} and {v!r}")
+    return ru is not OVERFLOW and rv is not OVERFLOW and ru != rv
 
 
 def nat_certainly_less(small: Nat, big: Nat, config: ToolConfig = DEFAULT_CONFIG) -> bool:
@@ -691,16 +697,16 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
     """Certify value(a) != value(b); structural equality certifies equality.
 
     Two plain values (see FactoredNatural.is_plain) are decided by structure
-    alone.  Raises ComparisonUndecided when neither direction can be
-    certified (does not occur for the families this toolkit builds).
+    alone.  Other pairs try the structural rules first (prime support,
+    exponents, interval reach, magnitude) and materialise both values only
+    when none of them decides.  Raises ComparisonUndecided when neither
+    direction can be certified (does not occur for the families this
+    toolkit builds).
     """
     if a == b:
         return False
     if a.is_plain and b.is_plain:
         return True
-    av, bv = to_integer(a, config), to_integer(b, config)
-    if av is not OVERFLOW and bv is not OVERFLOW:
-        return av != bv
     pa = dict(a.explicit)
     pb = dict(b.explicit)
     for p in set(pa) | set(pb):
@@ -709,8 +715,7 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
             absent = b if eb is None else a
             if _prime_outside_intervals(p, absent.intervals, config):
                 return True
-            continue
-        if nat_certainly_different(ea, eb, config):
+        elif nat_certainly_different(ea, eb, config):
             return True
     # same explicit part; look for an interval whose reach provably differs.
     # Only then: an explicit prime next to an interval can stand for the
@@ -725,26 +730,27 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
             x_bits = max(1, sum(e * p.bit_length() for p, e in x.explicit))
             if x_bits < _value_bitlen_lb(y):
                 return True
+    av, bv = to_integer(a, config), to_integer(b, config)
+    if av is not OVERFLOW and bv is not OVERFLOW:
+        return av != bv
+    if av is not OVERFLOW or bv is not OVERFLOW:
+        return True  # one fits the bit budget and the other does not
     raise ComparisonUndecided(f"cannot compare {a!r} and {b!r}")
 
 
 def _prime_outside_intervals(p: int, intervals: Iterable[tuple[int, Nat]],
                              config: ToolConfig) -> bool:
-    """True if prime p certainly does not occur in the interval factors."""
+    """True if prime p certainly does not occur in the interval factors.
+
+    p must be prime, as the explicit primes of a FactoredNatural are: then
+    q_lo <= p <= q_hi puts p inside q[lo..hi], and no index is needed."""
     for lo, hi in intervals:
         if p < nth_prime(lo, config):
             continue
-        if isinstance(hi, int) and hi <= config.prime_index_budget:
-            if p > nth_prime(hi, config):
-                continue
-            idx = prime_index(p, config)
-            if lo <= idx <= hi:
-                return False
-        else:
-            idx = prime_index(p, config)
-            if idx < lo:
-                continue
-            return False  # may fall inside an unbounded-looking interval
+        if not isinstance(hi, int) or hi > config.prime_index_budget:
+            return False  # may fall inside: the end is symbolic or past the table
+        if p <= nth_prime(hi, config):
+            return False
     return True
 
 
@@ -777,14 +783,17 @@ def certainly_less(a: FactoredNatural, b: FactoredNatural,
 
 def pairwise_all_different(values: list[FactoredNatural],
                            config: ToolConfig = DEFAULT_CONFIG) -> Optional[tuple[int, int]]:
-    """Index pair of the first certified collision, or None if all distinct.
+    """Index pair (i, j), i < j, of a certified collision, or None if all
+    values are distinct.
 
     One hash pass finds structurally equal values.  It also decides every
     plain-vs-plain pair, since plain values (see FactoredNatural.is_plain)
     have a unique normal form: a list of plain values is never
-    materialised.  Only when the list holds a non-plain value are values
-    compared by their integers, each materialised at most once per object
-    (see to_integer), and pairs of overflowing values certified one by one.
+    materialised.  Otherwise the values are bucketed by their smallest
+    prime factor, which the structure gives for certain (the first explicit
+    prime or q_lo of the first interval).  Values in different buckets
+    differ by unique factorization, so only pairs inside a bucket go
+    through certainly_different.
     """
     seen: dict[FactoredNatural, int] = {}
     for i, v in enumerate(values):
@@ -793,21 +802,19 @@ def pairwise_all_different(values: list[FactoredNatural],
         seen[v] = i
     if all(v.is_plain for v in values):
         return None
-    # values within the bit budget compare as plain integers; anything that
-    # overflows is automatically distinct from them and only the (few)
-    # overflowing values need certified pairwise treatment
-    small: dict[int, int] = {}
-    big: list[int] = []
+    buckets: dict[int, list[int]] = {}
     for i, v in enumerate(values):
-        iv = to_integer(v, config)
-        if iv is OVERFLOW:
-            big.append(i)
-        else:
-            if iv in small:
-                return small[iv], i
-            small[iv] = i
-    for a in range(len(big)):
-        for b in range(a + 1, len(big)):
-            if not certainly_different(values[big[a]], values[big[b]], config):
-                return big[a], big[b]
+        buckets.setdefault(_least_prime(v, config), []).append(i)
+    for bucket in buckets.values():
+        for a in range(len(bucket)):
+            for b in range(a + 1, len(bucket)):
+                if not certainly_different(values[bucket[a]], values[bucket[b]], config):
+                    return bucket[a], bucket[b]
     return None
+
+
+def _least_prime(x: FactoredNatural, config: ToolConfig) -> int:
+    """The smallest prime factor of x's value (1 for the value 1)."""
+    candidates = [p for p, _ in x.explicit[:1]]
+    candidates += [nth_prime(lo, config) for lo, _ in x.intervals[:1]]
+    return min(candidates, default=1)

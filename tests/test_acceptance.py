@@ -19,7 +19,7 @@ from arithdyn import dynamics as dy
 from arithdyn import preimage as pre
 from arithdyn import topology as tp
 from arithdyn.config import DEFAULT_CONFIG
-from arithdyn.factorint import primes_upto, to_integer
+from arithdyn.factorint import DeferredValue, primes_upto, to_integer
 
 
 class Stopwatch:
@@ -96,12 +96,15 @@ def test_criterion_04_antiorbit_certifications():
         assert rep.certified_bound == want
         assert sw.elapsed < 10, (scheme, sw.elapsed)
     # the Omega tower is handled exactly: depth 5 ends at the value 2^65536,
-    # and with the cap raised the depth-6 term carries 2^65536 as exponent
+    # and with the cap raised the depth-6 term carries 2^65536 as exponent,
+    # kept as a link to term 5
     t5 = dy.family_term(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 5)
     assert to_integer(t5) == 2 ** 65536
     deeper = DEFAULT_CONFIG.replace(depth_cap_omega_anti=6)
-    t6 = dy.family_term(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 6, deeper)
-    assert dict(t6.explicit)[2] == 2 ** 65536
+    *_, t5, t6 = dy.family_terms(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 6, deeper)
+    exponent = dict(t6.explicit)[2]
+    assert exponent == DeferredValue(t5, 0)
+    assert exponent.resolve() == 2 ** 65536
     announce(4, "anti-orbit certifications: phi 20x30, d 5x5, Omega 5x5 "
                 "(2^65536 exact), omega 5x6 via interval factors")
 

@@ -85,6 +85,18 @@ def test_orbit_refusals(capsys):
     assert "psi(2^62*3) exceeds the bit budget" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_usage_errors_repeat(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["verify-lemma", "--depth", "x"], ["no-such-command"], []):
+        seen = []
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                run_cli(*argv)
+            captured = capsys.readouterr()
+            seen.append((exc.value.code, captured.out, captured.err))
+        assert seen[0] == seen[1] and seen[0][0] == 2 and seen[0][2].startswith("usage:")
+
+
 def test_verify_lemma_list_covers_registry():
     code, doc = run_json("verify-lemma", "--list")
     assert code == 0

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,11 +42,12 @@ def test_depth_caps():
     with pytest.raises(BudgetExceeded):
         dy.family_terms(spec_of(dy.Scheme.SMALL_OMEGA_ANTI), 7)
     # config override unlocks depth 6, where the Omega tower's exponent is
-    # the full value 2^65536
+    # the value of term 5, 2^65536, kept as a link to that term
     deeper = DEFAULT_CONFIG.replace(depth_cap_omega_anti=6)
-    t6 = dy.family_terms(spec_of(dy.Scheme.OMEGA_ANTI), 6, deeper)[-1]
+    *_, t5, t6 = dy.family_terms(spec_of(dy.Scheme.OMEGA_ANTI), 6, deeper)
     ((p, e),) = t6.explicit
-    assert p == 2 and e == 2 ** 65536
+    assert p == 2 and e == DeferredValue(t5, 0)
+    assert e.resolve() == 2 ** 65536
 
 
 def test_omega_tower_terms():
@@ -206,12 +208,82 @@ def test_tower_terms_are_kept_per_config():
     wide = dy.family_terms(spec, 5)
     narrow = dy.family_terms(spec, 5, small)
     assert not any(x is y for x, y in zip(wide, narrow))
-    # 7^117648 fits the default budget, so the next exponent is an int
-    # there and deferred under 64 bits
-    assert not wide[3].has_deferred and narrow[3].has_deferred
+    # 7^117648 might fit the default budget, so its exponent is an int
+    # there; under 64 bits it certainly does not, and the exponent links to
+    # the previous term
+    assert not wide[2].has_deferred and narrow[2].has_deferred
     values = [7, 7 ** 6, 7 ** 117648]
     assert [to_integer(t) for t in wide[:3]] == values
     assert [to_integer(t, small) for t in narrow] == [7, 7 ** 6] + [OVERFLOW] * 3
+
+
+def test_certify_materialises_no_wide_integer(monkeypatch):
+    # a link that must overflow the next term stays symbolic, and certified
+    # comparisons decide by structure, so no tower value is materialised
+    dy._next_tower_term.cache_clear()
+    widths = []
+    real = factorint.to_integer
+
+    def spy(x, config=DEFAULT_CONFIG):
+        value = real(x, config)
+        if value is not OVERFLOW:
+            widths.append(value.bit_length())
+        return value
+
+    for module in (factorint, dy, af):
+        monkeypatch.setattr(module, "to_integer", spy)
+    for scheme, families, depth in ((dy.Scheme.D_ANTI, 20, 5),
+                                    (dy.Scheme.OMEGA_ANTI, 10, 5),
+                                    (dy.Scheme.SMALL_OMEGA_ANTI, 10, 6)):
+        specs = dy.default_family_specs(scheme, families)
+        assert dy.verify_disjoint(specs, depth).passed
+    assert widths and max(widths) <= 64
+
+
+LINK_OFFSET = {dy.Scheme.D_ANTI: lambda p: -1, dy.Scheme.OMEGA_ANTI: lambda p: 0,
+               dy.Scheme.SMALL_OMEGA_ANTI: lambda p: factorint.prime_index(p) - 1}
+
+
+def _link(scheme, term):
+    """The place where a tower term holds the previous term's value, or
+    None where a short interval was expanded into explicit primes."""
+    if scheme is dy.Scheme.SMALL_OMEGA_ANTI:
+        return term.intervals[0][1] if term.intervals else None
+    ((_, e),) = term.explicit
+    return e
+
+
+@pytest.mark.parametrize("scheme", TOWER_SCHEMES)
+@pytest.mark.parametrize("bit_budget", [20, 64, 5000, DEFAULT_CONFIG.bit_budget])
+def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
+    config = DEFAULT_CONFIG.replace(bit_budget=bit_budget)
+    note = "terms past the bit budget checked by exact symbolic equality"
+    cap = dy.scheme_depth_cap(scheme, config)
+    for index in range(1, 11):
+        spec = dy.FamilySpec(scheme, index)
+        terms = dy.family_terms(spec, cap, config)
+        overflows = [to_integer(t, config) is OVERFLOW for t in terms]
+        offset = LINK_OFFSET[scheme](spec.prime)
+        for prev, term in zip(terms, terms[1:]):
+            link = _link(scheme, term)
+            if link is None:
+                assert not term.has_deferred
+            elif isinstance(link, int):
+                assert link == to_integer(prev, config) + offset
+            else:
+                assert link.base is prev and link.offset == offset
+        for depth in range(1, cap + 1):
+            rep = dy.verify_antiorbit(spec, scheme.function, depth, config)
+            assert rep.passed, (spec, depth)
+            assert (note in rep.notes) == any(overflows[:depth - 1]), (spec, depth)
+
+
+def test_search_backward_is_not_bounded_by_the_recursion_limit(monkeypatch):
+    monkeypatch.setattr(dy, "fibres",
+                        lambda f, bound, config: SimpleNamespace(of=lambda y: [y + 1]))
+    budget = dy.SearchBudget(max_start=2, max_depth=5000, max_families=1)
+    (found,) = dy.search_families(af.PHI, budget, dy.BACKWARD)
+    assert found.values == tuple(range(2, 5002))
 
 
 @settings(max_examples=25, deadline=None)

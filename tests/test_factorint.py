@@ -273,20 +273,36 @@ def test_to_integer_materialises_once_per_object():
     assert to_integer(x) is to_integer(x)
 
 
+def _assert_collision_is_exact(got, ints):
+    if len(set(ints)) == len(ints):
+        assert got is None
+    else:
+        i, j = got
+        assert i < j and ints[i] == ints[j]
+
+
+@settings(deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=200), max_size=30),
-       st.sampled_from([1, 1000]))
-def test_pairwise_plain_agrees_with_int_distinctness(ns, m):
+       st.sampled_from([1, 1000]), st.data())
+def test_pairwise_plain_agrees_with_int_distinctness(ns, m, data):
     # m = 1000 puts most values past a 64-bit budget
     values = [FactoredNatural((p, e * m) for p, e in factorize(n).explicit)
               for n in ns]
     ints = [int(v) for v in values]
-    for config in (DEFAULT_CONFIG, ToolConfig(bit_budget=64)):
-        got = pairwise_all_different(values, config)
-        if len(set(ints)) == len(ints):
-            assert got is None
-        else:
-            i, j = got
-            assert i < j and ints[i] == ints[j]
+    tight = ToolConfig(bit_budget=64)
+    for config in (DEFAULT_CONFIG, tight):
+        _assert_collision_is_exact(pairwise_all_different(values, config), ints)
+    # mixed shapes (deferred exponents and interval ends); a repeated shape
+    # in another form is an equal value that is structurally different
+    shapes = data.draw(st.lists(_value_shapes(), min_size=1, max_size=4))
+    picks = data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=6))
+    values = [data.draw(_forms(shape)) for shape in picks]
+    ints = [to_integer(v) for v in values]
+    _assert_collision_is_exact(pairwise_all_different(values), ints)
+    try:
+        _assert_collision_is_exact(pairwise_all_different(values, tight), ints)
+    except ComparisonUndecided:  # a pair that no rule decides under 64 bits
+        pass
 
 
 @given(st.integers(min_value=64, max_value=5000), st.booleans())
@@ -382,6 +398,9 @@ def test_symbolic_rules_agree_with_integers_under_a_small_budget(data):
     less = certainly_less(a, b, tight), certainly_less(b, a, tight)
     ia, ib = to_integer(a), to_integer(b)
     assert ia is not OVERFLOW and ib is not OVERFLOW
+    # the structural rules run first under the default budget too, before
+    # the integers that decide every remaining pair
+    assert certainly_different(a, b) == (ia != ib)
     if different is not None:
         assert different == (ia != ib)
     if shape_a == shape_b:
