@@ -425,8 +425,15 @@ def oracle_evaluate(f: FunctionId, n: int,
 
 def prime_power_values(f: FunctionId, bound: int,
                        config: ToolConfig = DEFAULT_CONFIG) -> Iterator[tuple[int, int]]:
-    """(q, f(q)) for every prime power 2 <= q <= bound, prime by prime (so
-    not in order of q), from primes_upto and scalar_value.
+    """(q, f(q)) for every prime power 2 <= q <= bound: first every prime
+    p <= bound in ascending order, then the powers p^a with a >= 2, prime
+    by prime (so not in order of q).
+
+    At a prime every family is one term, evaluated in one pass over
+    primes_upto(bound): J_k(p) = p^k - 1, psi_k(p) = sigma_k(p) = p^k + 1,
+    phi_star(p) = p - 1, d_l(p) = l and Omega(p) = omega(p) = 1.  Only the
+    higher powers, whose primes are <= sqrt(bound), go through
+    scalar_value.
 
     The pointwise hypotheses below (f against the identity, psi_k * J_k =
     J_2k) are decided on these values alone.  Write n >= 2 as a product of
@@ -451,8 +458,21 @@ def prime_power_values(f: FunctionId, bound: int,
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
-    for p in primes_upto(bound, config):
-        q, a = p, 1
+    primes = primes_upto(bound, config)
+    fam, k = f.family, f.param
+    if fam is Family.JORDAN:
+        values = [p ** k - 1 for p in primes]
+    elif fam is Family.GENERALIZED_PSI or fam is Family.SIGMA:
+        values = [p ** k + 1 for p in primes]
+    elif fam is Family.UNITARY_TOTIENT:
+        values = [p - 1 for p in primes]
+    else:
+        values = [k if fam is Family.DIVISOR_COUNT else 1] * len(primes)
+    yield from zip(primes, values)
+    for p in primes:
+        if p * p > bound:
+            break
+        q, a = p * p, 2
         while q <= bound:
             yield q, scalar_value(f, [(p, a)])
             q *= p

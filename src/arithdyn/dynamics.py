@@ -166,14 +166,29 @@ def _next_tower_term(spec: FamilySpec, prev: Optional[FactoredNatural],
     return shape(deferred if value is OVERFLOW else value + offset)
 
 
+def _prime_bitlen_ub(n: int) -> int:
+    """An upper bound on q_n.bit_length() for the n-th prime q_n, n >= 1,
+    from n alone, so the prime list is not grown to q_n to read it.
+
+    For n >= 6, q_n < n (ln n + ln ln n) (Rosser, 1941).  With b =
+    n.bit_length(), n < 2^b gives ln n < b ln 2 < b, and ln ln n < ln n
+    since ln x < x for x > 0.  So q_n < 2 n b and q_n.bit_length() <=
+    (2 n b).bit_length().  For n < 6, q_n <= 11 < 2^4."""
+    if n < 6:
+        return 4
+    return (2 * n * n.bit_length()).bit_length()
+
+
 def _past_bit_budget(term: FactoredNatural, config: ToolConfig) -> bool:
     """to_integer(term, config) is OVERFLOW, decided from bit-length bounds
-    where they settle it, so a term is materialised only when they do not."""
+    where they settle it, so a term is materialised only when they do not.
+    The upper bound gives each interval prime q_i, lo <= i <= hi, the
+    bits of _prime_bitlen_ub(hi), a closed form in hi."""
     if _value_bitlen_lb(term) > config.bit_budget:
         return True
     if not term.has_deferred:
         bits_ub = (1 + sum(e * p.bit_length() for p, e in term.explicit)
-                   + sum((hi - lo + 1) * nth_prime(hi, config).bit_length()
+                   + sum((hi - lo + 1) * _prime_bitlen_ub(hi)
                          for lo, hi in term.intervals))
         if bits_ub <= config.bit_budget:
             return False

@@ -224,11 +224,14 @@ def _extend_primes_upto(limit: int) -> None:
     _prime_limit = hi
 
 
-def _ensure_prime_count(count: int, config: ToolConfig) -> None:
+def _ensure_prime_count(count: int, config: ToolConfig,
+                        past: Optional[int] = None) -> None:
+    """Grow the prime list until it holds q_count or, given `past`, until
+    every prime up to `past` is in it, whichever comes first."""
     if count > config.prime_index_budget:
         raise BudgetExceeded(
             f"prime index {count} exceeds budget {config.prime_index_budget}")
-    while len(_primes) < count:
+    while len(_primes) < count and (past is None or past >= _prime_limit):
         _extend_primes_upto(_prime_limit * 2)
 
 
@@ -457,7 +460,9 @@ class FactoredNatural:
     """
 
     # _value caches to_integer as (bit_budget, prime_index_budget, result)
-    __slots__ = ("explicit", "intervals", "_hash", "_value")
+    # is_plain: no intervals and only int exponents, so the normal form is
+    # unique.  _bitlen_lb caches _value_bitlen_lb, which reads no budget.
+    __slots__ = ("explicit", "intervals", "is_plain", "_hash", "_bitlen_lb", "_value")
 
     def __init__(self,
                  explicit: Iterable[tuple[int, Nat]] = (),
@@ -531,7 +536,9 @@ class FactoredNatural:
 
         self.explicit = tuple(sorted(exp_map.items()))
         self.intervals = tuple(final_ivals)
+        self.is_plain = not final_ivals and all(isinstance(e, int) for e in exp_map.values())
         self._hash = None
+        self._bitlen_lb = None
         self._value = None
 
     # -- basics ----------------------------------------------------------
@@ -543,11 +550,6 @@ class FactoredNatural:
     @property
     def has_intervals(self) -> bool:
         return bool(self.intervals)
-
-    @property
-    def is_plain(self) -> bool:
-        """No intervals and only int exponents, so the normal form is unique."""
-        return not self.intervals and all(isinstance(e, int) for _, e in self.explicit)
 
     @property
     def has_deferred(self) -> bool:
@@ -667,7 +669,14 @@ def _materialise(x: FactoredNatural, config: ToolConfig):
 
 
 def _value_bitlen_lb(x: FactoredNatural) -> int:
-    """Certified lower bound on bit length of the value (saturated)."""
+    """Certified lower bound on bit length of the value (saturated).  It
+    reads no budget, so it is computed once per object and kept on x."""
+    if x._bitlen_lb is None:
+        x._bitlen_lb = _bitlen_lb_of(x)
+    return x._bitlen_lb
+
+
+def _bitlen_lb_of(x: FactoredNatural) -> int:
     bits = 1
     for p, e in x.explicit:
         e_lb = _nat_bitlen_lb(e)
@@ -743,15 +752,28 @@ def _prime_outside_intervals(p: int, intervals: Iterable[tuple[int, Nat]],
     """True if prime p certainly does not occur in the interval factors.
 
     p must be prime, as the explicit primes of a FactoredNatural are: then
-    q_lo <= p <= q_hi puts p inside q[lo..hi], and no index is needed."""
+    q_lo <= p <= q_hi puts p inside q[lo..hi], and no index is needed.
+    Each end is compared by _nth_prime_within, so the prime list grows to
+    about min(p, q_hi), not to q_hi."""
     for lo, hi in intervals:
-        if p < nth_prime(lo, config):
+        q_lo = _nth_prime_within(lo, p, config)
+        if q_lo is None or p < q_lo:
             continue
         if not isinstance(hi, int) or hi > config.prime_index_budget:
             return False  # may fall inside: the end is symbolic or past the table
-        if p <= nth_prime(hi, config):
+        q_hi = _nth_prime_within(hi, p, config)
+        if q_hi is None or p <= q_hi:
             return False
     return True
+
+
+def _nth_prime_within(i: int, p: int, config: ToolConfig) -> Optional[int]:
+    """q_i, or None when q_i > p is already certain: the prime list grows
+    only until it holds q_i or every prime up to p.  In the second case it
+    holds all primes below _prime_limit > p but fewer than i of them, so
+    q_i >= _prime_limit > p."""
+    _ensure_prime_count(i, config, past=p)
+    return _primes[i - 1] if len(_primes) >= i else None
 
 
 def certainly_less(a: FactoredNatural, b: FactoredNatural,

@@ -23,6 +23,12 @@ class Counterexample:
         return msg
 
 
+def _json_value(value: Any) -> Any:
+    """An int or str as itself (a JSON number or string); any other value,
+    such as a FactoredNatural or DeferredValue, as its repr."""
+    return value if isinstance(value, (int, str)) else repr(value)
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Outcome of checking one claim at a given (families, depth) scope.
@@ -63,8 +69,8 @@ class VerificationReport:
             out["counterexample"] = {
                 "family": ce.family,
                 "position": ce.position,
-                "expected": repr(ce.expected),
-                "actual": repr(ce.actual),
+                "expected": _json_value(ce.expected),
+                "actual": _json_value(ce.actual),
                 "detail": ce.detail,
             }
         if self.certified_bound is not None:

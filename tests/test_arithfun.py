@@ -280,10 +280,16 @@ def test_catalogue_monotone_sweep_checks_each_function_once(monkeypatch):
 
 
 def test_prime_power_values_lists_every_prime_power():
-    for bound in (1, 2, 16, 17, 1000):
-        got = dict(af.prime_power_values(af.J2, bound))
+    # pins each family's one-term value at a prime against scalar_value
+    functions = {f for _, f, _ in af._MONOTONE_CHECKS} | {af.divisor_count(3),
+                                                          af.generalized_psi(3)}
+    for bound in (1, 2, 3, 4, 8, 9, 16, 17, 1000):
         pps = {n: pps[0] for n, pps in af.factored_range(bound) if len(pps) == 1}
-        assert got == {q: af.scalar_value(af.J2, [pp]) for q, pp in pps.items()}, bound
+        for f in functions:
+            walk = list(af.prime_power_values(f, bound))
+            assert len(walk) == len(pps), (f, bound)
+            assert dict(walk) == {q: af.scalar_value(f, [pp]) for q, pp in pps.items()}, (
+                f, bound)
 
 
 def test_pointwise_checks_build_no_value_table(monkeypatch):

@@ -212,7 +212,12 @@ def test_lemma_failure_exit_code():
     code, doc = run_json("verify-lemma", "separation", "--fn", "phi",
                          "--bound", "100")
     assert code == 1
-    assert doc["results"]["counterexample"]["position"] == 2
+    ce = doc["results"]["counterexample"]
+    # a str expected value is a JSON string, an int actual value a number
+    assert (ce["position"], ce["expected"], ce["actual"]) == (2, ">= 2", 1)
+    code, text = run_cli("verify-lemma", "separation", "--fn", "phi", "--bound", "100",
+                         "--no-timestamp")
+    assert code == 1 and "    expected: >= 2\n    actual: 1\n" in text
 
 
 @pytest.mark.parametrize("lemma,fn,position", [

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -12,6 +16,9 @@ from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, OVERFLOW, factorize, to_integer,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def spec_of(scheme, index=1):
@@ -117,6 +124,8 @@ def test_verify_disjoint_catches_duplicates():
     rep = dy.verify_disjoint([spec_of(dy.Scheme.PHI_ANTI, 1)] * 2, 5)
     assert not rep.passed
     assert rep.counterexample.position == 1
+    ce = rep.to_payload()["counterexample"]
+    assert (ce["expected"], ce["actual"]) == ("2*3", "2*3")
 
 
 def test_disjointness_20_families():
@@ -276,6 +285,38 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
             rep = dy.verify_antiorbit(spec, scheme.function, depth, config)
             assert rep.passed, (spec, depth)
             assert (note in rep.notes) == any(overflows[:depth - 1]), (spec, depth)
+
+
+def test_prime_bit_length_bound_holds():
+    primes = factorint.primes_upto(2_750_159)  # q_200000
+    assert len(primes) == 200_000
+    for n, q in enumerate(primes, start=1):
+        assert q.bit_length() <= dy._prime_bitlen_ub(n), n
+
+
+def test_smallomega_certificate_keeps_the_prime_list_short():
+    # its deepest terms hold q[4..85087]; the bit-length bounds and the
+    # interval tests need no prime past the few the terms name explicitly
+    code = ("from arithdyn import cli, factorint\n"
+            "import io\n"
+            "assert cli.run(['verify-lemma', 'smallomega-antiorbit', '--families', '10',"
+            " '--depth', '6'], out=io.StringIO()) == 0\n"
+            "print(factorint._prime_limit)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 100_000
+
+
+def test_orbit_failure_counterexample_json(monkeypatch):
+    # a factored expected value stays a repr string, an int value a number
+    monkeypatch.setattr(dy, "evaluate", lambda f, n, config: 7)
+    rep = dy.verify_antiorbit(dy.FamilySpec(dy.Scheme.D_ANTI, 1), af.D, 3)
+    ce = rep.to_payload()["counterexample"]
+    assert (ce["family"], ce["position"], ce["expected"], ce["actual"]) == (1, 1, "3", 7)
 
 
 def test_search_backward_is_not_bounded_by_the_recursion_limit(monkeypatch):

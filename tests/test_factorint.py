@@ -1,6 +1,9 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from arithdyn import factorint
 from arithdyn.config import DEFAULT_CONFIG, ToolConfig
 from arithdyn.factorint import (
     BudgetExceeded, ComparisonUndecided, DeferredValue, FactoredNatural, OVERFLOW,
@@ -100,6 +103,22 @@ def test_interval_invariants():
     with pytest.raises(ValueError):
         FactoredNatural(((7, 1),), ((3, 10 ** 9),))
     assert FactoredNatural(((2, 1),), ((3, 10 ** 9),)).intervals == ((3, 10 ** 9),)
+
+
+def test_interval_membership_grows_the_prime_list_to_min_p_q_hi(monkeypatch):
+    # start from the list's initial primes, below 38
+    monkeypatch.setattr(factorint, "_primes", array("q", primes_upto(37)))
+    monkeypatch.setattr(factorint, "_prime_limit", 38)
+    outside = factorint._prime_outside_intervals
+    # 7 = q_4 lies in q[4..85087]: decided without q_85087 (about 1.09 M)
+    assert not outside(7, ((4, 85087),), DEFAULT_CONFIG)
+    assert factorint._prime_limit == 38
+    assert outside(5, ((4, 85087),), DEFAULT_CONFIG)
+    # the Mersenne prime 2^61 - 1 lies past q_600 = 4409: decided at q_600
+    assert outside(2 ** 61 - 1, ((1, 600),), DEFAULT_CONFIG)
+    assert len(factorint._primes) >= 600 and factorint._prime_limit < 10_000
+    assert not outside(4409, ((1, 600),), DEFAULT_CONFIG)
+    assert outside(4421, ((1, 600),), DEFAULT_CONFIG)  # q_601
 
 
 def test_adjacent_intervals_merge():
