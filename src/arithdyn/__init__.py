@@ -10,8 +10,8 @@ from .arithfun import (
     evaluate, evaluate_int, oracle_evaluate,
 )
 from .dynamics import (
-    FamilySpec, GenericFamilySpec, Scheme, family_term, family_terms,
-    verify_antiorbit, verify_orbit, verify_disjoint, generic_family_terms,
+    FamilySpec, GenericFamilySpec, Scheme, family_terms, verify_disjoint,
+    generic_family_terms,
     ent_set_estimate, ent_cset_estimate, search_families,
 )
 from .preimage import inverse_phi, phi_bound, preimage_expansive
@@ -25,9 +25,8 @@ __all__ = [
     "FunctionId", "PHI", "PSI", "PHI_STAR", "BIG_OMEGA", "SMALL_OMEGA", "D",
     "J2", "jordan", "generalized_psi", "divisor_count", "sigma",
     "parse_function", "evaluate", "evaluate_int", "oracle_evaluate",
-    "FamilySpec", "GenericFamilySpec", "Scheme", "family_term", "family_terms",
-    "verify_antiorbit", "verify_orbit", "verify_disjoint",
-    "generic_family_terms", "ent_set_estimate", "ent_cset_estimate",
+    "FamilySpec", "GenericFamilySpec", "Scheme", "family_terms",
+    "verify_disjoint", "generic_family_terms", "ent_set_estimate", "ent_cset_estimate",
     "search_families",
     "inverse_phi", "phi_bound", "preimage_expansive",
     "Counterexample", "VerificationReport",

@@ -229,7 +229,7 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
         if not isinstance(e, int):
             raise BudgetExceeded("sigma_l needs explicit exponents")
         if k * (e + 1) * p.bit_length() > config.bit_budget:
-            raise BudgetExceeded(f"sigma_{k}({n!r}) exceeds the bit budget")
+            raise BudgetExceeded(f"sigma_{k}({n!r}) exceeds the bit budget (bit_budget)")
     return scalar_value(f, n.explicit)
 
 
@@ -244,7 +244,7 @@ def evaluate_int(f: FunctionId, n: Union[int, FactoredNatural],
     else:
         r = to_integer(v, config)
     if r is OVERFLOW:
-        raise BudgetExceeded(f"{f}({n!r}) exceeds the bit budget")
+        raise BudgetExceeded(f"{f}({n!r}) exceeds the bit budget (bit_budget)")
     return r
 
 
@@ -272,7 +272,7 @@ def orbit_values(f: FunctionId, x: int,
     for y in forward_orbit(f, x, config):
         v = y if isinstance(y, int) else to_integer(y, config)
         if v is OVERFLOW:
-            raise BudgetExceeded(f"{f}({prev!r}) exceeds the bit budget")
+            raise BudgetExceeded(f"{f}({prev!r}) exceeds the bit budget (bit_budget)")
         yield v
         prev = y
 
@@ -396,10 +396,11 @@ def oracle_evaluate(f: FunctionId, n: int,
     fam, k = f.family, f.param
     if fam is Family.JORDAN:
         if n ** k > config.oracle_tuple_budget:
-            raise BudgetExceeded(f"J_{k} oracle tuple count {n}^{k} over budget")
+            raise BudgetExceeded(
+                f"J_{k} oracle tuple count {n}^{k} over budget (oracle_tuple_budget)")
         return _count_coprime_tuples(n, k)
     if n > config.oracle_value_budget:
-        raise BudgetExceeded(f"oracle input {n} over budget")
+        raise BudgetExceeded(f"oracle input {n} over budget (oracle_value_budget)")
     if fam is Family.GENERALIZED_PSI:
         out = n ** k
         for p, _ in _oracle_factor(n):

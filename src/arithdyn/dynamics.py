@@ -27,7 +27,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
@@ -44,7 +44,7 @@ from .reports import Counterexample, VerificationReport
 
 
 class MismatchedScheme(Exception):
-    """Scheme and function (or scheme mix) do not belong together."""
+    """The families handed to verify_disjoint mix schemes."""
 
 
 class Scheme(enum.Enum):
@@ -195,14 +195,8 @@ def _past_bit_budget(term: FactoredNatural, config: ToolConfig) -> bool:
     return to_integer(term, config) is OVERFLOW
 
 
-def family_term(spec: FamilySpec, n: int,
-                config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:
-    """The n-th term (n >= 1) of the family."""
-    return family_terms(spec, n, config)[-1]
-
-
 # ---------------------------------------------------------------------------
-# recurrence verification
+# recurrence and disjointness verification
 
 
 def _value_matches(value, expected: FactoredNatural, config: ToolConfig) -> bool:
@@ -221,83 +215,50 @@ def _value_matches(value, expected: FactoredNatural, config: ToolConfig) -> bool
     return False
 
 
-def _check_scheme(spec: FamilySpec, f: FunctionId, anti: bool) -> None:
-    if spec.scheme.anti != anti:
-        kind = "anti-orbit" if anti else "orbit"
-        raise MismatchedScheme(f"{spec.scheme.value} is not an {kind} scheme")
-    expected_f = spec.scheme.function
-    if f != expected_f:
-        raise MismatchedScheme(
-            f"{spec.scheme.value} is a {expected_f} family, not {f}")
-
-
-def _verify_family(spec: FamilySpec, f: FunctionId, terms: list[FactoredNatural],
-                   anti: bool, config: ToolConfig) -> VerificationReport:
-    depth = len(terms)
-    lemma = f"{spec.scheme.value} {spec.describe()}"
-    notes = []
-    if spec.scheme in TOWER_SCHEMES and any(_past_bit_budget(t, config) for t in terms[:-1]):
-        notes.append("terms past the bit budget checked by exact symbolic equality")
-    for i in range(depth - 1):
-        # anti-orbit: f(term_{n+1}) = term_n; orbit: f(term_n) = term_{n+1}
+def _recurrence_break(f: FunctionId, anti: bool, family: int,
+                      terms: list[FactoredNatural],
+                      config: ToolConfig) -> Optional[Counterexample]:
+    """The first place where the terms of one family break their
+    recurrence, f(term_{n+1}) = term_n for an anti-orbit and f(term_n) =
+    term_{n+1} for an orbit, or None if they keep it."""
+    for i in range(len(terms) - 1):
         src, dst = (terms[i + 1], terms[i]) if anti else (terms[i], terms[i + 1])
         got = evaluate(f, src, config)
         if not _value_matches(got, dst, config):
-            return VerificationReport(
-                lemma_id=lemma, families_checked=1, depth=depth, status="FAIL",
-                counterexample=Counterexample(spec.index, i + 1, dst, got))
-    collision = pairwise_all_different(terms, config)
-    if collision is not None:
-        a, b = collision
-        return VerificationReport(
-            lemma_id=lemma, families_checked=1, depth=depth, status="FAIL",
-            counterexample=Counterexample(
-                spec.index, b + 1, terms[a], terms[b],
-                detail=f"term {b + 1} repeats term {a + 1}"))
-    return VerificationReport(lemma_id=lemma, families_checked=1, depth=depth,
-                              status="PASS", notes=tuple(notes))
-
-
-def verify_antiorbit(spec: FamilySpec, f: FunctionId, depth: int,
-                     config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Check f(term_{n+1}) == term_n for n < depth plus injectivity."""
-    _check_scheme(spec, f, anti=True)
-    return _verify_family(spec, f, family_terms(spec, depth, config), True, config)
-
-
-def verify_orbit(spec: FamilySpec, f: FunctionId, depth: int,
-                 config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Check f(term_n) == term_{n+1} for n < depth plus injectivity."""
-    _check_scheme(spec, f, anti=False)
-    return _verify_family(spec, f, family_terms(spec, depth, config), False, config)
+            return Counterexample(family, i + 1, dst, got)
+    return None
 
 
 def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
                     config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Certify that family prefixes are pairwise disjoint (and that each
-    family satisfies its recurrence, so the emitted bound is justified).
+    """Certify that the first `depth` terms of each family follow the
+    scheme's recurrence and that all of them, across every family, are
+    pairwise distinct, so the emitted bound is justified.  One family is
+    verify_disjoint([spec], depth).
 
-    Each family is built once; its recurrence check and the disjointness
-    check share those terms and hence their cached integer values."""
+    Each family is built once; the recurrence checks and the one pairwise
+    pass share those terms and hence their cached integer values."""
     if not specs:
         raise ValueError("need at least one family")
     scheme = specs[0].scheme
     if any(s.scheme is not scheme for s in specs):
         raise MismatchedScheme("verify_disjoint needs a single scheme")
-    anti = scheme.anti
-    f = scheme.function
     lemma = f"{scheme.value} x{len(specs)} depth {depth}"
-    notes: list[str] = []
+
+    def report(status, **fields):
+        return VerificationReport(lemma_id=lemma, families_checked=len(specs),
+                                  depth=depth, status=status, **fields)
+
+    past_budget = False
     all_terms: list[FactoredNatural] = []
     owner: list[tuple[int, int]] = []  # flat index -> (family position in input, term no.)
     for fam_no, spec in enumerate(specs, start=1):
         terms = family_terms(spec, depth, config)
-        rep = _verify_family(spec, f, terms, anti, config)
-        if not rep.passed:
-            return VerificationReport(
-                lemma_id=lemma, families_checked=len(specs), depth=depth,
-                status="FAIL", counterexample=rep.counterexample)
-        notes.extend(n for n in rep.notes if n not in notes)
+        if scheme in TOWER_SCHEMES:
+            past_budget |= any(_past_bit_budget(t, config) for t in terms[:-1])
+        broken = _recurrence_break(scheme.function, scheme.anti, spec.index, terms, config)
+        if broken is not None:
+            return report("FAIL", counterexample=broken)
         all_terms.extend(terms)
         owner.extend((fam_no, i + 1) for i in range(depth))
     collision = pairwise_all_different(all_terms, config)
@@ -305,17 +266,14 @@ def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
         a, b = collision
         fam_a, pos_a = owner[a]
         fam_b, pos_b = owner[b]
-        return VerificationReport(
-            lemma_id=lemma, families_checked=len(specs), depth=depth,
-            status="FAIL",
-            counterexample=Counterexample(
-                fam_b, pos_b, all_terms[a], all_terms[b],
-                detail=f"collides with family {fam_a} position {pos_a}"))
-    symbol = "a" if anti else "o"
-    bound = f"{symbol}({f}) >= {len(specs)} certified at depth {depth}"
-    return VerificationReport(lemma_id=lemma, families_checked=len(specs),
-                              depth=depth, status="PASS",
-                              certified_bound=bound, notes=tuple(notes))
+        return report("FAIL", counterexample=Counterexample(
+            fam_b, pos_b, all_terms[a], all_terms[b],
+            detail=f"collides with family {fam_a} position {pos_a}"))
+    note = "terms past the bit budget checked by exact symbolic equality"
+    symbol = "a" if scheme.anti else "o"
+    return report("PASS", notes=(note,) if past_budget else (),
+                  certified_bound=f"{symbol}({scheme.function}) >= {len(specs)} "
+                                  f"certified at depth {depth}")
 
 
 def default_family_specs(scheme: Scheme, count: int) -> list[FamilySpec]:
@@ -412,12 +370,11 @@ def generic_family_terms(spec: GenericFamilySpec, family: int, depth: int,
 
     vectors = window(family)
     terms = [_generic_term(spec, v) for v in vectors]
-    for i in range(depth - 1):
-        got = evaluate(f, terms[i], config)
-        if not _value_matches(got, terms[i + 1], config):
-            return terms, VerificationReport(
-                lemma_id=lemma, families_checked=1, depth=depth, status="FAIL",
-                counterexample=Counterexample(family, i + 1, terms[i + 1], got))
+    broken = _recurrence_break(f, False, family, terms, config)  # an orbit
+    if broken is not None:
+        return terms, VerificationReport(
+            lemma_id=lemma, families_checked=1, depth=depth, status="FAIL",
+            counterexample=broken)
     seen: dict[tuple[int, ...], tuple[int, int]] = {}
     for fam in range(1, len(spec.seeds) + 1):
         for pos, vec in enumerate(window(fam), start=1):
@@ -516,37 +473,53 @@ class EntropyEstimate:
             raise ValueError("mode is AMBIENT or CORE")
 
 
-def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
-                     config: ToolConfig = DEFAULT_CONFIG) -> EntropyEstimate:
-    """#(A u f(A) u ... u f^(horizon-1)(A)) / horizon, computed exactly."""
+def _check_walk(seeds: Sequence[int], horizon: int) -> None:
     if horizon < 1:
         raise ValueError("horizon >= 1")
     if not seeds:
         raise ValueError("seed set must be nonempty")
-    # one lazy orbit per distinct current iterate, keyed by the iterate in
-    # the form forward_orbit yields it (factored for J_k, psi_k, phi_star)
-    current: dict[Value, Iterator[Value]] = {}
+
+
+def _union_of_layers(layer: Collection, step: Callable[[Collection], Collection],
+                     horizon: int) -> int:
+    """#(L_0 u L_1 u ... u L_{horizon-1}) for L_0 = layer and L_{t+1} =
+    step(L_t).  The walk stops at an empty layer or one equal to the layer
+    before: every later layer is then that layer again and adds nothing."""
+    acc = set(layer)
+    for _ in range(horizon - 1):
+        nxt = step(layer)
+        if not nxt or nxt == layer:
+            break
+        layer = nxt
+        acc.update(layer)
+    return len(acc)
+
+
+def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
+                     config: ToolConfig = DEFAULT_CONFIG) -> EntropyEstimate:
+    """#(A u f(A) u ... u f^(horizon-1)(A)) / horizon, computed exactly."""
+    _check_walk(seeds, horizon)
+    # a layer holds each iterate once, in order of first appearance and in
+    # the form evaluate returns it (factored for J_k, psi_k, phi_star)
+    first: dict[Value, None] = {}
     for s in seeds:
         x = factorize(s, config)
-        key = x if f.family in MULTIPLICATIVE_VALUE else s
-        current.setdefault(key, forward_orbit(f, x, config))
-    acc = set(current)
-    for _ in range(horizon - 1):
-        nxt: dict[Value, Iterator[Value]] = {}
-        for orbit in current.values():
-            y = next(orbit)
+        first[x if f.family in MULTIPLICATIVE_VALUE else s] = None
+
+    def step(layer: dict[Value, None]) -> dict[Value, None]:
+        nxt: dict[Value, None] = {}
+        for x in layer:
+            y = evaluate(f, x, config)
             # the next step factorises an int iterate, so one past the
             # factorizer's 128 bits is refused at the step that made it
             if isinstance(y, int) and y.bit_length() > 128:
                 raise BudgetExceeded(f"cannot refactor {y.bit_length()}-bit orbit value")
-            nxt.setdefault(y, orbit)
-        if nxt.keys() == current.keys():
-            break  # the set is fixed; further unions add nothing
-        current = nxt
-        acc.update(current)
-    return EntropyEstimate(f, tuple(seeds), horizon,
-                           Fraction(len(acc), horizon), FORWARD,
-                           set_size=len(acc))
+            nxt[y] = None
+        return nxt
+
+    size = _union_of_layers(first, step, horizon)
+    return EntropyEstimate(f, tuple(seeds), horizon, Fraction(size, horizon),
+                           FORWARD, set_size=size)
 
 
 def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
@@ -554,30 +527,19 @@ def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
                       config: ToolConfig = DEFAULT_CONFIG) -> EntropyEstimate:
     """Preimage analogue over ambient N (or the surjective core when
     expansiveness makes core membership decidable)."""
-    if horizon < 1:
-        raise ValueError("horizon >= 1")
-    if not seeds:
-        raise ValueError("seed set must be nonempty")
+    _check_walk(seeds, horizon)
     if mode == CORE and not is_expansive_family(f):
         raise ValueError("CORE mode needs a verified expansive function")
 
-    def keep(x: int) -> bool:
-        return mode == AMBIENT or surjective_core_membership(f, x, config)
+    def kept(xs: Iterable[int]) -> set[int]:
+        return {x for x in xs if mode == AMBIENT or surjective_core_membership(f, x, config)}
 
-    current = {s for s in seeds if keep(s)}
-    acc = set(current)
-    for _ in range(horizon - 1):
-        nxt: set[int] = set()
-        for y in current:
-            nxt.update(x for x in complete_preimage(f, y, config) if keep(x))
-        if not nxt or nxt == current:
-            acc |= nxt
-            break
-        current = nxt
-        acc |= current
-    return EntropyEstimate(f, tuple(seeds), horizon,
-                           Fraction(len(acc), horizon), BACKWARD, mode,
-                           set_size=len(acc))
+    def step(layer: set[int]) -> set[int]:
+        return kept(x for y in layer for x in complete_preimage(f, y, config))
+
+    size = _union_of_layers(kept(seeds), step, horizon)
+    return EntropyEstimate(f, tuple(seeds), horizon, Fraction(size, horizon),
+                           BACKWARD, mode, set_size=size)
 
 
 def surjective_core_membership(f: FunctionId, x: int,

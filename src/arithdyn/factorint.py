@@ -230,7 +230,8 @@ def _ensure_prime_count(count: int, config: ToolConfig,
     every prime up to `past` is in it, whichever comes first."""
     if count > config.prime_index_budget:
         raise BudgetExceeded(
-            f"prime index {count} exceeds budget {config.prime_index_budget}")
+            f"prime index {count} exceeds budget {config.prime_index_budget} "
+            f"(prime_index_budget)")
     while len(_primes) < count and (past is None or past >= _prime_limit):
         _extend_primes_upto(_prime_limit * 2)
 
@@ -248,7 +249,7 @@ def prime_index(p: int, config: ToolConfig = DEFAULT_CONFIG) -> int:
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p >= _prime_limit and len(_primes) >= config.prime_index_budget:
-        raise BudgetExceeded(f"prime {p} beyond enumerable range")
+        raise BudgetExceeded(f"prime {p} beyond enumerable range (prime_index_budget)")
     _extend_primes_upto(p)
     return bisect.bisect_left(_primes, p) + 1
 
@@ -573,12 +574,6 @@ class FactoredNatural:
                  for p, e in self.explicit]
         parts += [f"q[{_fmt_nat(lo)}..{_fmt_nat(hi)}]" for lo, hi in self.intervals]
         return "*".join(parts)
-
-    def __int__(self):
-        v = to_integer(self)
-        if v is OVERFLOW:
-            raise OverflowError(f"{self!r} exceeds the bit budget")
-        return v
 
 
 ONE = FactoredNatural()

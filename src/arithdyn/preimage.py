@@ -273,7 +273,7 @@ def inverse_phi(m: int, config: ToolConfig = DEFAULT_CONFIG) -> PreimageResult:
     if m < 1:
         raise ValueError("m >= 1")
     if m > config.inverse_phi_budget:
-        raise BudgetExceeded(f"inverse_phi target {m} over budget")
+        raise BudgetExceeded(f"inverse_phi target {m} over budget (inverse_phi_budget)")
     return PreimageResult(m, _invert(PHI, m, None, config), COMPLETE)
 
 

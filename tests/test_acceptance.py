@@ -98,7 +98,7 @@ def test_criterion_04_antiorbit_certifications():
     # the Omega tower is handled exactly: depth 5 ends at the value 2^65536,
     # and with the cap raised the depth-6 term carries 2^65536 as exponent,
     # kept as a link to term 5
-    t5 = dy.family_term(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 5)
+    t5 = dy.family_terms(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 5)[-1]
     assert to_integer(t5) == 2 ** 65536
     deeper = DEFAULT_CONFIG.replace(depth_cap_omega_anti=6)
     *_, t5, t6 = dy.family_terms(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 6, deeper)

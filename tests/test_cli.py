@@ -396,6 +396,22 @@ def test_sieve_refusal_names_its_key(capsys):
         "error: sieve request 200 exceeds sieve bound 100 (sieve_bound)\n")
 
 
+@pytest.mark.parametrize("key, config, argv", [
+    ("prime_index_budget", {"prime_index_budget": 3}, ["verify-lemma", "smallomega-antiorbit"]),
+    ("inverse_phi_budget", {}, ["inverse-phi", "--m", "2000000"]),
+    ("oracle_tuple_budget", {}, ["oracle-eval", "--fn", "J_2", "--n", "20000"]),
+    ("oracle_value_budget", {}, ["oracle-eval", "--fn", "psi", "--n", "20000"]),
+    ("bit_budget", {"bit_budget": 64}, ["orbit", "--fn", "psi", "--n", "2", "--depth", "100"]),
+])
+def test_budget_refusal_names_its_key(tmp_path, capsys, key, config, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out = run_cli(*argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f" ({key})\n"), err
+
+
 def test_separation_refuses_non_positive_bound(capsys):
     for value in ("0", "-3"):
         code, out = run_cli("separation", "--fn", "psi", "--bound", value)

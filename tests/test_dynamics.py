@@ -25,12 +25,24 @@ def spec_of(scheme, index=1):
     return dy.FamilySpec(scheme, index)
 
 
+def test_package_exports_resolve():
+    import arithdyn
+    namespace = {}
+    exec("from arithdyn import *", namespace)
+    for name in arithdyn.__all__:
+        assert namespace[name] is getattr(arithdyn, name), name
+
+
+def last_term(scheme, n):
+    return dy.family_terms(spec_of(scheme), n)[-1]
+
+
 def test_family_term_examples():
-    assert to_integer(dy.family_term(spec_of(dy.Scheme.PHI_ANTI), 2)) == 18
-    assert dy.family_term(spec_of(dy.Scheme.D_ANTI), 3) == factorize(6561)
-    assert to_integer(dy.family_term(spec_of(dy.Scheme.PSI_ORBIT), 3)) == 24
-    assert to_integer(dy.family_term(spec_of(dy.Scheme.J2_ORBIT), 1)) == 96
-    assert to_integer(dy.family_term(spec_of(dy.Scheme.SMALL_OMEGA_ANTI), 2)) == 105
+    assert to_integer(last_term(dy.Scheme.PHI_ANTI, 2)) == 18
+    assert last_term(dy.Scheme.D_ANTI, 3) == factorize(6561)
+    assert to_integer(last_term(dy.Scheme.PSI_ORBIT, 3)) == 24
+    assert to_integer(last_term(dy.Scheme.J2_ORBIT, 1)) == 96
+    assert to_integer(last_term(dy.Scheme.SMALL_OMEGA_ANTI, 2)) == 105
 
 
 def test_family_primes():
@@ -74,23 +86,23 @@ def test_smallomega_terms_use_intervals():
 
 
 def test_verify_antiorbit_phi():
-    rep = dy.verify_antiorbit(spec_of(dy.Scheme.PHI_ANTI), af.PHI, 4)
-    assert rep.passed
+    rep = dy.verify_disjoint([spec_of(dy.Scheme.PHI_ANTI)], 4)
+    assert rep.passed and rep.certified_bound == "a(phi) >= 1 certified at depth 4"
     terms = dy.family_terms(spec_of(dy.Scheme.PHI_ANTI), 4)
     assert [to_integer(t) for t in terms] == [6, 18, 54, 162]
 
 
 def test_verify_antiorbit_omega_depth5():
-    rep = dy.verify_antiorbit(spec_of(dy.Scheme.OMEGA_ANTI), af.BIG_OMEGA, 5)
+    rep = dy.verify_disjoint([spec_of(dy.Scheme.OMEGA_ANTI)], 5)
     assert rep.passed
 
 
 def test_verify_orbit_examples():
-    rep = dy.verify_orbit(spec_of(dy.Scheme.PSI_ORBIT), af.PSI, 4)
+    rep = dy.verify_disjoint([spec_of(dy.Scheme.PSI_ORBIT)], 4)
+    assert rep.passed and rep.certified_bound == "o(psi) >= 1 certified at depth 4"
+    rep = dy.verify_disjoint([spec_of(dy.Scheme.J2_ORBIT)], 3)
     assert rep.passed
-    rep = dy.verify_orbit(spec_of(dy.Scheme.J2_ORBIT), af.J2, 3)
-    assert rep.passed
-    rep = dy.verify_orbit(spec_of(dy.Scheme.J2_ORBIT), af.J2, 1)
+    rep = dy.verify_disjoint([spec_of(dy.Scheme.J2_ORBIT)], 1)
     assert rep.passed  # single term, vacuous
 
 
@@ -101,12 +113,7 @@ def test_j2_exponent_map():
 
 
 def test_mismatched_scheme_errors():
-    with pytest.raises(dy.MismatchedScheme):
-        dy.verify_antiorbit(spec_of(dy.Scheme.PHI_ANTI), af.PSI, 3)
-    with pytest.raises(dy.MismatchedScheme):
-        dy.verify_orbit(spec_of(dy.Scheme.PHI_ANTI), af.PHI, 3)
-    with pytest.raises(dy.MismatchedScheme):
-        dy.verify_antiorbit(spec_of(dy.Scheme.PSI_ORBIT), af.PSI, 3)
+    # the scheme names f and the direction, so only a mix of schemes mismatches
     with pytest.raises(dy.MismatchedScheme):
         dy.verify_disjoint([spec_of(dy.Scheme.PHI_ANTI),
                             spec_of(dy.Scheme.PSI_ORBIT)], 3)
@@ -126,6 +133,33 @@ def test_verify_disjoint_catches_duplicates():
     assert rep.counterexample.position == 1
     ce = rep.to_payload()["counterexample"]
     assert (ce["expected"], ce["actual"]) == ("2*3", "2*3")
+
+
+@pytest.mark.parametrize("scheme", list(dy.Scheme))
+def test_verify_disjoint_compares_in_one_pass(monkeypatch, scheme):
+    calls = []
+    real = dy.pairwise_all_different
+
+    def spy(values, config=DEFAULT_CONFIG):
+        calls.append(len(values))
+        return real(values, config)
+
+    monkeypatch.setattr(dy, "pairwise_all_different", spy)
+    depth = min(dy.scheme_depth_cap(scheme, DEFAULT_CONFIG), 8)
+    assert dy.verify_disjoint(dy.default_family_specs(scheme, 4), depth).passed
+    assert calls == [4 * depth]
+
+
+def test_repeat_inside_one_family_is_a_collision(monkeypatch):
+    t1, t2 = factorize(6), factorize(18)
+    monkeypatch.setattr(dy, "family_terms", lambda spec, depth, config: [t1, t2, t1])
+    # a 2-cycle t1 <-> t2 keeps the recurrence in either direction
+    monkeypatch.setattr(dy, "evaluate", lambda f, n, config: {t1: t2, t2: t1}[n])
+    rep = dy.verify_disjoint([spec_of(dy.Scheme.PHI_ANTI)], 3)
+    assert not rep.passed
+    ce = rep.counterexample
+    assert (ce.family, ce.position) == (1, 3)
+    assert ce.detail == "collides with family 1 position 1"
 
 
 def test_disjointness_20_families():
@@ -282,7 +316,7 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
             else:
                 assert link.base is prev and link.offset == offset
         for depth in range(1, cap + 1):
-            rep = dy.verify_antiorbit(spec, scheme.function, depth, config)
+            rep = dy.verify_disjoint([spec], depth, config)
             assert rep.passed, (spec, depth)
             assert (note in rep.notes) == any(overflows[:depth - 1]), (spec, depth)
 
@@ -314,7 +348,7 @@ def test_smallomega_certificate_keeps_the_prime_list_short():
 def test_orbit_failure_counterexample_json(monkeypatch):
     # a factored expected value stays a repr string, an int value a number
     monkeypatch.setattr(dy, "evaluate", lambda f, n, config: 7)
-    rep = dy.verify_antiorbit(dy.FamilySpec(dy.Scheme.D_ANTI, 1), af.D, 3)
+    rep = dy.verify_disjoint([dy.FamilySpec(dy.Scheme.D_ANTI, 1)], 3)
     ce = rep.to_payload()["counterexample"]
     assert (ce["family"], ce["position"], ce["expected"], ce["actual"]) == (1, 1, "3", 7)
 
@@ -332,11 +366,7 @@ def test_search_backward_is_not_bounded_by_the_recursion_limit(monkeypatch):
        st.integers(min_value=1, max_value=50),
        st.integers(min_value=2, max_value=25))
 def test_recurrence_exactness_property(scheme, index, depth):
-    f = scheme.function
-    if scheme.anti:
-        assert dy.verify_antiorbit(dy.FamilySpec(scheme, index), f, depth).passed
-    else:
-        assert dy.verify_orbit(dy.FamilySpec(scheme, index), f, depth).passed
+    assert dy.verify_disjoint([dy.FamilySpec(scheme, index)], depth).passed
 
 
 def test_generic_psi_consistency_and_subsumption():

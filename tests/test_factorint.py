@@ -137,7 +137,7 @@ def test_explicit_invariants():
 
 def test_one_is_empty_factorization():
     assert factorize(1).is_one
-    assert int(factorize(1)) == 1
+    assert to_integer(factorize(1)) == 1
 
 
 @given(st.integers(min_value=1, max_value=10 ** 6))
@@ -307,7 +307,7 @@ def test_pairwise_plain_agrees_with_int_distinctness(ns, m, data):
     # m = 1000 puts most values past a 64-bit budget
     values = [FactoredNatural((p, e * m) for p, e in factorize(n).explicit)
               for n in ns]
-    ints = [int(v) for v in values]
+    ints = [to_integer(v) for v in values]
     tight = ToolConfig(bit_budget=64)
     for config in (DEFAULT_CONFIG, tight):
         _assert_collision_is_exact(pairwise_all_different(values, config), ints)
