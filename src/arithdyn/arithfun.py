@@ -26,12 +26,9 @@ from math import comb, gcd
 from typing import Callable, Iterator, Optional, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
-# factored_range is not used here but stays importable as
-# arithfun.factored_range, the decomposition the value tables are tested on
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, Nat, ONE, OVERFLOW,
-    factored_range, factorize, nat_add, primes_upto, smallest_factor_table,
-    to_integer,
+    factorize, nat_add, primes_upto, smallest_factor_table, to_integer,
 )
 from .reports import Counterexample, VerificationReport
 

@@ -145,7 +145,7 @@ def _cmd_family(args, config) -> tuple[str, Any]:
     spec = dy.FamilySpec(scheme, args.index)
     terms = dy.family_terms(spec, args.depth, config)
     return "INFO", {
-        "scheme": scheme.value, "family": spec.describe(), "depth": args.depth,
+        "scheme": scheme.value, "family": spec.describe(config), "depth": args.depth,
         "terms": [render_value(t, config) for t in terms],
     }
 
@@ -252,10 +252,10 @@ def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
     notes = []
     for gspec, scheme in ((dy.psi_generic_spec(families), dy.Scheme.PSI_ORBIT),
                           (dy.j2_generic_spec(families), dy.Scheme.J2_ORBIT)):
-        for fam in range(1, families + 1):
-            terms, rep = dy.generic_family_terms(gspec, fam, depth, config)
-            if not rep.passed:
-                return rep
+        generic, rep = dy.generic_family_terms(gspec, depth, config)
+        if not rep.passed:
+            return rep
+        for fam, terms in enumerate(generic, start=1):
             builtin = dy.family_terms(dy.FamilySpec(scheme, fam), depth, config)
             if terms != builtin:
                 return VerificationReport(
@@ -431,7 +431,8 @@ _ORBIT_TABLE = (
     ("psi (=psi_1)", "psi-orbit", _ZERO),
     ("sigma_k, psi_k, J_(k+2) (k <= 3)", "> 0 {cond}", _ZERO),
 )
-_PINNED = frozenset({"d-antiorbit", "omega-antiorbit", "smallomega-antiorbit"})
+_PINNED = frozenset(name for name, lemma in LEMMAS.items()
+                    if lemma.scheme in dy.TOWER_SCHEMES)
 
 
 def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:

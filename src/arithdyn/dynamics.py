@@ -84,16 +84,15 @@ class FamilySpec:
         if self.index < 1:
             raise ValueError("family index starts at 1")
 
-    @property
-    def prime(self) -> Optional[int]:
+    def prime(self, config: ToolConfig = DEFAULT_CONFIG) -> Optional[int]:
         if self.scheme is Scheme.OMEGA_ANTI:
-            return nth_prime(self.index)
+            return nth_prime(self.index, config)
         if self.scheme in (Scheme.D_ANTI, Scheme.SMALL_OMEGA_ANTI):
-            return nth_prime(self.index + 1)  # odd primes: 3, 5, 7, ...
+            return nth_prime(self.index + 1, config)  # odd primes: 3, 5, 7, ...
         return None
 
-    def describe(self) -> str:
-        p = self.prime
+    def describe(self, config: ToolConfig = DEFAULT_CONFIG) -> str:
+        p = self.prime(config)
         return f"{self.scheme.value} {'p=%d' % p if p else 'k=%d' % self.index}"
 
 
@@ -141,7 +140,7 @@ def _next_tower_term(spec: FamilySpec, prev: Optional[FactoredNatural],
     previous term: the terms of one (family, config) chain are built once,
     so a repeated or deeper request reuses the term objects and the integer
     values cached on them, and materialises nothing again."""
-    p = spec.prime
+    p = spec.prime(config)
     if prev is None:
         return FactoredNatural(((p, 1),))
     if spec.scheme is Scheme.SMALL_OMEGA_ANTI:  # p * q_{j+1} * ... * q_{j + x_n - 1}
@@ -215,18 +214,45 @@ def _value_matches(value, expected: FactoredNatural, config: ToolConfig) -> bool
     return False
 
 
-def _recurrence_break(f: FunctionId, anti: bool, family: int,
-                      terms: list[FactoredNatural],
-                      config: ToolConfig) -> Optional[Counterexample]:
-    """The first place where the terms of one family break their
-    recurrence, f(term_{n+1}) = term_n for an anti-orbit and f(term_n) =
-    term_{n+1} for an orbit, or None if they keep it."""
-    for i in range(len(terms) - 1):
-        src, dst = (terms[i + 1], terms[i]) if anti else (terms[i], terms[i + 1])
-        got = evaluate(f, src, config)
-        if not _value_matches(got, dst, config):
-            return Counterexample(family, i + 1, dst, got)
-    return None
+def _check_families(lemma: str, f: FunctionId, anti: bool,
+                    families: Sequence[tuple[int, list[FactoredNatural]]],
+                    depth: int, config: ToolConfig,
+                    notes: tuple[str, ...] = ()) -> VerificationReport:
+    """The one family check: every family's terms keep their recurrence,
+    f(term_{n+1}) = term_n for an anti-orbit and f(term_n) = term_{n+1}
+    for an orbit, and all terms, across every family, are pairwise
+    distinct, so "x(f) >= #families certified at depth" is justified.
+
+    ``families`` pairs each family's number, which a recurrence
+    counterexample names, with its first `depth` terms; a collision names
+    both families by their position in ``families``, from 1.  One
+    pairwise pass over all terms also covers the pairs inside a family."""
+    def report(status, **fields):
+        return VerificationReport(lemma_id=lemma, families_checked=len(families),
+                                  depth=depth, status=status, **fields)
+
+    all_terms: list[FactoredNatural] = []
+    owner: list[tuple[int, int]] = []  # flat index -> (family position, term no.)
+    for fam_no, (family, terms) in enumerate(families, start=1):
+        for i in range(len(terms) - 1):
+            src, dst = (terms[i + 1], terms[i]) if anti else (terms[i], terms[i + 1])
+            got = evaluate(f, src, config)
+            if not _value_matches(got, dst, config):
+                return report("FAIL", counterexample=Counterexample(family, i + 1, dst, got))
+        all_terms.extend(terms)
+        owner.extend((fam_no, i + 1) for i in range(len(terms)))
+    collision = pairwise_all_different(all_terms, config)
+    if collision is not None:
+        a, b = collision
+        fam_a, pos_a = owner[a]
+        fam_b, pos_b = owner[b]
+        return report("FAIL", counterexample=Counterexample(
+            fam_b, pos_b, all_terms[a], all_terms[b],
+            detail=f"collides with family {fam_a} position {pos_a}"))
+    symbol = "a" if anti else "o"
+    return report("PASS", notes=notes,
+                  certified_bound=f"{symbol}({f}) >= {len(families)} "
+                                  f"certified at depth {depth}")
 
 
 def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
@@ -236,44 +262,24 @@ def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
     pairwise distinct, so the emitted bound is justified.  One family is
     verify_disjoint([spec], depth).
 
-    Each family is built once; the recurrence checks and the one pairwise
-    pass share those terms and hence their cached integer values."""
+    Each family is built once; the family check shares those terms and
+    hence their cached integer values."""
     if not specs:
         raise ValueError("need at least one family")
     scheme = specs[0].scheme
     if any(s.scheme is not scheme for s in specs):
         raise MismatchedScheme("verify_disjoint needs a single scheme")
-    lemma = f"{scheme.value} x{len(specs)} depth {depth}"
-
-    def report(status, **fields):
-        return VerificationReport(lemma_id=lemma, families_checked=len(specs),
-                                  depth=depth, status=status, **fields)
-
     past_budget = False
-    all_terms: list[FactoredNatural] = []
-    owner: list[tuple[int, int]] = []  # flat index -> (family position in input, term no.)
-    for fam_no, spec in enumerate(specs, start=1):
+    families = []
+    for spec in specs:
         terms = family_terms(spec, depth, config)
         if scheme in TOWER_SCHEMES:
             past_budget |= any(_past_bit_budget(t, config) for t in terms[:-1])
-        broken = _recurrence_break(scheme.function, scheme.anti, spec.index, terms, config)
-        if broken is not None:
-            return report("FAIL", counterexample=broken)
-        all_terms.extend(terms)
-        owner.extend((fam_no, i + 1) for i in range(depth))
-    collision = pairwise_all_different(all_terms, config)
-    if collision is not None:
-        a, b = collision
-        fam_a, pos_a = owner[a]
-        fam_b, pos_b = owner[b]
-        return report("FAIL", counterexample=Counterexample(
-            fam_b, pos_b, all_terms[a], all_terms[b],
-            detail=f"collides with family {fam_a} position {pos_a}"))
+        families.append((spec.index, terms))
     note = "terms past the bit budget checked by exact symbolic equality"
-    symbol = "a" if scheme.anti else "o"
-    return report("PASS", notes=(note,) if past_budget else (),
-                  certified_bound=f"{symbol}({scheme.function}) >= {len(specs)} "
-                                  f"certified at depth {depth}")
+    return _check_families(f"{scheme.value} x{len(specs)} depth {depth}",
+                           scheme.function, scheme.anti, families, depth, config,
+                           notes=(note,) if past_budget else ())
 
 
 def default_family_specs(scheme: Scheme, count: int) -> list[FamilySpec]:
@@ -316,82 +322,49 @@ class GenericFamilySpec:
             if len(seed) != m:
                 raise ValueError("seed arity must match primes")
 
-    def g(self, i: int, n):
-        a, b = self.exponent_maps[i]
-        return a * n + b
 
-    def step_map(self, i: int):
-        """s_i(x) = g(p_i, x) + total exponent of p_i across all cofactors."""
-        p = self.primes[i]
-        boost = sum(e for h in self.cofactors for q, e in h.explicit if q == p)
-        a, b = self.exponent_maps[i]
-        return lambda x: a * x + b + boost
-
-
-def _generic_term(spec: GenericFamilySpec, vector: tuple[int, ...]) -> FactoredNatural:
-    return FactoredNatural((p, e) for p, e in zip(spec.primes, vector) if e >= 1)
-
-
-def generic_family_terms(spec: GenericFamilySpec, family: int, depth: int,
+def generic_family_terms(spec: GenericFamilySpec, depth: int,
                          config: ToolConfig = DEFAULT_CONFIG,
-                         ) -> tuple[list[FactoredNatural], VerificationReport]:
-    """Terms of one family plus a report that (a) the modelled prime-power
-    identity holds at validation depth, (b) the terms form a verified
-    f-orbit, and (c) exponent vectors are injective across the window."""
-    if not 1 <= family <= len(spec.seeds):
-        raise ValueError(f"family must be in 1..{len(spec.seeds)}")
+                         ) -> tuple[list[list[FactoredNatural]], VerificationReport]:
+    """The first `depth` terms of every family of the spec, plus the
+    family check's report that they form disjoint f-orbits.  Raises
+    ValueError if the modelled prime-power identity f(p_i^n) =
+    p_i^g(p_i, n) * h(p_i) fails at validation depth.
+
+    Family j's first term has exponent vector seeds[j]; each later vector
+    applies x_i -> g(p_i, x_i) + (total exponent of p_i across all
+    cofactors), which is f on a term with every exponent >= 1."""
+    if depth < 1:
+        raise ValueError("depth >= 1")  # no terms would certify no family
     f = spec.function
-    lemma = f"generic construction for {f}"
-    # consistency of the model: eval(f, p_i^n) == p_i^g(p_i, n) * h(p_i)
-    for i, p in enumerate(spec.primes):
+    boosts = []
+    for (a, b), p, h in zip(spec.exponent_maps, spec.primes, spec.cofactors):
         for n in range(1, _VALIDATION_DEPTH + 1):
             got = evaluate(f, FactoredNatural(((p, n),)), config)
-            g = spec.g(i, n)
+            g = a * n + b
             if g < 0:
                 raise ValueError(f"g({p},{n}) = {g} < 0")
-            want = FactoredNatural(
-                ((p, g),) if g >= 1 else (), ()) if g >= 1 else FactoredNatural()
-            want = FactoredNatural(want.explicit + spec.cofactors[i].explicit)
+            want = FactoredNatural((((p, g),) if g >= 1 else ()) + h.explicit)
             if got != want:
                 raise ValueError(
                     f"model inconsistent at p={p}, n={n}: f({p}^{n}) = {got!r}, "
                     f"model says {want!r}")
-    steps = [spec.step_map(i) for i in range(len(spec.primes))]
+        boosts.append(sum(e for c in spec.cofactors for q, e in c.explicit if q == p))
 
-    def window(fam: int) -> list[tuple[int, ...]]:
-        vec = tuple(spec.seeds[fam - 1])
-        out = [vec]
-        for _ in range(depth - 1):
-            vec = tuple(s(x) for s, x in zip(steps, vec))
-            if any(x < 1 for x in vec):
-                raise BudgetExceeded(f"exponent vector {vec} leaves the support")
-            out.append(vec)
-        return out
-
-    vectors = window(family)
-    terms = [_generic_term(spec, v) for v in vectors]
-    broken = _recurrence_break(f, False, family, terms, config)  # an orbit
-    if broken is not None:
-        return terms, VerificationReport(
-            lemma_id=lemma, families_checked=1, depth=depth, status="FAIL",
-            counterexample=broken)
-    seen: dict[tuple[int, ...], tuple[int, int]] = {}
-    for fam in range(1, len(spec.seeds) + 1):
-        for pos, vec in enumerate(window(fam), start=1):
-            if vec in seen:
-                prev = seen[vec]
-                return terms, VerificationReport(
-                    lemma_id=lemma, families_checked=len(spec.seeds), depth=depth,
-                    status="FAIL",
-                    counterexample=Counterexample(
-                        fam, pos, prev, vec,
-                        detail="exponent-vector map is not injective"))
-            seen[vec] = (fam, pos)
-    report = VerificationReport(
-        lemma_id=lemma, families_checked=len(spec.seeds), depth=depth,
-        status="PASS",
-        certified_bound=f"o({f}) >= {len(spec.seeds)} certified at depth {depth}")
-    return terms, report
+    families = []
+    for family, vec in enumerate(spec.seeds, start=1):
+        terms = []
+        for n in range(depth):
+            if n:
+                vec = tuple(a * x + b + boost for (a, b), boost, x
+                            in zip(spec.exponent_maps, boosts, vec))
+                if any(x < 1 for x in vec):
+                    raise BudgetExceeded(f"exponent vector {vec} leaves the support")
+            terms.append(FactoredNatural((p, e) for p, e in zip(spec.primes, vec) if e >= 1))
+        families.append((family, terms))
+    report = _check_families(f"generic construction for {f}", f, False, families,
+                             depth, config)
+    return [terms for _, terms in families], report
 
 
 def psi_generic_spec(families: int = 5) -> GenericFamilySpec:

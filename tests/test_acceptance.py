@@ -19,7 +19,7 @@ from arithdyn import dynamics as dy
 from arithdyn import preimage as pre
 from arithdyn import topology as tp
 from arithdyn.config import DEFAULT_CONFIG
-from arithdyn.factorint import DeferredValue, primes_upto, to_integer
+from arithdyn.factorint import DeferredValue, factored_range, primes_upto, to_integer
 
 
 class Stopwatch:
@@ -124,9 +124,9 @@ def test_criterion_06_generic_note_subsumption():
     with Stopwatch() as sw:
         for gspec, scheme in ((dy.psi_generic_spec(5), dy.Scheme.PSI_ORBIT),
                               (dy.j2_generic_spec(5), dy.Scheme.J2_ORBIT)):
-            for fam in range(1, 6):
-                terms, rep = dy.generic_family_terms(gspec, fam, 20)
-                assert rep.passed
+            generic, rep = dy.generic_family_terms(gspec, 20)
+            assert rep.passed and len(generic) == 5
+            for fam, terms in enumerate(generic, start=1):
                 builtin = dy.family_terms(dy.FamilySpec(scheme, fam), 20)
                 assert terms == builtin, (scheme, fam)
     announce(6, "generic multiplicative construction reproduces the psi and "
@@ -161,7 +161,7 @@ def test_criterion_08_nonfinite_fibre_witnesses():
             assert af.scalar_value(af.D, pps) == 2
         # the Omega fibre over 1 inside 1..1e6, counted from factorizations,
         # must agree with the sieve's own prime count
-        count = sum(1 for _, pps in af.factored_range(10 ** 6)
+        count = sum(1 for _, pps in factored_range(10 ** 6)
                     if af.scalar_value(af.BIG_OMEGA, pps) == 1)
         sieve_count = len(primes_upto(10 ** 6))
         assert count == sieve_count == 78498

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from arithdyn import arithfun as af, cli, dynamics as dy, preimage as pre, topology as tp
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
-    BudgetExceeded, DeferredValue, FactoredNatural, factorize, to_integer,
+    BudgetExceeded, DeferredValue, FactoredNatural, factored_range, factorize, to_integer,
 )
 
 ALL_SMALL = [
@@ -136,7 +136,7 @@ def test_additivity_of_prime_counters(a, b):
 
 
 def test_sigma_equals_psi_on_squarefree():
-    for n, pps in af.factored_range(10 ** 4):
+    for n, pps in factored_range(10 ** 4):
         if all(a == 1 for _, a in pps):
             for k in (1, 2, 3):
                 assert af.scalar_value(af.sigma(k), pps) == \
@@ -195,7 +195,7 @@ def test_value_table_matches_decomposition_scan(f):
     bound = 20_000
     table = af.value_table(f, bound)
     assert table[0] == 0 and table[1] == 1
-    assert table[2:] == [af.scalar_value(f, pps) for _, pps in af.factored_range(bound)]
+    assert table[2:] == [af.scalar_value(f, pps) for _, pps in factored_range(bound)]
 
 
 def test_value_table_matches_oracle():
@@ -284,7 +284,7 @@ def test_prime_power_values_lists_every_prime_power():
     functions = {f for _, f, _ in af._MONOTONE_CHECKS} | {af.divisor_count(3),
                                                           af.generalized_psi(3)}
     for bound in (1, 2, 3, 4, 8, 9, 16, 17, 1000):
-        pps = {n: pps[0] for n, pps in af.factored_range(bound) if len(pps) == 1}
+        pps = {n: pps[0] for n, pps in factored_range(bound) if len(pps) == 1}
         for f in functions:
             walk = list(af.prime_power_values(f, bound))
             assert len(walk) == len(pps), (f, bound)

@@ -402,6 +402,11 @@ def test_sieve_refusal_names_its_key(capsys):
     ("oracle_tuple_budget", {}, ["oracle-eval", "--fn", "J_2", "--n", "20000"]),
     ("oracle_value_budget", {}, ["oracle-eval", "--fn", "psi", "--n", "20000"]),
     ("bit_budget", {"bit_budget": 64}, ["orbit", "--fn", "psi", "--n", "2", "--depth", "100"]),
+    # a family's prime is looked up under the run's config, not the default
+    ("prime_index_budget", {"prime_index_budget": 3},
+     ["family", "--scheme", "omega-anti", "--index", "5", "--depth", "2"]),
+    ("prime_index_budget", {"prime_index_budget": 3},
+     ["verify-lemma", "omega-antiorbit", "--families", "5", "--depth", "3"]),
 ])
 def test_budget_refusal_names_its_key(tmp_path, capsys, key, config, argv):
     cfg = tmp_path / "cfg.json"

@@ -46,11 +46,11 @@ def test_family_term_examples():
 
 
 def test_family_primes():
-    assert spec_of(dy.Scheme.OMEGA_ANTI, 1).prime == 2
-    assert spec_of(dy.Scheme.OMEGA_ANTI, 3).prime == 5
-    assert spec_of(dy.Scheme.D_ANTI, 1).prime == 3
-    assert spec_of(dy.Scheme.SMALL_OMEGA_ANTI, 5).prime == 13
-    assert spec_of(dy.Scheme.PHI_ANTI, 2).prime is None
+    assert spec_of(dy.Scheme.OMEGA_ANTI, 1).prime() == 2
+    assert spec_of(dy.Scheme.OMEGA_ANTI, 3).prime() == 5
+    assert spec_of(dy.Scheme.D_ANTI, 1).prime() == 3
+    assert spec_of(dy.Scheme.SMALL_OMEGA_ANTI, 5).prime() == 13
+    assert spec_of(dy.Scheme.PHI_ANTI, 2).prime() is None
 
 
 def test_depth_caps():
@@ -306,7 +306,7 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
         spec = dy.FamilySpec(scheme, index)
         terms = dy.family_terms(spec, cap, config)
         overflows = [to_integer(t, config) is OVERFLOW for t in terms]
-        offset = LINK_OFFSET[scheme](spec.prime)
+        offset = LINK_OFFSET[scheme](spec.prime())
         for prev, term in zip(terms, terms[1:]):
             link = _link(scheme, term)
             if link is None:
@@ -371,18 +371,19 @@ def test_recurrence_exactness_property(scheme, index, depth):
 
 def test_generic_psi_consistency_and_subsumption():
     gspec = dy.psi_generic_spec(3)
-    for fam in range(1, 4):
-        terms, rep = dy.generic_family_terms(gspec, fam, 12)
-        assert rep.passed
+    generic, rep = dy.generic_family_terms(gspec, 12)
+    assert rep.passed
+    assert rep.certified_bound == "o(psi) >= 3 certified at depth 12"
+    for fam, terms in enumerate(generic, start=1):
         assert terms == dy.family_terms(dy.FamilySpec(dy.Scheme.PSI_ORBIT, fam), 12)
-    assert to_integer(dy.generic_family_terms(gspec, 1, 3)[0][0]) == 6
+    assert to_integer(dy.generic_family_terms(gspec, 3)[0][0][0]) == 6
 
 
 def test_generic_j2_subsumption():
     gspec = dy.j2_generic_spec(3)
-    for fam in range(1, 4):
-        terms, rep = dy.generic_family_terms(gspec, fam, 10)
-        assert rep.passed
+    generic, rep = dy.generic_family_terms(gspec, 10)
+    assert rep.passed and len(generic) == 3
+    for fam, terms in enumerate(generic, start=1):
         assert terms == dy.family_terms(dy.FamilySpec(dy.Scheme.J2_ORBIT, fam), 10)
 
 
@@ -397,7 +398,45 @@ def test_generic_model_consistency_failure():
     bad = dy.GenericFamilySpec(af.PSI, (2, 3), ((1, -1), (1, -1)),
                                (factorize(3), factorize(2)), ((1, 1),))
     with pytest.raises(ValueError, match="inconsistent"):
-        dy.generic_family_terms(bad, 1, 4)
+        dy.generic_family_terms(bad, 4)
+
+
+def test_generic_equal_seeds_collide():
+    # families 2 and 3 share a seed, so their whole orbits coincide
+    gspec = dy.GenericFamilySpec(af.PSI, (2, 3), ((1, -1), (1, -1)),
+                                 (factorize(3), factorize(4)), ((1, 1), (1, 2), (1, 2)))
+    generic, rep = dy.generic_family_terms(gspec, 4)
+    assert rep.status == "FAIL" and rep.families_checked == 3
+    ce = rep.counterexample
+    assert (ce.family, ce.position) == (3, 1)
+    assert ce.expected == ce.actual == generic[1][0]
+    assert ce.detail == "collides with family 2 position 1"
+    # without terms there is nothing to tell the families apart
+    with pytest.raises(ValueError, match="depth >= 1"):
+        dy.generic_family_terms(gspec, 0)
+
+
+def test_generic_exponents_stay_in_the_support():
+    # phi(2^a 3^b) = 2^a 3^(b-1) for a, b >= 1, so the exponent of 3 runs out
+    leaving = dy.GenericFamilySpec(af.PHI, (2, 3), ((1, -1), (1, -1)),
+                                   (factorize(1), factorize(2)), ((1, 2),))
+    assert dy.generic_family_terms(leaving, 2)[1].passed
+    with pytest.raises(BudgetExceeded, match=r"\(1, 0\) leaves the support"):
+        dy.generic_family_terms(leaving, 3)
+
+
+def test_generic_seed_may_leave_the_support():
+    # only the vectors after the seed must keep every exponent >= 1; the
+    # seed (0, 1) is 3, whose psi-image 4 the exponent step (to 6) misses,
+    # so the family check reports the broken recurrence
+    gspec = dy.GenericFamilySpec(af.PSI, (2, 3), ((1, -1), (1, -1)),
+                                 (factorize(3), factorize(4)), ((1, 1), (0, 1)))
+    generic, rep = dy.generic_family_terms(gspec, 3)
+    assert [to_integer(t) for t in generic[1]] == [3, 6, 12]
+    assert rep.status == "FAIL"
+    ce = rep.counterexample
+    assert (ce.family, ce.position, to_integer(ce.expected)) == (2, 1, 6)
+    assert to_integer(ce.actual) == 4
 
 
 def test_classify_monotonicity():

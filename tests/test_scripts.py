@@ -1,4 +1,5 @@
 """Smoke tests: the scripts under scripts/ run end to end at small budgets."""
+import json
 import os
 import subprocess
 import sys
@@ -60,6 +61,25 @@ def test_span_tracer_finds_every_entry_point():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_benchmark_child_runs_its_ops():
+    # the span hooks read their arguments by position, which only a call
+    # made under the tracer exercises
+    ops = [{"op": "cli", "argv": ["verify-lemma", "d-antiorbit", "--families", "2",
+                                  "--depth", "3"]},
+           {"op": "cli", "argv": ["verify-lemma", "generic-note", "--families", "2",
+                                  "--depth", "4"]}]
+    # child.py imports arithdyn from <root>/src and spans from its own directory
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(ROOT)],
+        input=json.dumps({"ops": ops, "trace": True, "spans_path": None}),
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    reply = json.loads(proc.stdout)
+    for result in reply["results"]:
+        assert "error" not in result and result["rc"] == 0, result
+    assert reply["layers"]["dynamics.family_terms_calls"] > 0
 
 
 def test_explore_open_problems_runs():
