@@ -28,7 +28,7 @@ from typing import Callable, Iterator, Optional, Union
 from .config import DEFAULT_CONFIG, ToolConfig
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, Nat, ONE, OVERFLOW,
-    factorize, nat_add, primes_upto, smallest_factor_table, to_integer,
+    factorize, nat_add, nat_resolve, primes_upto, smallest_factor_table,
 )
 from .reports import Counterexample, VerificationReport
 
@@ -233,13 +233,7 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
 def evaluate_int(f: FunctionId, n: Union[int, FactoredNatural],
                  config: ToolConfig = DEFAULT_CONFIG) -> int:
     """evaluate() forced to a plain integer (raises past the bit budget)."""
-    v = evaluate(f, n, config)
-    if isinstance(v, int):
-        return v
-    if isinstance(v, DeferredValue):
-        r = v.resolve(config)
-    else:
-        r = to_integer(v, config)
+    r = nat_resolve(evaluate(f, n, config), config)
     if r is OVERFLOW:
         raise BudgetExceeded(f"{f}({n!r}) exceeds the bit budget (bit_budget)")
     return r
@@ -261,13 +255,13 @@ def forward_orbit(f: FunctionId, x: Union[int, FactoredNatural],
 
 def orbit_values(f: FunctionId, x: int,
                  config: ToolConfig = DEFAULT_CONFIG) -> Iterator[int]:
-    """forward_orbit as plain integers (to_integer on factored iterates); an
+    """forward_orbit as plain integers (nat_resolve on each iterate); an
     iterate past the bit budget is refused (BudgetExceeded), as evaluate_int
     refuses it.  The refusal names the previous iterate in factored form, as
     its digits may be too many to print."""
     prev: Union[int, FactoredNatural] = x
     for y in forward_orbit(f, x, config):
-        v = y if isinstance(y, int) else to_integer(y, config)
+        v = nat_resolve(y, config)
         if v is OVERFLOW:
             raise BudgetExceeded(f"{f}({prev!r}) exceeds the bit budget (bit_budget)")
         yield v

@@ -3,7 +3,8 @@ verification, entropy estimates, topology checks and table reproduction.
 
 Reports serialize deterministically (stable key order; timestamp
 suppressible), so identical invocations produce byte-identical JSON.
-Exit codes: 0 = PASS/INFO, 1 = FAIL, 2 = usage/budget error.
+Exit codes: 0 = PASS/INFO, 1 = FAIL, 2 = usage/budget error, 3 = internal
+error (an exception no refusal covers; `main` only).
 """
 from __future__ import annotations
 
@@ -194,7 +195,7 @@ def _cmd_min_open(args, config) -> tuple[str, Any]:
 
 def _cmd_components(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
-    return "INFO", tp.component_census(f, args.bound, config)
+    return "INFO", tp.component_census(f, _positive(args, "bound", 1000), config)
 
 
 def _cmd_separation(args, config) -> tuple[str, Any]:
@@ -205,7 +206,7 @@ def _cmd_separation(args, config) -> tuple[str, Any]:
 
 def _cmd_partition_demo(args, config) -> tuple[str, Any]:
     blocks = tp.residue_partition(args.mod)
-    result = tp.partition_map(blocks, args.bound)
+    result = tp.partition_map(blocks, _positive(args, "bound", 1000))
     payload = result.report.to_payload()
     payload.update({
         "blocks": list(result.blocks),
@@ -218,8 +219,9 @@ def _cmd_partition_demo(args, config) -> tuple[str, Any]:
 
 def _cmd_search(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
-    budget = dy.SearchBudget(max_start=args.max_start, max_depth=args.max_depth,
-                             max_families=args.max_families)
+    budget = dy.SearchBudget(max_start=_positive(args, "max_start", 200),
+                             max_depth=_positive(args, "max_depth", 30),
+                             max_families=_positive(args, "max_families", 10))
     direction = dy.BACKWARD if args.direction == "backward" else dy.FORWARD
     found = dy.search_families(f, budget, direction, config)
     return "INFO", {
@@ -242,7 +244,7 @@ def _positive(args, name: str, default: int) -> int:
     if value is None:
         return default
     if value < 1:
-        raise ValueError(f"--{name} must be >= 1, got {value}")
+        raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     return value
 
 
@@ -321,7 +323,7 @@ def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
 
 
 def _partition_runner(args, config: ToolConfig) -> VerificationReport:
-    return tp.partition_map(tp.odds_evens(), _positive(args, "bound", 1000)).report
+    return tp.partition_map(tp.residue_partition(2), _positive(args, "bound", 1000)).report
 
 
 class Lemma(NamedTuple):
@@ -557,7 +559,8 @@ def emit(report: Report, fmt: str, out=None) -> None:
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged.
     # global flags live on a parent so they parse both before and after the
-    # subcommand; SUPPRESS keeps subparser defaults from clobbering them
+    # subcommand; SUPPRESS keeps a subparser from overwriting a value given
+    # before it, and run() supplies the defaults (GLOBAL_DEFAULTS)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS)
@@ -575,8 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="arithdyn",
         description="certified-at-depth checks for arithmetic-dynamical claims",
         parents=[common])
-    parser.set_defaults(format="text", config=None, no_timestamp=False,
-                        sieve_bound=None, bit_budget=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, **kwargs):
@@ -673,6 +674,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the global flags' values when given neither before nor after the subcommand
+GLOBAL_DEFAULTS = {"format": "text", "config": None, "no_timestamp": False,
+                   "sieve_bound": None, "bit_budget": None}
+
+
 def _load_config(args) -> ToolConfig:
     config = ToolConfig.from_file(args.config) if args.config else DEFAULT_CONFIG
     overrides = {}
@@ -685,8 +691,7 @@ def _load_config(args) -> ToolConfig:
 
 def run(argv=None, out=None) -> int:
     """Parse argv, execute, emit one report; returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv, argparse.Namespace(**GLOBAL_DEFAULTS))
     try:
         config = _load_config(args)
         status, results = args.handler(args, config)
@@ -695,9 +700,7 @@ def run(argv=None, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     params = {k: v for k, v in vars(args).items()
-              if k not in ("handler", "command", "format", "config",
-                           "no_timestamp", "sieve_bound", "bit_budget")
-              and v is not None}
+              if k not in ("handler", "command", *GLOBAL_DEFAULTS) and v is not None}
     stamp = None if args.no_timestamp else datetime.now(timezone.utc).isoformat()
     report = Report(command=args.command, parameters=params, results=results,
                     status=status, config=config, timestamp=stamp)
@@ -706,7 +709,14 @@ def run(argv=None, out=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    """The console entry point.  An exception that run() does not refuse
+    is reported on one line with exit 3, so it never reads as FAIL (1)."""
+    try:
+        code = run()
+    except Exception as exc:
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = 3
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

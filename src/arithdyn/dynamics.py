@@ -36,8 +36,8 @@ from .arithfun import (
 )
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _value_bitlen_lb,
-    factorize, nth_prime, pairwise_all_different, prime_factors, prime_index,
-    to_integer,
+    factorize, nat_resolve, nth_prime, pairwise_all_different, prime_factors,
+    prime_index, to_integer,
 )
 from .preimage import complete_preimage, fibres, is_expansive_family, preimage_closure
 from .reports import Counterexample, VerificationReport
@@ -165,59 +165,25 @@ def _next_tower_term(spec: FamilySpec, prev: Optional[FactoredNatural],
     return shape(deferred if value is OVERFLOW else value + offset)
 
 
-def _prime_bitlen_ub(n: int) -> int:
-    """An upper bound on q_n.bit_length() for the n-th prime q_n, n >= 1,
-    from n alone, so the prime list is not grown to q_n to read it.
-
-    For n >= 6, q_n < n (ln n + ln ln n) (Rosser, 1941).  With b =
-    n.bit_length(), n < 2^b gives ln n < b ln 2 < b, and ln ln n < ln n
-    since ln x < x for x > 0.  So q_n < 2 n b and q_n.bit_length() <=
-    (2 n b).bit_length().  For n < 6, q_n <= 11 < 2^4."""
-    if n < 6:
-        return 4
-    return (2 * n * n.bit_length()).bit_length()
-
-
-def _past_bit_budget(term: FactoredNatural, config: ToolConfig) -> bool:
-    """to_integer(term, config) is OVERFLOW, decided from bit-length bounds
-    where they settle it, so a term is materialised only when they do not.
-    The upper bound gives each interval prime q_i, lo <= i <= hi, the
-    bits of _prime_bitlen_ub(hi), a closed form in hi."""
-    if _value_bitlen_lb(term) > config.bit_budget:
-        return True
-    if not term.has_deferred:
-        bits_ub = (1 + sum(e * p.bit_length() for p, e in term.explicit)
-                   + sum((hi - lo + 1) * _prime_bitlen_ub(hi)
-                         for lo, hi in term.intervals))
-        if bits_ub <= config.bit_budget:
-            return False
-    return to_integer(term, config) is OVERFLOW
-
-
 # ---------------------------------------------------------------------------
 # recurrence and disjointness verification
 
 
-def _value_matches(value, expected: FactoredNatural, config: ToolConfig) -> bool:
-    """Does an evaluate() result equal the expected factored natural?"""
-    if isinstance(value, FactoredNatural):
-        return value == expected
-    if isinstance(value, int):
-        ev = to_integer(expected, config)
-        return ev is not OVERFLOW and ev == value
-    if isinstance(value, DeferredValue):
-        if value.offset == 0 and value.base == expected:
-            return True
-        rv = value.resolve(config)
-        ev = to_integer(expected, config)
-        return rv is not OVERFLOW and ev is not OVERFLOW and rv == ev
-    return False
+SYMBOLIC_NOTE = "terms past the bit budget checked by exact symbolic equality"
+
+
+def _value_matches(value: Value, expected: FactoredNatural, config: ToolConfig) -> bool:
+    """Does an evaluate() result equal the expected factored natural?  By
+    identity where the structures agree, else by integer value."""
+    if value == expected:
+        return True
+    got = nat_resolve(value, config)
+    return got is not OVERFLOW and got == nat_resolve(expected, config)
 
 
 def _check_families(lemma: str, f: FunctionId, anti: bool,
                     families: Sequence[tuple[int, list[FactoredNatural]]],
-                    depth: int, config: ToolConfig,
-                    notes: tuple[str, ...] = ()) -> VerificationReport:
+                    depth: int, config: ToolConfig) -> VerificationReport:
     """The one family check: every family's terms keep their recurrence,
     f(term_{n+1}) = term_n for an anti-orbit and f(term_n) = term_{n+1}
     for an orbit, and all terms, across every family, are pairwise
@@ -226,18 +192,25 @@ def _check_families(lemma: str, f: FunctionId, anti: bool,
     ``families`` pairs each family's number, which a recurrence
     counterexample names, with its first `depth` terms; a collision names
     both families by their position in ``families``, from 1.  One
-    pairwise pass over all terms also covers the pairs inside a family."""
+    pairwise pass over all terms also covers the pairs inside a family.
+
+    A recurrence step whose value is the symbolic link DeferredValue(dst, 0)
+    is decided by identity, without materialising dst; the PASS report
+    then carries SYMBOLIC_NOTE."""
     def report(status, **fields):
         return VerificationReport(lemma_id=lemma, families_checked=len(families),
                                   depth=depth, status=status, **fields)
 
     all_terms: list[FactoredNatural] = []
     owner: list[tuple[int, int]] = []  # flat index -> (family position, term no.)
+    symbolic = False
     for fam_no, (family, terms) in enumerate(families, start=1):
         for i in range(len(terms) - 1):
             src, dst = (terms[i + 1], terms[i]) if anti else (terms[i], terms[i + 1])
             got = evaluate(f, src, config)
-            if not _value_matches(got, dst, config):
+            if isinstance(got, DeferredValue) and got.offset == 0 and got.base == dst:
+                symbolic = True
+            elif not _value_matches(got, dst, config):
                 return report("FAIL", counterexample=Counterexample(family, i + 1, dst, got))
         all_terms.extend(terms)
         owner.extend((fam_no, i + 1) for i in range(len(terms)))
@@ -250,7 +223,7 @@ def _check_families(lemma: str, f: FunctionId, anti: bool,
             fam_b, pos_b, all_terms[a], all_terms[b],
             detail=f"collides with family {fam_a} position {pos_a}"))
     symbol = "a" if anti else "o"
-    return report("PASS", notes=notes,
+    return report("PASS", notes=(SYMBOLIC_NOTE,) if symbolic else (),
                   certified_bound=f"{symbol}({f}) >= {len(families)} "
                                   f"certified at depth {depth}")
 
@@ -269,17 +242,9 @@ def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
     scheme = specs[0].scheme
     if any(s.scheme is not scheme for s in specs):
         raise MismatchedScheme("verify_disjoint needs a single scheme")
-    past_budget = False
-    families = []
-    for spec in specs:
-        terms = family_terms(spec, depth, config)
-        if scheme in TOWER_SCHEMES:
-            past_budget |= any(_past_bit_budget(t, config) for t in terms[:-1])
-        families.append((spec.index, terms))
-    note = "terms past the bit budget checked by exact symbolic equality"
+    families = [(spec.index, family_terms(spec, depth, config)) for spec in specs]
     return _check_families(f"{scheme.value} x{len(specs)} depth {depth}",
-                           scheme.function, scheme.anti, families, depth, config,
-                           notes=(note,) if past_budget else ())
+                           scheme.function, scheme.anti, families, depth, config)
 
 
 def default_family_specs(scheme: Scheme, count: int) -> list[FamilySpec]:
@@ -583,8 +548,7 @@ def _search_orbits(f: FunctionId, budget: SearchBudget,
         orbit = forward_orbit(f, start, config)
         ok = True
         while len(seq) < budget.max_depth:
-            v = next(orbit)
-            v = v if isinstance(v, int) else to_integer(v, config)
+            v = nat_resolve(next(orbit), config)
             if v is OVERFLOW or v.bit_length() > budget.value_bits:
                 ok = False
                 break

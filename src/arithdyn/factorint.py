@@ -372,10 +372,13 @@ def nat_add(u: Nat, delta: int) -> Nat:
     return u + delta
 
 
-def nat_resolve(u: Nat, config: ToolConfig = DEFAULT_CONFIG):
-    """Plain integer value of u, or OVERFLOW."""
+def nat_resolve(u: Union[Nat, "FactoredNatural"], config: ToolConfig = DEFAULT_CONFIG):
+    """Plain integer value of u (an int, DeferredValue or FactoredNatural),
+    or OVERFLOW."""
     if isinstance(u, DeferredValue):
         return u.resolve(config)
+    if isinstance(u, FactoredNatural):
+        return to_integer(u, config)
     return u
 
 

@@ -217,10 +217,6 @@ class PartitionMapResult:
     report: VerificationReport
 
 
-def odds_evens() -> list[Block]:
-    return [ResidueBlock(2, 1), ResidueBlock(2, 0)]
-
-
 def residue_partition(modulus: int) -> list[Block]:
     return [ResidueBlock(modulus, r) for r in range(1, modulus)] + [ResidueBlock(modulus, 0)]
 

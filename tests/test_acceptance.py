@@ -202,7 +202,7 @@ def test_criterion_10_topology():
         assert af.evaluate_int(af.PHI, 3) == 2 < 3
         rep = tp.verify_tau_subset(af.PSI, 10 ** 4)
         assert rep.passed
-        res = tp.partition_map(tp.odds_evens(), 10 ** 3)
+        res = tp.partition_map(tp.residue_partition(2), 10 ** 3)
         assert len(res.components) == 2
         assert res.report.passed
     announce(10, "forward connectivity of phi to 1e5, minimal-open-set "

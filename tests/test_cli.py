@@ -1,6 +1,7 @@
 import io
 import json
 import operator
+import sys
 
 import pytest
 
@@ -140,18 +141,20 @@ def _passed(lemma, families, depth, certified_bound, notes=None):
 
 
 _COND_500 = "(conditional: hypothesis verified up to 500 only)"
+SYMBOLIC_NOTE = "terms past the bit budget checked by exact symbolic equality"
 
 # the whole `results` payload of each FAST_LEMMA_ARGS run, written out so a
 # change to any report text shows here
 FAST_LEMMA_RESULTS = {
     "phi-antiorbit": _passed("phi-anti x4 depth 6", 4, 6,
                              "a(phi) >= 4 certified at depth 6"),
-    "d-antiorbit": _passed("d-anti x3 depth 4", 3, 4, "a(d) >= 3 certified at depth 4"),
+    "d-antiorbit": _passed("d-anti x3 depth 4", 3, 4, "a(d) >= 3 certified at depth 4",
+                           [SYMBOLIC_NOTE]),
     "omega-antiorbit": _passed("omega-anti x3 depth 4", 3, 4,
-                               "a(Omega) >= 3 certified at depth 4"),
+                               "a(Omega) >= 3 certified at depth 4", [SYMBOLIC_NOTE]),
     "smallomega-antiorbit": _passed(
         "smallomega-anti x3 depth 5", 3, 5, "a(omega) >= 3 certified at depth 5",
-        ["terms past the bit budget checked by exact symbolic equality"]),
+        [SYMBOLIC_NOTE]),
     "psi-orbit": _passed("psi-orbit x4 depth 6", 4, 6, "o(psi) >= 4 certified at depth 6"),
     "j2-orbit": _passed("j2-orbit x4 depth 6", 4, 6, "o(J_2) >= 4 certified at depth 6"),
     "generic-note": _passed(
@@ -192,6 +195,15 @@ def test_every_lemma_id_runs_and_passes():
         code, doc = run_json("verify-lemma", lemma, *extra)
         assert code == 0, (lemma, doc)
         assert doc["results"] == FAST_LEMMA_RESULTS[lemma], lemma
+
+
+def test_note_names_a_symbolic_last_step():
+    # only the last step, 3^value(3^6560)-1 -> 3^6560, is decided by
+    # identity of a symbolic link; the note says so
+    code, doc = run_json("verify-lemma", "d-antiorbit", "--families", "1", "--depth", "5")
+    assert code == 0
+    assert doc["results"] == _passed("d-anti x1 depth 5", 1, 5,
+                                     "a(d) >= 1 certified at depth 5", [SYMBOLIC_NOTE])
 
 
 def test_verify_lemma_refuses_zero_parameters(capsys):
@@ -386,6 +398,83 @@ def test_runners_refuse_non_positive_parameters(capsys, command, target, flag):
         code, out = run_cli(command, target, flag, value)
         assert code == 2 and out == "", (target, flag, value)
         assert f"{flag} must be >= 1, got {value}" in capsys.readouterr().err
+
+
+# the other commands' size options, each refused below 1
+SIZE_REFUSALS = [
+    (["components", "--fn", "phi"], "--bound"),
+    (["partition-demo"], "--bound"),
+    (["search", "--fn", "phi"], "--max-start"),
+    (["search", "--fn", "phi"], "--max-depth"),
+    (["search", "--fn", "phi"], "--max-families"),
+    (["search", "--fn", "phi", "--direction", "backward"], "--max-depth"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", SIZE_REFUSALS,
+                         ids=lambda v: "-".join(v) if isinstance(v, list) else v)
+def test_commands_refuse_non_positive_sizes(capsys, argv, flag):
+    for value in ("0", "-5"):
+        code, out = run_cli(*argv, flag, value)
+        assert code == 2 and out == "", (argv, flag, value)
+        assert capsys.readouterr().err == f"error: {flag} must be >= 1, got {value}\n"
+
+
+GLOBAL_FLAGS = [["--format", "json"], ["--config", "CFG"], ["--no-timestamp"],
+                ["--sieve-bound", "50"], ["--bit-budget", "64"]]
+FLAG_COMMANDS = [["family", "--scheme", "j2-orbit", "--depth", "5"],
+                 ["verify-lemma", "d-antiorbit", "--families", "2", "--depth", "4"],
+                 ["table", "connectivity", "--bound", "100"]]
+
+
+def _outcome(capsys, argv):
+    code, out = run_cli(*argv)
+    return code, out, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", GLOBAL_FLAGS, ids=lambda f: f[0])
+@pytest.mark.parametrize("command", FLAG_COMMANDS, ids=lambda c: c[0])
+def test_global_flags_parse_before_the_subcommand(tmp_path, capsys, flag, command):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"bit_budget": 100}')
+    flag = [str(cfg) if a == "CFG" else a for a in flag]
+    # deterministic json, unless the flag under test is one of these two
+    rest = [a for f in (["--format", "json"], ["--no-timestamp"]) if f[0] != flag[0]
+            for a in f]
+    before = _outcome(capsys, [*flag, *command, *rest])
+    after = _outcome(capsys, [*command, *rest, *flag])
+    assert before == after
+    assert before != _outcome(capsys, [*command, *rest])  # the flag acts
+
+
+def test_a_global_flag_after_the_subcommand_wins():
+    code, doc = run_json("--bit-budget", "64", "--format", "csv",
+                         "family", "--scheme", "j2-orbit", "--depth", "5",
+                         "--bit-budget", "100")
+    assert code == 0 and doc["provenance"]["config"]["bit_budget"] == 100
+    assert doc["results"]["terms"][-1]["value"] == "<97-bit integer>"  # past 64 bits
+
+
+def test_main_reports_an_internal_error_on_one_line(monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli.dy, "verify_disjoint", crash)
+    argv = ["verify-lemma", "d-antiorbit", "--families", "3", "--depth", "2"]
+    with pytest.raises(RecursionError):  # run() leaves it to its caller
+        cli.run(argv, out=io.StringIO())
+    monkeypatch.setattr(sys, "argv", ["arithdyn", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert captured.err == "error: internal RecursionError: maximum recursion depth exceeded\n"
+    # a refusal keeps its exit code 2 through main
+    monkeypatch.setattr(sys, "argv", ["arithdyn", "verify-lemma", "d-antiorbit",
+                                      "--depth", "0"])
+    with pytest.raises(SystemExit) as exc:
+        cli.main()
+    assert exc.value.code == 2
 
 
 def test_sieve_refusal_names_its_key(capsys):

@@ -184,7 +184,7 @@ def test_verify_disjoint_threads_its_config(monkeypatch, scheme):
         seen.append(config)
         return real(x, config)
 
-    for module in (factorint, dy, af):
+    for module in (factorint, dy):
         monkeypatch.setattr(module, "to_integer", spy)
     got = dy.verify_disjoint(specs, depth, small)
     assert (got.status, got.certified_bound) == (want.status, want.certified_bound)
@@ -273,7 +273,7 @@ def test_certify_materialises_no_wide_integer(monkeypatch):
             widths.append(value.bit_length())
         return value
 
-    for module in (factorint, dy, af):
+    for module in (factorint, dy):
         monkeypatch.setattr(module, "to_integer", spy)
     for scheme, families, depth in ((dy.Scheme.D_ANTI, 20, 5),
                                     (dy.Scheme.OMEGA_ANTI, 10, 5),
@@ -305,8 +305,8 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
     for index in range(1, 11):
         spec = dy.FamilySpec(scheme, index)
         terms = dy.family_terms(spec, cap, config)
-        overflows = [to_integer(t, config) is OVERFLOW for t in terms]
         offset = LINK_OFFSET[scheme](spec.prime())
+        symbolic = [False]  # the first term, p, has no link
         for prev, term in zip(terms, terms[1:]):
             link = _link(scheme, term)
             if link is None:
@@ -315,17 +315,13 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
                 assert link == to_integer(prev, config) + offset
             else:
                 assert link.base is prev and link.offset == offset
+                assert to_integer(term, config) is OVERFLOW
+            symbolic.append(isinstance(link, DeferredValue))
         for depth in range(1, cap + 1):
             rep = dy.verify_disjoint([spec], depth, config)
             assert rep.passed, (spec, depth)
-            assert (note in rep.notes) == any(overflows[:depth - 1]), (spec, depth)
-
-
-def test_prime_bit_length_bound_holds():
-    primes = factorint.primes_upto(2_750_159)  # q_200000
-    assert len(primes) == 200_000
-    for n, q in enumerate(primes, start=1):
-        assert q.bit_length() <= dy._prime_bitlen_ub(n), n
+            # the note says a step was decided by identity of a symbolic link
+            assert (note in rep.notes) == any(symbolic[:depth]), (spec, depth)
 
 
 def test_smallomega_certificate_keeps_the_prime_list_short():

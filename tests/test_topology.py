@@ -126,7 +126,7 @@ def test_taubar_subset():
 
 
 def test_partition_odds_evens():
-    res = tp.partition_map(tp.odds_evens(), 10)
+    res = tp.partition_map(tp.residue_partition(2), 10)
     assert res.components == ((1, 3, 5, 7, 9), (2, 4, 6, 8, 10))
     assert res.report.passed
     assert res.function_table[1] == 3 and res.function_table[2] == 4
