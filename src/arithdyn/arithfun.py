@@ -146,11 +146,12 @@ def _nat_scale(e: Nat, k: int, minus: int) -> Nat:
 
 
 @lru_cache(maxsize=1024)
-def _tail_factors(tail: int, config: ToolConfig) -> tuple[tuple[int, Nat], ...]:
+def _tail_factors(tail: int) -> tuple[tuple[int, Nat], ...]:
     """The factorization of a tail p^k -+ 1 (J_k, psi_k) or p^e - 1
-    (phi_star), memoised: the iterates of an orbit share a few primes, so
-    the same tails come back at every step."""
-    return factorize(tail, config).explicit
+    (phi_star), memoised on the tail alone (factorize reads no budget): the
+    iterates of an orbit share a few primes, so the same tails come back at
+    every step."""
+    return factorize(tail).explicit
 
 
 def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
@@ -194,13 +195,12 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
         parts: list[tuple[int, Nat]] = []
         for p, e in n.explicit:
             tail = pow(p, k) + sign  # J_k: p^k - 1, psi_k: p^k + 1
-            exp = _nat_scale(e, k, k)  # k*(e-1)
-            if isinstance(exp, int):
-                if exp > 0:
-                    parts.append((p, exp))
+            if isinstance(e, int):
+                if e > 1:
+                    parts.append((p, k * (e - 1)))
             else:
-                parts.append((p, exp))
-            parts.extend(_tail_factors(tail, config))
+                parts.append((p, _nat_scale(e, k, k)))  # k*(e-1)
+            parts.extend(_tail_factors(tail))
         return FactoredNatural(parts)
 
     if fam is Family.UNITARY_TOTIENT:
@@ -210,7 +210,7 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
                 raise BudgetExceeded("phi_star needs explicit exponents")
             if e * p.bit_length() > 140:
                 raise BudgetExceeded(f"phi_star factor {p}^{e}-1 too large to factor")
-            parts.extend(_tail_factors(pow(p, e) - 1, config))
+            parts.extend(_tail_factors(pow(p, e) - 1))
         return FactoredNatural(parts)
 
     if fam is Family.DIVISOR_COUNT:

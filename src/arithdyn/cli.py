@@ -185,7 +185,7 @@ def _cmd_min_open(args, config) -> tuple[str, Any]:
     if args.topology == "taubar":
         mos = tp.min_open_forward(f, args.n, config=config)
     else:
-        mos = tp.min_open_backward(f, args.n, args.scan_bound, config)
+        mos = tp.min_open_backward(f, args.n, _positive(args, "scan_bound", None), config)
     return "INFO", {
         "function": str(f), "point": mos.point, "topology": mos.topology,
         "completeness": mos.completeness, "size": len(mos.members),
@@ -237,7 +237,7 @@ def _cmd_search(args, config) -> tuple[str, Any]:
 # verify-lemma registry
 
 
-def _positive(args, name: str, default: int) -> int:
+def _positive(args, name: str, default: Optional[int]) -> Optional[int]:
     """args.<name>, or `default` when the option was not given; an explicit
     value below 1 is refused (exit 2), never replaced."""
     value = getattr(args, name)

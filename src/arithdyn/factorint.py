@@ -202,6 +202,10 @@ def _factor_int(n: int) -> dict[int, int]:
 _primes = array("q", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37])
 _prime_limit: int = 38  # primes below this are all present
 
+# FactoredNatural certifies an int in this fixed set (q_1..q_12) as prime by
+# membership; it never grows, so no check depends on what ran before
+_CERTIFIED_PRIMES = frozenset(_primes)
+
 
 def _extend_primes_upto(limit: int) -> None:
     global _prime_limit
@@ -472,27 +476,40 @@ class FactoredNatural:
                  explicit: Iterable[tuple[int, Nat]] = (),
                  intervals: Iterable[tuple[int, Nat]] = ()):
         exp_map: dict[int, Nat] = {}
+        plain = True
         for p, e in explicit:
-            if not isinstance(p, int) or p < 2:
-                raise ValueError(f"bad prime {p!r}")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            # the type test keeps 2.0 and True out: they hash like 2 and 1
+            if type(p) is not int or p not in _CERTIFIED_PRIMES:
+                if not isinstance(p, int) or p < 2:
+                    raise ValueError(f"bad prime {p!r}")
+                if not is_prime(p):
+                    raise ValueError(f"{p} is not prime")
+            old = exp_map.get(p)
             if isinstance(e, int):
                 if e < 1:
                     raise ValueError(f"exponent {e} < 1 for prime {p}")
-                if p in exp_map:
-                    old = exp_map[p]
-                    if not isinstance(old, int):
-                        raise ValueError("cannot merge deferred exponents")
+                if old is None:
+                    exp_map[p] = e
+                elif isinstance(old, int):
                     exp_map[p] = old + e
                 else:
-                    exp_map[p] = e
+                    raise ValueError("cannot merge deferred exponents")
             elif isinstance(e, DeferredValue):
-                if p in exp_map:
+                if old is not None:
                     raise ValueError("cannot merge deferred exponents")
                 exp_map[p] = e
+                plain = False
             else:
                 raise TypeError(f"bad exponent {e!r}")
+
+        self._hash = None
+        self._bitlen_lb = None
+        self._value = None
+        if not intervals:
+            self.explicit = tuple(sorted(exp_map.items()))
+            self.intervals = ()
+            self.is_plain = plain
+            return
 
         ivals = sorted(intervals, key=lambda iv: iv[0] if isinstance(iv[0], int) else 0)
         norm_ivals: list[tuple[int, Nat]] = []
@@ -540,10 +557,7 @@ class FactoredNatural:
 
         self.explicit = tuple(sorted(exp_map.items()))
         self.intervals = tuple(final_ivals)
-        self.is_plain = not final_ivals and all(isinstance(e, int) for e in exp_map.values())
-        self._hash = None
-        self._bitlen_lb = None
-        self._value = None
+        self.is_plain = plain and not final_ivals
 
     # -- basics ----------------------------------------------------------
 

@@ -265,6 +265,17 @@ def test_forward_orbit_factorises_only_tails(monkeypatch):
     assert bits and max(bits) <= 4
 
 
+def test_tail_memo_is_keyed_on_the_tail_alone():
+    # psi at 2 * 3^2 * 5 * 7 has the four tails 3, 4, 6, 8; a second config
+    # finds them all in the memo, as factorize reads no budget
+    n = factorize(2 * 3 ** 2 * 5 * 7)
+    af._tail_factors.cache_clear()
+    for config in (DEFAULT_CONFIG, DEFAULT_CONFIG.replace(bit_budget=64)):
+        assert af.evaluate(af.PSI, n, config) == factorize(3 * 4 * 3 * 6 * 8)
+    info = af._tail_factors.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
+
+
 def test_catalogue_monotone_sweep_checks_each_function_once(monkeypatch):
     walked = []
     real = af.prime_power_values

@@ -408,6 +408,7 @@ SIZE_REFUSALS = [
     (["search", "--fn", "phi"], "--max-depth"),
     (["search", "--fn", "phi"], "--max-families"),
     (["search", "--fn", "phi", "--direction", "backward"], "--max-depth"),
+    (["min-open", "--fn", "phi", "--n", "4"], "--scan-bound"),
 ]
 
 

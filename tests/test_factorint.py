@@ -133,6 +133,47 @@ def test_explicit_invariants():
     with pytest.raises(ValueError):
         FactoredNatural(((3, 0),))
     assert FactoredNatural(((3, 1), (3, 2))) == FactoredNatural(((3, 3),))
+    # small primes are certified by membership in a fixed set of ints, so a
+    # float or bool that hashes like one of them must still be refused
+    for bad in (2.0, 3.0, True, 1, 0, -3):
+        with pytest.raises(ValueError):
+            FactoredNatural(((bad, 1),))
+    with pytest.raises(ValueError):
+        FactoredNatural(((561, 1),))  # Carmichael: 3 * 11 * 17
+    with pytest.raises(TypeError):
+        FactoredNatural(((3, 1.0),))
+    assert FactoredNatural(((2 ** 61 - 1, 1),)).explicit == ((2 ** 61 - 1, 1),)
+
+
+_NORMAL_FORM_PRIMES = list(primes_upto(200))  # both sides of q_12 = 37
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_NORMAL_FORM_PRIMES),
+                          st.integers(min_value=1, max_value=2)), max_size=8),
+       st.randoms(use_true_random=False))
+def test_normal_form_matches_factorize(parts, rng):
+    # shuffled parts with repeated primes merge into factorize's normal form;
+    # 16 prime factors below 2^8 keep the product inside factorize's 128 bits
+    product = 1
+    for p, e in parts:
+        product *= p ** e
+    rng.shuffle(parts)
+    built = FactoredNatural(parts)
+    want = factorize(product)
+    assert built.explicit == want.explicit
+    assert built.is_plain and want.is_plain
+    assert built == want and hash(built) == hash(want)
+
+
+def test_deferred_exponents_are_not_plain_and_do_not_merge():
+    d = DeferredValue(factorize(720), 2)
+    for p in (3, 41):  # one prime below 37 and one above
+        v = FactoredNatural(((5, 1), (p, d)))
+        assert not v.is_plain and v.explicit == tuple(sorted(((5, 1), (p, d))))
+        for parts in (((p, d), (p, d)), ((p, d), (p, 1)), ((p, 1), (p, d))):
+            with pytest.raises(ValueError, match="cannot merge deferred"):
+                FactoredNatural(parts)
 
 
 def test_one_is_empty_factorization():
