@@ -1,0 +1,89 @@
+#!/usr/bin/env python3
+"""Run a fixed battery of CLI commands in one process and print, for each,
+its argv, exit code, stdout and stderr.  The output is deterministic, so a
+change that should keep every report can be checked against its parent with
+
+    python scripts/cli_battery.py > after.txt   # likewise before.txt
+    cmp before.txt after.txt
+
+Each command goes through `cli.run`, with the exit-3 handling of
+`cli.main` for an exception no refusal covers.  The battery holds every
+verify-lemma id at its defaults, the six scheme claims at the benchmark's
+certify sizes, the tower claims under small bit budgets, both tables,
+the first three families of every scheme, the tower claims at 10x30
+under a config that raises their depth caps, and the size refusals of
+`preimage` and `min-open`.
+"""
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+from arithdyn import cli
+from arithdyn import dynamics as dy
+
+# verify-lemma id -> (families, depth), as in the certify benchmark workload
+CERTIFY_SIZES = {
+    "phi-antiorbit": (50, 100),
+    "psi-orbit": (50, 100),
+    "j2-orbit": (20, 30),
+    "d-antiorbit": (20, 5),
+    "omega-antiorbit": (10, 5),
+    "smallomega-antiorbit": (10, 6),
+}
+TOWER_LEMMAS = ("d-antiorbit", "omega-antiorbit", "smallomega-antiorbit")
+RAISED_CAP = 10_000
+CONFIG_PLACEHOLDER = "RAISED_CAPS.json"
+
+
+def commands() -> list[list[str]]:
+    out = [["verify-lemma", name] for name in cli.LEMMAS]
+    out += [["verify-lemma", name, "--families", str(fams), "--depth", str(depth)]
+            for name, (fams, depth) in CERTIFY_SIZES.items()]
+    out += [["verify-lemma", name, "--bit-budget", str(bits)]
+            for bits in (20, 64, 5000) for name in TOWER_LEMMAS]
+    out += [["table", "orbit-numbers"], ["table", "connectivity"]]
+    out += [["family", "--scheme", scheme.value, "--index", str(index)]
+            for scheme in dy.Scheme for index in (1, 2, 3)]
+    out += [["verify-lemma", name, "--families", "10", "--depth", "30",
+             "--config", CONFIG_PLACEHOLDER] for name in TOWER_LEMMAS]
+    out += [["preimage", "--fn", "phi", "--m", "4", "--bound", "0"],
+            ["preimage", "--fn", "psi", "--m", "4", "--bound", "-3"],
+            ["preimage", "--fn", "Omega", "--m", "4", "--bound", "0"],
+            ["min-open", "--fn", "phi", "--n", "4", "--scan-bound", "0"]]
+    return [argv + ["--format", "json", "--no-timestamp"] for argv in out]
+
+
+def run_one(argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one command, as `cli.main` ends it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.run(argv)
+        except Exception as exc:
+            print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+            code = 3
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, CONFIG_PLACEHOLDER)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({s.cap_key: RAISED_CAP for s in dy.TOWER_SCHEMES}, fh)
+        for argv in commands():
+            code, out, err = run_one([path if a == CONFIG_PLACEHOLDER else a
+                                      for a in argv])
+            print(f"$ arithdyn {' '.join(argv)}")
+            print(f"exit {code}")
+            print("--- stdout")
+            print(out.replace(path, CONFIG_PLACEHOLDER), end="")
+            print("--- stderr")
+            print(err.replace(path, CONFIG_PLACEHOLDER), end="")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

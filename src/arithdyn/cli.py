@@ -110,7 +110,7 @@ def _cmd_oracle_eval(args, config) -> tuple[str, Any]:
 
 def _cmd_preimage(args, config) -> tuple[str, Any]:
     f = parse_function_args(args)
-    fibres = pre.fibres(f, args.bound, config)
+    fibres = pre.fibres(f, _positive(args, "bound", None), config)
     return "INFO", {
         "function": str(f), "target": args.m, "members": list(fibres.of(args.m)),
         "completeness": fibres.completeness, "search_bound": fibres.search_bound,

@@ -21,8 +21,9 @@ readers are safe.
 Three rules keep certified comparisons cheap:
 
 * structure decides before values do: :func:`certainly_different` tries
-  prime support, exponents, interval reach and magnitude first, and
-  materialises both values only when none of them decides;
+  structural equality, plainness, the exponents of shared explicit primes,
+  same-lo interval reach, magnitude and smallest prime factors, in that
+  order, and materialises both values only when none of them decides;
 * a *plain* value (int exponents, no intervals) has a unique normal form by
   unique factorization, so two plain values are equal exactly when their
   structures are, and :func:`pairwise_all_different` decides every
@@ -397,54 +398,22 @@ def _nat_bitlen_lb(u: Nat) -> int:
     return 1
 
 
-def nat_certainly_equal(u: Nat, v: Nat) -> bool:
-    if isinstance(u, int) and isinstance(v, int):
-        return u == v
-    if isinstance(u, DeferredValue) and isinstance(v, DeferredValue):
-        return u.offset == v.offset and u.base == v.base
-    return False
-
-
 def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG) -> bool:
-    """True only when u != v is certain; False means 'not certified'."""
+    """True only when u != v is certain; False means 'not certified'.
+
+    Decides two ints, two deferred values with equal offsets (by their
+    bases), and an int against a deferred value that provably dwarfs it."""
     if isinstance(u, int) and isinstance(v, int):
         return u != v
     if isinstance(u, DeferredValue) and isinstance(v, DeferredValue):
-        if u.offset == v.offset:  # certainly_different tests the bases for equality
-            try:
-                return certainly_different(u.base, v.base, config)
-            except ComparisonUndecided:
-                return False
-        if u.base == v.base:
-            return True
-        # fall through to magnitude separation
-    a, b = (u, v) if isinstance(u, int) else (v, u)
-    if isinstance(a, int):
-        # deferred value provably dwarfs the explicit integer?
-        return a.bit_length() + 2 < _nat_bitlen_lb(b)
-    # two deferred values with different bases and offsets: decidable only
-    # when both resolve
-    ru = nat_resolve(u, config)
-    rv = nat_resolve(v, config)
-    return ru is not OVERFLOW and rv is not OVERFLOW and ru != rv
-
-
-def nat_certainly_less(small: Nat, big: Nat, config: ToolConfig = DEFAULT_CONFIG) -> bool:
-    """True only when small < big is certain; False means 'not certified'."""
-    if isinstance(small, int) and isinstance(big, int):
-        return small < big
-    if isinstance(small, int):
-        return small.bit_length() + 2 < _nat_bitlen_lb(big)
-    if isinstance(big, int):
-        return False
-    if small.base == big.base:
-        return small.offset < big.offset
-    try:
-        if certainly_less(small.base, big.base, config) and small.offset <= big.offset:
-            return True
-    except ComparisonUndecided:
-        pass
-    return False
+        if u.offset != v.offset:
+            return False
+        try:
+            return certainly_different(u.base, v.base, config)
+        except ComparisonUndecided:
+            return False
+    small, big = (u, v) if isinstance(u, int) else (v, u)
+    return small.bit_length() + 2 < _nat_bitlen_lb(big)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +489,8 @@ class FactoredNatural:
                 if hi < lo:
                     raise ValueError(f"empty interval [{lo}..{hi}]")
             elif isinstance(hi, DeferredValue):
-                if not nat_certainly_less(lo - 1, hi):
+                # certify lo - 1 < hi: hi provably has more bits
+                if (lo - 1).bit_length() + 2 >= _nat_bitlen_lb(hi):
                     raise ValueError(f"cannot certify interval [{lo}..{hi!r}]")
             else:
                 raise TypeError(f"bad interval bound {hi!r}")
@@ -717,30 +687,27 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
                         config: ToolConfig = DEFAULT_CONFIG) -> bool:
     """Certify value(a) != value(b); structural equality certifies equality.
 
-    Two plain values (see FactoredNatural.is_plain) are decided by structure
-    alone.  Other pairs try the structural rules first (prime support,
-    exponents, interval reach, magnitude) and materialise both values only
-    when none of them decides.  Raises ComparisonUndecided when neither
-    direction can be certified (does not occur for the families this
-    toolkit builds).
+    Rules, in order, until one decides: (1) structural equality; (2) two
+    plain values (see FactoredNatural.is_plain) differ; (3) a prime explicit
+    in both with certainly different exponents; (4) with the same explicit
+    part, same-lo intervals with certainly different ends; (5) magnitude;
+    (6) different smallest prime factors, late so that the recursion
+    through rule 3 seldom pays for it; (7) both values materialised.
+    Raises ComparisonUndecided when neither direction can be certified
+    (does not occur for the families this toolkit builds).
     """
     if a == b:
         return False
     if a.is_plain and b.is_plain:
         return True
-    pa = dict(a.explicit)
     pb = dict(b.explicit)
-    for p in set(pa) | set(pb):
-        ea, eb = pa.get(p), pb.get(p)
-        if ea is None or eb is None:
-            absent = b if eb is None else a
-            if _prime_outside_intervals(p, absent.intervals, config):
-                return True
-        elif nat_certainly_different(ea, eb, config):
+    for p, ea in a.explicit:
+        eb = pb.get(p)
+        if eb is not None and nat_certainly_different(ea, eb, config):
             return True
-    # same explicit part; look for an interval whose reach provably differs.
-    # Only then: an explicit prime next to an interval can stand for the
-    # interval's missing end (7927*q[10..1000] == q[10..1001], 7927 = q[1001])
+    # Only with the same explicit part: an explicit prime next to an
+    # interval can stand for the interval's missing end
+    # (7927*q[10..1000] == q[10..1001], 7927 = q[1001])
     if a.explicit == b.explicit and len(a.intervals) == len(b.intervals):
         for (lo1, hi1), (lo2, hi2) in zip(a.intervals, b.intervals):
             if lo1 == lo2 and nat_certainly_different(hi1, hi2, config):
@@ -751,6 +718,8 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
             x_bits = max(1, sum(e * p.bit_length() for p, e in x.explicit))
             if x_bits < _value_bitlen_lb(y):
                 return True
+    if _least_prime(a, config) != _least_prime(b, config):
+        return True
     av, bv = to_integer(a, config), to_integer(b, config)
     if av is not OVERFLOW and bv is not OVERFLOW:
         return av != bv
@@ -786,33 +755,6 @@ def _nth_prime_within(i: int, p: int, config: ToolConfig) -> Optional[int]:
     q_i >= _prime_limit > p."""
     _ensure_prime_count(i, config, past=p)
     return _primes[i - 1] if len(_primes) >= i else None
-
-
-def certainly_less(a: FactoredNatural, b: FactoredNatural,
-                   config: ToolConfig = DEFAULT_CONFIG) -> bool:
-    """Certify value(a) < value(b); False means 'not certified'."""
-    av, bv = to_integer(a, config), to_integer(b, config)
-    if av is not OVERFLOW and bv is not OVERFLOW:
-        return av < bv
-    if av is not OVERFLOW:
-        return av.bit_length() + 1 < _value_bitlen_lb(b)
-    if bv is not OVERFLOW:
-        return False
-    # both overflow: divisibility-style rule (same shape, strictly wider)
-    pa, pb = dict(a.explicit), dict(b.explicit)
-    if set(pa) <= set(pb):
-        ge_all = all(
-            nat_certainly_equal(pa[p], pb[p]) or nat_certainly_less(pa[p], pb[p], config)
-            for p in pa)
-        strict = (any(nat_certainly_less(pa[p], pb[p], config) for p in pa)
-                  or set(pa) < set(pb))
-        if ge_all and len(a.intervals) == len(b.intervals) == 1:
-            (lo1, hi1), (lo2, hi2) = a.intervals[0], b.intervals[0]
-            if lo1 == lo2 and nat_certainly_less(hi1, hi2, config):
-                return True
-        if ge_all and not a.intervals and not b.intervals and strict:
-            return True
-    return False
 
 
 def pairwise_all_different(values: list[FactoredNatural],

@@ -322,8 +322,10 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
 
     Omega, omega and d_l read one fibre table of 1..bound, built here once,
     so a lookup is a dict lookup.  Without a bound they, and phi_star,
-    raise NotFiniteFibre.
+    raise NotFiniteFibre.  A bound below 1 is refused for every f.
     """
+    if bound is not None and bound < 1:
+        raise ValueError("bound >= 1")
     if f == PHI:
         return Fibres(lambda y: inverse_phi(y, config).members, COMPLETE, None,
                       "divisor-driven inverse totient")
@@ -332,8 +334,6 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
                       "divisor-driven inversion (complete)")
     if bound is None:
         raise NotFiniteFibre(f"{f} admits no complete enumeration without a bound")
-    if bound < 1:
-        raise ValueError("bound >= 1")
     if f.family in _INVERTIBLE:  # phi_star
         return Fibres(lambda y: _invert(f, y, bound, config), BOUNDED_SEARCH, bound,
                       f"divisor-driven inversion, members <= {bound}")

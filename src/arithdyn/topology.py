@@ -79,6 +79,8 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
     """
     if x < 1:
         raise ValueError("x >= 1")
+    if scan_bound is not None and scan_bound < 1:
+        raise ValueError("scan_bound >= 1")
     if f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT):
         raise NotFiniteFibre(f"{f} is not finite fibre; no complete closure exists")
     if is_expansive_family(f):  # f(n) >= n keeps the closure inside {1..x}

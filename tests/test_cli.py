@@ -409,6 +409,9 @@ SIZE_REFUSALS = [
     (["search", "--fn", "phi"], "--max-families"),
     (["search", "--fn", "phi", "--direction", "backward"], "--max-depth"),
     (["min-open", "--fn", "phi", "--n", "4"], "--scan-bound"),
+    (["preimage", "--fn", "phi", "--m", "4"], "--bound"),
+    (["preimage", "--fn", "psi", "--m", "4"], "--bound"),
+    (["preimage", "--fn", "Omega", "--m", "4"], "--bound"),
 ]
 
 

@@ -283,6 +283,17 @@ def test_certify_materialises_no_wide_integer(monkeypatch):
     assert widths and max(widths) <= 64
 
 
+@pytest.mark.parametrize("scheme", TOWER_SCHEMES)
+@pytest.mark.parametrize("bit_budget", [64, DEFAULT_CONFIG.bit_budget])
+def test_towers_certify_past_the_default_caps(scheme, bit_budget):
+    # a pair that no rule decides would raise ComparisonUndecided here
+    config = DEFAULT_CONFIG.replace(bit_budget=bit_budget,
+                                    **{s.cap_key: 20 for s in TOWER_SCHEMES})
+    rep = dy.verify_disjoint(dy.default_family_specs(scheme, 5), 20, config)
+    assert rep.passed, rep.counterexample
+    assert rep.certified_bound.endswith(">= 5 certified at depth 20")
+
+
 LINK_OFFSET = {dy.Scheme.D_ANTI: lambda p: -1, dy.Scheme.OMEGA_ANTI: lambda p: 0,
                dy.Scheme.SMALL_OMEGA_ANTI: lambda p: factorint.prime_index(p) - 1}
 

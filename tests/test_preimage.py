@@ -239,6 +239,10 @@ def test_preimage_bounded_validation():
         pre.preimage_bounded(af.PHI_STAR, 0, 10)
     # Omega keeps the scan
     assert pre.preimage_bounded(af.BIG_OMEGA, 1, 10).members == (1, 2, 3, 5, 7)
+    # fibres refuses a bound below 1 for every f, complete fibres included
+    for f in (af.PHI, af.PSI, af.BIG_OMEGA):
+        with pytest.raises(ValueError):
+            pre.fibres(f, 0)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 128), st.integers(min_value=1, max_value=12))

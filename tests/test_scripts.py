@@ -49,6 +49,24 @@ def test_certify_at_depth_substitutes_the_registry_depth_past_a_cap():
         assert lines[scheme].endswith(f"{cert} >= 3 certified at depth 7")
 
 
+def test_cli_battery_runs_every_command():
+    proc = run_script("cli_battery.py")
+    assert proc.returncode == 0, proc.stderr
+    blocks = proc.stdout.split("$ arithdyn ")[1:]
+    assert len(blocks) == 59
+    codes = {}
+    for block in blocks:
+        argv, code = block.splitlines()[:2]
+        codes[argv] = code
+    assert "exit 3" not in codes.values()
+    flags = "--format json --no-timestamp"
+    assert codes[f"verify-lemma d-antiorbit --families 10 --depth 30 "
+                 f"--config RAISED_CAPS.json {flags}"] == "exit 0"
+    for argv in ("preimage --fn phi --m 4 --bound 0", "preimage --fn psi --m 4 --bound -3",
+                 "min-open --fn phi --n 4 --scan-bound 0"):
+        assert codes[f"{argv} {flags}"] == "exit 2"
+
+
 def test_span_tracer_finds_every_entry_point():
     # perfbench/spans.py patches arithdyn functions by name, so a rename
     # would break `perfbench/run.py --trace 1` with an AttributeError

@@ -54,6 +54,10 @@ def test_min_open_backward_phi():
     assert {6, 7, 9, 14, 18} <= set(m.members)
     with pytest.raises(ValueError):
         tp.min_open_backward(af.PHI, 6)
+    # a scan bound below 1 is refused, even where phi's fibres are complete
+    for f, scan_bound in ((af.PHI, 0), (af.PSI, -3), (af.PHI_STAR, 0)):
+        with pytest.raises(ValueError):
+            tp.min_open_backward(f, 4, scan_bound)
 
 
 def test_min_open_backward_bounded_only():
