@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import enum
 import operator
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from itertools import compress, islice
+from math import comb, gcd, isqrt
 from typing import Callable, Iterator, Optional, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, Nat, ONE, OVERFLOW,
-    factorize, nat_add, nat_resolve, primes_upto, smallest_factor_table,
+    factorize, nat_add, nat_resolve, primes_upto,
 )
 from .reports import Counterexample, VerificationReport
 
@@ -305,32 +307,58 @@ def scalar_value(f: FunctionId, pps: list[tuple[int, int]]) -> int:
 
 def value_table(f: FunctionId, bound: int,
                 config: ToolConfig = DEFAULT_CONFIG) -> list[int]:
-    """[0, f(1), f(2), ..., f(bound)] in one pass over the spf table.
+    """[0, f(1), f(2), ..., f(bound)], one slice pass per prime power.
 
-    With p = spf[n] and p^a the exact power of p dividing n, the entry is
-    f(n / p^a) (+ for Omega and omega, * otherwise) f(p^a); both are already
-    in the table unless n is itself a prime power, which alone goes through
-    scalar_value.  This is the multiplicative-function sieve of Gries &
-    Misra, CACM 1978.
+    The table starts at the empty product (1, or 0 for the additive Omega
+    and omega) and takes the prime powers q = p^a <= bound from
+    prime_power_values, ascending in a for each p.  The pass for q updates
+    every multiple of q, table[q::q]: times f(p^a) / f(p^(a-1)), or plus
+    f(p^a) - f(p^(a-1)) for Omega and omega.
+
+    Lemma (exactness).  At any moment an entry m holds the product, over
+    the primes r dividing m, of f(r^c) for the largest r^c dividing m whose
+    pass has run (f(r^0) = 1).  Before the pass for q = p^a the passes for
+    p, ..., p^(a-1) have run, so every multiple of q holds f(p^(a-1)) times
+    the other primes' part.  Every multiplicative catalogue f is >= 1 at a
+    prime power (J_k(p^a) = (p^k - 1) p^(k(a-1)), psi_k(p^a), sigma_l(p^a)
+    >= 3, phi*(p^a) = p^a - 1, d_l(p^a) >= 2), so t // f(p^(a-1)) *
+    f(p^a) is exact and keeps the invariant; once every pass has run, the
+    entry is f(m).  The additive case is the same with sums.  The entry at
+    q itself is touched only by the passes of p, so it reads f(p^(a-1))
+    (the empty product at a = 1) just before its own pass, and that is the
+    divisor.
+
+    Shortcuts: a q above bound // 2 has no multiple but itself and gets
+    f(q) directly; a factor 1 or an addend 0 is skipped; a whole factor
+    f(p^a) / f(p^(a-1)) multiplies without the division.  prime_power_values
+    gives each p just before its powers, so their passes run while most
+    entries are still small cached ints; run after every prime, the pass
+    for 4 alone would allocate a new int for a quarter of the table.
+
+    A negative bound is refused (ValueError); bound 0 gives [0].
     """
-    table = [0] * (bound + 1)
-    if bound >= 1:
-        table[1] = 1
-    spf = smallest_factor_table(bound, config)
+    if bound < 0:
+        raise ValueError(f"bound must be >= 0, got {bound}")
     additive = f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA)
-    for n in range(2, bound + 1):
-        p = spf[n]
-        rest = n // p
-        a = 1
-        while rest % p == 0:
-            rest //= p
-            a += 1
-        if rest == 1:
-            table[n] = scalar_value(f, [(p, a)])
-        elif additive:
-            table[n] = table[rest] + table[n // rest]
-        else:
-            table[n] = table[rest] * table[n // rest]
+    table = [0 if additive else 1] * (bound + 1)
+    if bound >= 1:
+        half = bound // 2
+        for q, v in prime_power_values(f, bound, config):
+            before = table[q]
+            if q > half:
+                table[q] = v
+            elif additive:
+                if v != before:
+                    step = v - before
+                    table[q::q] = [t + step for t in table[q::q]]
+            elif v % before == 0:
+                if v != before:
+                    step = v // before
+                    table[q::q] = [t * step for t in table[q::q]]
+            else:
+                table[q::q] = [t // before * v for t in table[q::q]]
+        table[1] = 1
+    table[0] = 0
     return table
 
 
@@ -417,9 +445,9 @@ def oracle_evaluate(f: FunctionId, n: int,
 
 def prime_power_values(f: FunctionId, bound: int,
                        config: ToolConfig = DEFAULT_CONFIG) -> Iterator[tuple[int, int]]:
-    """(q, f(q)) for every prime power 2 <= q <= bound: first every prime
-    p <= bound in ascending order, then the powers p^a with a >= 2, prime
-    by prime (so not in order of q).
+    """(q, f(q)) for every prime power 2 <= q <= bound, prime by prime in
+    ascending order, each prime p followed by its powers p^2, p^3, ...
+    <= bound (so not in order of q).
 
     At a prime every family is one term, evaluated in one pass over
     primes_upto(bound): J_k(p) = p^k - 1, psi_k(p) = sigma_k(p) = p^k + 1,
@@ -460,15 +488,15 @@ def prime_power_values(f: FunctionId, bound: int,
         values = [p - 1 for p in primes]
     else:
         values = [k if fam is Family.DIVISOR_COUNT else 1] * len(primes)
-    yield from zip(primes, values)
-    for p in primes:
-        if p * p > bound:
-            break
+    rows = zip(primes, values)
+    for p, v in islice(rows, bisect_right(primes, isqrt(bound))):
+        yield p, v
         q, a = p * p, 2
         while q <= bound:
             yield q, scalar_value(f, [(p, a)])
             q *= p
             a += 1
+    yield from rows
 
 
 def least_violations(f: FunctionId, bound: int,
@@ -476,14 +504,14 @@ def least_violations(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> list[Optional[tuple[int, int]]]:
     """For each predicate in `violated`, one of operator.lt, le, gt and ge
     read as violated(f(n), n), the least n in 2..bound it holds at, as
-    (n, f(n)), or None.  One pass over prime_power_values, which says why
-    the prime powers decide it."""
-    least: list[Optional[tuple[int, int]]] = [None] * len(violated)
-    for q, v in prime_power_values(f, bound, config):
-        for i, holds in enumerate(violated):
-            if holds(v, q) and (least[i] is None or q < least[i][0]):
-                least[i] = (q, v)
-    return least
+    (n, f(n)), or None.  The rows of prime_power_values, which says why
+    the prime powers decide it, are built once; each predicate's least
+    failing row is found without a Python loop over them."""
+    rows = list(prime_power_values(f, bound, config))
+    qs = [q for q, _ in rows]
+    values = [v for _, v in rows]
+    return [min(compress(rows, map(holds, values, qs)), default=None)
+            for holds in violated]
 
 
 # the relation a pointwise hypothesis asks of f(n) against n, and the

@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from arithdyn import arithfun as af, cli, dynamics as dy, preimage as pre, topology as tp
+from arithdyn import (
+    arithfun as af, cli, dynamics as dy, factorint as fi, preimage as pre, topology as tp,
+)
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, factored_range, factorize, to_integer,
@@ -196,6 +198,49 @@ def test_value_table_matches_decomposition_scan(f):
     table = af.value_table(f, bound)
     assert table[0] == 0 and table[1] == 1
     assert table[2:] == [af.scalar_value(f, pps) for _, pps in factored_range(bound)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SWEPT), st.integers(min_value=0, max_value=3000))
+@example(af.PHI, 0).via("the empty table")
+@example(af.BIG_OMEGA, 1).via("no prime power at all")
+@example(af.PSI, 2).via("2 > bound // 2: written, no slice")
+@example(af.SMALL_OMEGA, 3)
+@example(af.PHI_STAR, 4).via("the first square")
+@example(af.PHI, 14).via("phi(2) = 1: the slice for 2 is skipped")
+@example(af.D, 15)
+@example(af.sigma(2), 24)
+@example(af.BIG_OMEGA, 25).via("the square 25 > bound // 2")
+@example(af.PHI, 48)
+@example(af.jordan(3), 49).via("7^2 at the bound")
+def test_value_table_matches_scalar_values_over_factored_range(f, bound):
+    # the slice sieve against the independent spf path, edge bounds included
+    expected = [0, 1][:bound + 1] + [af.scalar_value(f, pps) for _, pps in factored_range(bound)]
+    assert af.value_table(f, bound) == expected
+
+
+def test_value_table_refuses_a_negative_bound():
+    with pytest.raises(ValueError, match=r"^bound must be >= 0, got -5$"):
+        af.value_table(af.PHI, -5)
+    assert af.value_table(af.PHI, 0) == [0]
+
+
+def test_value_tables_build_no_spf_table(monkeypatch):
+    bound = 1000
+
+    def answers():
+        return (af.value_table(af.PHI, bound), pre.fibre_table(af.BIG_OMEGA, bound),
+                tp.component_census(af.PHI, bound),
+                tp.verify_taubar_subset(af.PHI, bound).to_payload())
+
+    expected = answers()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a value table built the spf table")
+
+    for module in (fi, af):
+        monkeypatch.setattr(module, "smallest_factor_table", refuse, raising=False)
+    assert answers() == expected
 
 
 def test_value_table_matches_oracle():

@@ -3,7 +3,7 @@ from array import array
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithdyn import factorint
+from arithdyn import arithfun as af, factorint
 from arithdyn.config import DEFAULT_CONFIG, ToolConfig
 from arithdyn.factorint import (
     BudgetExceeded, ComparisonUndecided, DeferredValue, FactoredNatural, OVERFLOW,
@@ -393,6 +393,8 @@ def test_sieve_budget_respected():
         smallest_factor_table(1000, tiny)
     with pytest.raises(BudgetExceeded, match=refusal):
         primes_upto(1000, tiny)
+    with pytest.raises(BudgetExceeded, match=refusal):
+        af.value_table(af.PHI, 1000, tiny)
 
 
 # -- budget-differential: symbolic rules under a 64-bit budget against the
