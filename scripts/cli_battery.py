@@ -7,12 +7,15 @@ change that should keep every report can be checked against its parent with
     cmp before.txt after.txt
 
 Each command goes through `cli.run`, with the exit-3 handling of
-`cli.main` for an exception no refusal covers.  The battery holds every
-verify-lemma id at its defaults, the six scheme claims at the benchmark's
-certify sizes, the tower claims under small bit budgets, both tables,
-the first three families of every scheme, the tower claims at 10x30
-under a config that raises their depth caps, and the size refusals of
-`preimage` and `min-open`.
+`cli.main` for an exception no refusal covers and the exit code of a
+usage error.  The battery holds every verify-lemma id at its defaults,
+the six scheme claims at the benchmark's certify sizes, the tower claims
+under small bit budgets, both tables, the first three families of every
+scheme, the tower claims at 10x30 under a config that raises their depth
+caps, one small run of every other subcommand (and one at its defaults
+where those are cheap), the size refusals of `preimage`, `min-open` and
+`partition-demo`, and the refusals of options a command does not read,
+of `--k`/`--l` and of the dropped function-name aliases.
 """
 import contextlib
 import io
@@ -53,6 +56,40 @@ def commands() -> list[list[str]]:
             ["preimage", "--fn", "psi", "--m", "4", "--bound", "-3"],
             ["preimage", "--fn", "Omega", "--m", "4", "--bound", "0"],
             ["min-open", "--fn", "phi", "--n", "4", "--scan-bound", "0"]]
+    out += [["eval", "--fn", "phi", "--n", "18"], ["eval", "--fn", "J_2", "--n", "12"],
+            ["oracle-eval", "--fn", "d_3", "--n", "12"],
+            ["preimage", "--fn", "psi", "--m", "12"],
+            ["preimage", "--fn", "phi_star", "--m", "6", "--bound", "100"],
+            ["preimage", "--fn", "Omega", "--m", "1", "--bound", "10"],
+            ["inverse-phi", "--m", "4"], ["phi-bound", "--m", "2"],
+            ["orbit", "--fn", "phi", "--n", "6"],
+            ["orbit", "--fn", "psi", "--n", "2", "--depth", "60"],
+            ["entropy", "--fn", "psi", "--seeds", "6,18,54", "--horizon", "60"],
+            ["centropy", "--fn", "psi", "--seeds", "6", "--horizon", "10"],
+            ["centropy", "--fn", "psi", "--seeds", "6", "--horizon", "10", "--mode", "core"],
+            ["min-open", "--fn", "psi", "--n", "12"],
+            ["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar"],
+            ["components", "--fn", "phi"], ["components", "--fn", "psi", "--bound", "300"],
+            ["separation", "--fn", "psi"], ["separation", "--fn", "phi", "--bound", "1000"],
+            ["partition-demo"], ["partition-demo", "--mod", "3", "--bound", "100"],
+            ["search", "--fn", "psi"],
+            ["search", "--fn", "psi", "--max-start", "8", "--max-depth", "8",
+             "--max-families", "2"],
+            ["search", "--fn", "phi", "--direction", "backward", "--max-start", "10",
+             "--max-depth", "4", "--max-families", "2"]]
+    out += [["partition-demo", "--mod", "0"], ["partition-demo", "--mod", "-2"],
+            ["verify-lemma", "tau-subset", "--k", "3"],
+            ["eval", "--fn", "J", "--k", "2", "--l", "5", "--n", "7"],
+            ["verify-lemma", "phi-antiorbit", "--fn", "psi", "--bound", "7"],
+            ["verify-lemma", "monotone-o-zero", "--depth", "9"],
+            ["verify-lemma", "nonfinite-fibre", "--bound", "9"],
+            ["verify-lemma", "--list", "--families", "3"],
+            ["verify-lemma", "phi-antiorbit", "--list"],
+            ["table", "connectivity", "--families", "3"],
+            ["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar",
+             "--scan-bound", "3"]]
+    out += [["eval", "--fn", alias, "--n", "12"]
+            for alias in ("phi*", "big_omega", "small_omega", "jordan_2")]
     return [argv + ["--format", "json", "--no-timestamp"] for argv in out]
 
 
@@ -62,6 +99,8 @@ def run_one(argv: list[str]) -> tuple[int, str, str]:
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:
             code = cli.run(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
         except Exception as exc:
             print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
             code = 3

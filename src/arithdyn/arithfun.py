@@ -111,19 +111,15 @@ SIGMA1 = sigma(1)
 
 
 def parse_function(text: str) -> FunctionId:
-    """Parse CLI spellings: phi, psi_2, J_3, phi_star, Omega, omega, d_3, sigma_2."""
+    """Parse str(f) for every catalogue f (phi, psi, phi_star, Omega, omega,
+    d, J_k, psi_k, d_l, sigma_l), and J_1, psi_1 and d_2."""
     t = text.strip()
-    plain = {
-        "phi": PHI, "psi": PSI, "d": D,
-        "phi_star": PHI_STAR, "phi*": PHI_STAR,
-        "Omega": BIG_OMEGA, "big_omega": BIG_OMEGA,
-        "omega": SMALL_OMEGA, "small_omega": SMALL_OMEGA,
-    }
+    plain = {"phi": PHI, "psi": PSI, "d": D, "phi_star": PHI_STAR,
+             "Omega": BIG_OMEGA, "omega": SMALL_OMEGA}
     if t in plain:
         return plain[t]
     for prefix, builder in (("J", jordan), ("psi", generalized_psi),
-                            ("d", divisor_count), ("sigma", sigma),
-                            ("jordan", jordan)):
+                            ("d", divisor_count), ("sigma", sigma)):
         head, sep, tail = t.partition("_")
         if head == prefix and sep and tail.isdigit():
             return builder(int(tail))

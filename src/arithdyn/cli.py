@@ -3,6 +3,9 @@ verification, entropy estimates, topology checks and table reproduction.
 
 Reports serialize deterministically (stable key order; timestamp
 suppressible), so identical invocations produce byte-identical JSON.
+Each input has one spelling (`--fn` takes `str(f)`; no option is
+abbreviated) and one default, and a command refuses an option it does not
+read, so `parameters` shows only what the run used.
 Exit codes: 0 = PASS/INFO, 1 = FAIL, 2 = usage/budget error, 3 = internal
 error (an exception no refusal covers; `main` only).
 """
@@ -62,20 +65,6 @@ class Report:
         return out
 
 
-def parse_function_args(args) -> af.FunctionId:
-    """--fn with optional --k/--l: `--fn J --k 2` equals `--fn J_2`."""
-    param = getattr(args, "k", None)
-    if param is None:
-        param = getattr(args, "l", None)
-    if param is not None:
-        base = {"J": af.jordan, "jordan": af.jordan, "psi": af.generalized_psi,
-                "d": af.divisor_count, "sigma": af.sigma}.get(args.fn)
-        if base is None:
-            raise ValueError(f"--k/--l applies to J, psi, d, sigma; not {args.fn!r}")
-        return base(param)
-    return af.parse_function(args.fn)
-
-
 def render_value(v, config: ToolConfig) -> Any:
     """JSON-friendly rendering; huge integers become bit-length stubs, and
     factored values past the configured bit budget render as OVERFLOW."""
@@ -96,21 +85,21 @@ def render_value(v, config: ToolConfig) -> Any:
 
 
 def _cmd_eval(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
+    f = af.parse_function(args.fn)
     value = af.evaluate(f, factorize(args.n, config), config)
     return "INFO", {"function": str(f), "n": args.n, "value": render_value(value, config)}
 
 
 def _cmd_oracle_eval(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
+    f = af.parse_function(args.fn)
     value = af.oracle_evaluate(f, args.n, config)
     return "INFO", {"function": str(f), "n": args.n, "value": render_value(value, config),
                     "method": "definitional brute force"}
 
 
 def _cmd_preimage(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
-    fibres = pre.fibres(f, _positive(args, "bound", None), config)
+    f = af.parse_function(args.fn)
+    fibres = pre.fibres(f, _positive(args, "bound"), config)
     return "INFO", {
         "function": str(f), "target": args.m, "members": list(fibres.of(args.m)),
         "completeness": fibres.completeness, "search_bound": fibres.search_bound,
@@ -130,9 +119,8 @@ def _cmd_phi_bound(args, config) -> tuple[str, Any]:
 
 
 def _cmd_orbit(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
-    depth = _positive(args, "depth", 10)
-    seq = [args.n, *islice(af.orbit_values(f, args.n, config), depth - 1)]
+    f = af.parse_function(args.fn)
+    seq = [args.n, *islice(af.orbit_values(f, args.n, config), _positive(args, "depth") - 1)]
     return "INFO", {"function": str(f), "start": args.n,
                     "iterates": [render_value(v, config) for v in seq]}
 
@@ -152,7 +140,7 @@ def _cmd_family(args, config) -> tuple[str, Any]:
 
 
 def _cmd_entropy(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
+    f = af.parse_function(args.fn)
     seeds = [int(s) for s in args.seeds.split(",")]
     est = dy.ent_set_estimate(f, seeds, args.horizon, config)
     return "INFO", {
@@ -165,7 +153,7 @@ def _cmd_entropy(args, config) -> tuple[str, Any]:
 
 
 def _cmd_centropy(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
+    f = af.parse_function(args.fn)
     seeds = [int(s) for s in args.seeds.split(",")]
     mode = dy.CORE if args.mode == "core" else dy.AMBIENT
     est = dy.ent_cset_estimate(f, seeds, args.horizon, mode, config)
@@ -181,11 +169,12 @@ def _cmd_centropy(args, config) -> tuple[str, Any]:
 
 
 def _cmd_min_open(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
+    f = af.parse_function(args.fn)
     if args.topology == "taubar":
+        _refuse_unread(args, "min-open --topology taubar", ("scan_bound",))
         mos = tp.min_open_forward(f, args.n, config=config)
     else:
-        mos = tp.min_open_backward(f, args.n, _positive(args, "scan_bound", None), config)
+        mos = tp.min_open_backward(f, args.n, _positive(args, "scan_bound"), config)
     return "INFO", {
         "function": str(f), "point": mos.point, "topology": mos.topology,
         "completeness": mos.completeness, "size": len(mos.members),
@@ -194,19 +183,19 @@ def _cmd_min_open(args, config) -> tuple[str, Any]:
 
 
 def _cmd_components(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
-    return "INFO", tp.component_census(f, _positive(args, "bound", 1000), config)
+    f = af.parse_function(args.fn)
+    return "INFO", tp.component_census(f, _positive(args, "bound"), config)
 
 
 def _cmd_separation(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
-    rep = tp.separation_check(f, _positive(args, "bound", 10_000), config)
+    f = af.parse_function(args.fn)
+    rep = tp.separation_check(f, _positive(args, "bound"), config)
     return rep.status, rep.to_payload()
 
 
 def _cmd_partition_demo(args, config) -> tuple[str, Any]:
-    blocks = tp.residue_partition(args.mod)
-    result = tp.partition_map(blocks, _positive(args, "bound", 1000))
+    blocks = tp.residue_partition(_positive(args, "mod"))
+    result = tp.partition_map(blocks, _positive(args, "bound"))
     payload = result.report.to_payload()
     payload.update({
         "blocks": list(result.blocks),
@@ -218,10 +207,10 @@ def _cmd_partition_demo(args, config) -> tuple[str, Any]:
 
 
 def _cmd_search(args, config) -> tuple[str, Any]:
-    f = parse_function_args(args)
-    budget = dy.SearchBudget(max_start=_positive(args, "max_start", 200),
-                             max_depth=_positive(args, "max_depth", 30),
-                             max_families=_positive(args, "max_families", 10))
+    f = af.parse_function(args.fn)
+    budget = dy.SearchBudget(max_start=_positive(args, "max_start"),
+                             max_depth=_positive(args, "max_depth"),
+                             max_families=_positive(args, "max_families"))
     direction = dy.BACKWARD if args.direction == "backward" else dy.FORWARD
     found = dy.search_families(f, budget, direction, config)
     return "INFO", {
@@ -237,7 +226,7 @@ def _cmd_search(args, config) -> tuple[str, Any]:
 # verify-lemma registry
 
 
-def _positive(args, name: str, default: Optional[int]) -> Optional[int]:
+def _positive(args, name: str, default: Optional[int] = None) -> Optional[int]:
     """args.<name>, or `default` when the option was not given; an explicit
     value below 1 is refused (exit 2), never replaced."""
     value = getattr(args, name)
@@ -246,6 +235,14 @@ def _positive(args, name: str, default: Optional[int]) -> Optional[int]:
     if value < 1:
         raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
     return value
+
+
+def _refuse_unread(args, name: str, unread) -> None:
+    """Refuse (exit 2) the first option of `unread` that was given to
+    `name`: an option it does not read is never shown as if used."""
+    for opt in unread:  # False: a store_true flag not given
+        if getattr(args, opt) is not None and getattr(args, opt) is not False:
+            raise ValueError(f"{name} does not read --{opt.replace('_', '-')}")
 
 
 def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
@@ -274,14 +271,15 @@ def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
                         f"({families} families, depth {depth})")
 
 
-def _pointwise_runner(check: Callable[[af.FunctionId, int, ToolConfig], VerificationReport],
-                      default_fn: str, default_bound: int):
-    """The runner of a pointwise lemma: check(f, bound, config) with f from
-    --fn (default_fn when not given) and bound from --bound."""
+def _pointwise(description: str,
+               check: Callable[[af.FunctionId, int, ToolConfig], VerificationReport],
+               default_fn: str, default_bound: int) -> Lemma:
+    """A pointwise lemma: check(f, bound, config) with f from --fn
+    (default_fn when not given) and bound from --bound."""
     def run(args, config: ToolConfig) -> VerificationReport:
-        f = af.parse_function(default_fn) if args.fn is None else parse_function_args(args)
+        f = af.parse_function(default_fn if args.fn is None else args.fn)
         return check(f, _positive(args, "bound", default_bound), config)
-    return run
+    return Lemma(description, run, reads=("fn", "bound"))
 
 
 def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
@@ -328,11 +326,13 @@ def _partition_runner(args, config: ToolConfig) -> VerificationReport:
 
 class Lemma(NamedTuple):
     """One registry claim: its description and runner, or for a scheme
-    claim its scheme and default (families, depth) in place of a runner."""
+    claim its scheme and default (families, depth) in place of a runner;
+    `reads` names the verify-lemma options it reads."""
     description: str
     runner: Optional[Callable[[argparse.Namespace, ToolConfig], VerificationReport]] = None
     scheme: Optional[dy.Scheme] = None
     size: tuple[int, int] = (0, 0)
+    reads: tuple[str, ...] = ("families", "depth")
 
     def size_at(self, args) -> tuple[int, int]:
         """(--families, --depth), each defaulting to the claim's size."""
@@ -369,40 +369,43 @@ LEMMAS: dict[str, Lemma] = {
                       scheme=dy.Scheme.J2_ORBIT, size=(20, 30)),
     "generic-note": Lemma("generic multiplicative construction subsumes psi/J_2",
                           _generic_note_runner),
-    "monotone-o-zero": Lemma("f(n) <= n forces orbit number 0 (hypothesis check)",
-                             _pointwise_runner(partial(dy.monotone_lemma, "monotone-o-zero"),
-                                               "phi", 10_000)),
-    "monotone-a-zero": Lemma("f(n) >= n forces anti-orbit number 0 (hypothesis check)",
-                             _pointwise_runner(partial(dy.monotone_lemma, "monotone-a-zero"),
-                                               "psi", 10_000)),
-    "strict-o-positive": Lemma("f(n) > n above 1 forces orbit number > 0",
-                               _pointwise_runner(partial(dy.monotone_lemma, "strict-o-positive"),
-                                                 "psi", 10_000)),
+    "monotone-o-zero": _pointwise("f(n) <= n forces orbit number 0 (hypothesis check)",
+                                  partial(dy.monotone_lemma, "monotone-o-zero"), "phi", 10_000),
+    "monotone-a-zero": _pointwise("f(n) >= n forces anti-orbit number 0 (hypothesis check)",
+                                  partial(dy.monotone_lemma, "monotone-a-zero"), "psi", 10_000),
+    "strict-o-positive": _pointwise("f(n) > n above 1 forces orbit number > 0",
+                                    partial(dy.monotone_lemma, "strict-o-positive"), "psi", 10_000),
     "phi-finite-fibre": Lemma("phi fibres complete and inside the certificate bound",
-                              _phi_finite_fibre_runner),
+                              _phi_finite_fibre_runner, reads=("bound",)),
     "nonfinite-fibre": Lemma("primes witness infinite fibres of omega/Omega/d",
-                             _nonfinite_fibre_runner),
-    "tau-subset": Lemma("V(k, tau_f) within {1..k} for expansive f",
-                        _pointwise_runner(tp.verify_tau_subset, "psi", 1000)),
-    "taubar-subset": Lemma("V(k, taubar_f) within {1..k} for decreasing f",
-                           _pointwise_runner(tp.verify_taubar_subset, "phi", 1000)),
-    "connected-forward": Lemma("orbits of decreasing f reach 1; connectivity",
-                               _pointwise_runner(tp.contains_one_forward, "phi", 10_000)),
-    "separation": Lemma("expansive f splits off {1}; disconnection",
-                        _pointwise_runner(tp.separation_check, "psi", 10_000)),
+                             _nonfinite_fibre_runner, reads=("families",)),
+    "tau-subset": _pointwise("V(k, tau_f) within {1..k} for expansive f",
+                             tp.verify_tau_subset, "psi", 1000),
+    "taubar-subset": _pointwise("V(k, taubar_f) within {1..k} for decreasing f",
+                                tp.verify_taubar_subset, "phi", 1000),
+    "connected-forward": _pointwise("orbits of decreasing f reach 1; connectivity",
+                                    tp.contains_one_forward, "phi", 10_000),
+    "separation": _pointwise("expansive f splits off {1}; disconnection",
+                             tp.separation_check, "psi", 10_000),
     "partition-example": Lemma("successor map on a partition has the blocks as components",
-                               _partition_runner),
+                               _partition_runner, reads=("bound",)),
 }
+# the verify-lemma options besides the id, --list first; an id refuses those
+# it does not read, the listing all but --list
+_LEMMA_OPTIONS = ("list", "families", "depth", "bound", "fn")
 
 
 def _cmd_verify_lemma(args, config) -> tuple[str, Any]:
-    if args.list or args.lemma is None:
+    if args.lemma is None:
+        _refuse_unread(args, "the lemma listing", _LEMMA_OPTIONS[1:])
         rows = [{"id": name, "description": lemma.description}
                 for name, lemma in LEMMAS.items()]
         return "INFO", {"lemmas": rows}
-    if args.lemma not in LEMMAS:
+    lemma = LEMMAS.get(args.lemma)
+    if lemma is None:
         raise ValueError(f"unknown lemma id {args.lemma!r}; try verify-lemma --list")
-    rep = LEMMAS[args.lemma].run(args, config)
+    _refuse_unread(args, args.lemma, [o for o in _LEMMA_OPTIONS if o not in lemma.reads])
+    rep = lemma.run(args, config)
     return rep.status, rep.to_payload()
 
 
@@ -466,6 +469,7 @@ def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:
 
 
 def _table_connectivity(args, config: ToolConfig) -> tuple[str, Any]:
+    _refuse_unread(args, "table connectivity", ("families", "depth"))
     bound = _positive(args, "bound", 10_000)
     rows = []
     ok = True
@@ -560,7 +564,8 @@ def build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged.
     # global flags live on a parent so they parse both before and after the
     # subcommand; SUPPRESS keeps a subparser from overwriting a value given
-    # before it, and run() supplies the defaults (GLOBAL_DEFAULTS)
+    # before it, and run() supplies the defaults (GLOBAL_DEFAULTS); no
+    # parser takes an abbreviated option, so each option has one spelling
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json", "csv"),
                         default=argparse.SUPPRESS)
@@ -577,18 +582,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arithdyn",
         description="certified-at-depth checks for arithmetic-dynamical claims",
-        parents=[common])
+        parents=[common], allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
+        p = sub.add_parser(name, parents=[common], allow_abbrev=False, **kwargs)
         p.set_defaults(handler=handler)
         return p
 
     def add_fn(p, required=True):
-        p.add_argument("--fn", required=required)
-        p.add_argument("--k", type=int, help="parameter for J/psi/sigma")
-        p.add_argument("--l", type=int, help="parameter for d")
+        p.add_argument("--fn", required=required,
+                       help="phi, psi, phi_star, Omega, omega, d, or J_k, psi_k, "
+                            "sigma_k (k >= 1), d_l (l >= 2)")
 
     p = add("eval", _cmd_eval, help="evaluate a catalogue function")
     add_fn(p)
@@ -667,9 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", _cmd_search, help="exploratory family search (no claims)")
     add_fn(p)
     p.add_argument("--direction", choices=("forward", "backward"), default="forward")
-    p.add_argument("--max-start", type=int, default=200)
-    p.add_argument("--max-depth", type=int, default=30)
-    p.add_argument("--max-families", type=int, default=10)
+    p.add_argument("--max-start", type=int, default=dy.SearchBudget.max_start)
+    p.add_argument("--max-depth", type=int, default=dy.SearchBudget.max_depth)
+    p.add_argument("--max-families", type=int, default=dy.SearchBudget.max_families)
 
     return parser
 

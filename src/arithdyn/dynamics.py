@@ -503,12 +503,15 @@ def surjective_core_membership(f: FunctionId, x: int,
 # exploratory search (the open-problem tooling; no claims)
 
 
+# a forward search drops a start whose orbit passes this many bits
+SEARCH_VALUE_BITS = 512
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     max_start: int = 200
     max_depth: int = 30
     max_families: int = 10
-    value_bits: int = 512
     scan_bound: int = 5000
 
 
@@ -549,7 +552,7 @@ def _search_orbits(f: FunctionId, budget: SearchBudget,
         ok = True
         while len(seq) < budget.max_depth:
             v = nat_resolve(next(orbit), config)
-            if v is OVERFLOW or v.bit_length() > budget.value_bits:
+            if v is OVERFLOW or v.bit_length() > SEARCH_VALUE_BITS:
                 ok = False
                 break
             if v in seen or v in used:

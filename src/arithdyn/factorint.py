@@ -276,14 +276,11 @@ def primes_upto(limit: int, config: ToolConfig = DEFAULT_CONFIG) -> array:
 # ---------------------------------------------------------------------------
 # smallest-prime-factor table for bulk factorization sweeps
 
-_spf_cache: dict[str, object] = {"bound": 0, "table": None}
-
 
 def smallest_factor_table(bound: int, config: ToolConfig = DEFAULT_CONFIG) -> array:
-    """spf[n] = smallest prime factor of n (spf[p] = p), valid for 2..bound."""
+    """spf[n] = smallest prime factor of n (spf[p] = p), valid for 2..bound;
+    built on each call and kept by no one but the caller."""
     _check_sieve_request(bound, config)
-    if _spf_cache["bound"] >= bound:
-        return _spf_cache["table"]  # type: ignore[return-value]
     spf = array("q", bytes(8 * (bound + 1)))
     root_primes = primes_upto(isqrt(bound), config)
     for p in reversed(root_primes):
@@ -293,8 +290,6 @@ def smallest_factor_table(bound: int, config: ToolConfig = DEFAULT_CONFIG) -> ar
     for n in range(2, bound + 1):
         if spf[n] == 0:
             spf[n] = n
-    _spf_cache["bound"] = bound
-    _spf_cache["table"] = spf
     return spf
 
 

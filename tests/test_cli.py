@@ -191,10 +191,92 @@ FAST_LEMMA_RESULTS = {
 
 def test_every_lemma_id_runs_and_passes():
     assert set(FAST_LEMMA_ARGS) == set(FAST_LEMMA_RESULTS) == set(cli.LEMMAS)
+    for lemma, extra in FAST_LEMMA_ARGS.items():  # the runs below use read options only
+        assert {a[2:] for a in extra if a.startswith("--")} <= set(LEMMA_READS[lemma])
     for lemma, extra in FAST_LEMMA_ARGS.items():
         code, doc = run_json("verify-lemma", lemma, *extra)
         assert code == 0, (lemma, doc)
         assert doc["results"] == FAST_LEMMA_RESULTS[lemma], lemma
+
+
+# verify-lemma id -> the options it reads; it refuses the others
+LEMMA_READS = {
+    **{lemma: ("families", "depth") for lemma in (
+        "phi-antiorbit", "d-antiorbit", "omega-antiorbit", "smallomega-antiorbit",
+        "psi-orbit", "j2-orbit", "generic-note")},
+    **{lemma: ("fn", "bound") for lemma in (
+        "monotone-o-zero", "monotone-a-zero", "strict-o-positive", "tau-subset",
+        "taubar-subset", "connected-forward", "separation")},
+    "phi-finite-fibre": ("bound",),
+    "partition-example": ("bound",),
+    "nonfinite-fibre": ("families",),
+}
+UNREAD_LEMMA_OPTIONS = [(lemma, option)
+                        for lemma, reads in LEMMA_READS.items()
+                        for option in ("families", "depth", "bound", "fn")
+                        if option not in reads]
+
+
+def test_lemma_reads_match_the_registry():
+    assert {name: lemma.reads for name, lemma in cli.LEMMAS.items()} == LEMMA_READS
+    assert len(UNREAD_LEMMA_OPTIONS) == 37
+
+
+@pytest.mark.parametrize("lemma,option", UNREAD_LEMMA_OPTIONS)
+def test_verify_lemma_refuses_options_it_does_not_read(capsys, lemma, option):
+    # an ignored option would show under `parameters` as if the run had used it
+    code, out = run_cli("verify-lemma", lemma, f"--{option}", "psi" if option == "fn" else "3")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {lemma} does not read --{option}\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["verify-lemma", "--list", "--families", "3"], "the lemma listing does not read --families"),
+    (["verify-lemma", "--bound", "9"], "the lemma listing does not read --bound"),
+    (["verify-lemma", "--fn", "psi"], "the lemma listing does not read --fn"),
+    (["verify-lemma", "phi-antiorbit", "--list"], "phi-antiorbit does not read --list"),
+    (["table", "connectivity", "--families", "3"], "table connectivity does not read --families"),
+    (["table", "connectivity", "--depth", "3"], "table connectivity does not read --depth"),
+    (["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar", "--scan-bound", "3"],
+     "min-open --topology taubar does not read --scan-bound"),
+])
+def test_commands_refuse_options_they_do_not_read(capsys, argv, message):
+    code, out = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--fn", "J", "--k", "2", "--n", "5"],
+    ["eval", "--fn", "d", "--l", "3", "--n", "5"],
+    ["verify-lemma", "tau-subset", "--k", "3"],
+    ["verify-lemma", "monotone-a-zero", "--fn", "d", "--l", "3"],
+    ["orbit", "--fn", "phi", "--n", "6", "--dep", "3"],  # no abbreviations either
+], ids=" ".join)
+def test_k_l_and_abbreviated_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: unrecognized arguments: " in captured.err
+
+
+@pytest.mark.parametrize("alias", ["phi*", "big_omega", "small_omega", "jordan_2"])
+def test_function_aliases_are_refused(capsys, alias):
+    code, out = run_cli("eval", "--fn", alias, "--n", "5")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: unknown function id {alias!r}\n"
+
+
+def test_every_catalogue_spelling_round_trips_through_eval():
+    for name, f, _ in af._MONOTONE_CHECKS:
+        for spelling in (name, str(f)):
+            code, doc = run_json("eval", "--fn", spelling, "--n", "12")
+            assert code == 0, spelling
+            assert doc["parameters"] == {"fn": spelling, "n": 12}
+            assert doc["results"]["function"] == str(f)
+            assert doc["results"]["value"] == cli.render_value(
+                af.evaluate(f, 12), cli.DEFAULT_CONFIG), spelling
 
 
 def test_note_names_a_symbolic_last_step():
@@ -412,6 +494,7 @@ SIZE_REFUSALS = [
     (["preimage", "--fn", "phi", "--m", "4"], "--bound"),
     (["preimage", "--fn", "psi", "--m", "4"], "--bound"),
     (["preimage", "--fn", "Omega", "--m", "4"], "--bound"),
+    (["partition-demo"], "--mod"),
 ]
 
 

@@ -522,6 +522,15 @@ def test_search_rediscovers_psi_orbit():
             assert af.evaluate_int(af.PSI, a) == b
 
 
+def test_search_value_cap_is_a_module_constant(monkeypatch):
+    # the budget holds the four sizes a caller sets, in this order
+    assert dy.SearchBudget(12, 3, 3, 300) == dy.SearchBudget(
+        max_start=12, max_depth=3, max_families=3, scan_bound=300)
+    budget = dy.SearchBudget(max_start=10, max_depth=12, max_families=5)
+    monkeypatch.setattr(dy, "SEARCH_VALUE_BITS", 8)  # psi orbits pass 8 bits by step 12
+    assert dy.search_families(af.PSI, budget) == []
+
+
 def test_search_finds_no_phi_orbit():
     budget = dy.SearchBudget(max_start=100, max_depth=25, max_families=5)
     assert dy.search_families(af.PHI, budget) == []

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from array import array
 
 import pytest
@@ -248,6 +250,22 @@ def test_spf_table_agrees_with_trial_division():
 def test_factored_range_matches_factorize():
     for n, pps in factored_range(500):
         assert FactoredNatural(pps) == factorize(n)
+
+
+def test_factored_range_leaves_no_spf_table_behind(monkeypatch):
+    # the table lives as long as the generator walking it, not the process
+    tables = []
+    real = factorint.smallest_factor_table
+
+    def spy(bound, config=DEFAULT_CONFIG):
+        table = real(bound, config)
+        tables.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(factorint, "smallest_factor_table", spy)
+    assert sum(1 for _ in factored_range(10 ** 5)) == 10 ** 5 - 1
+    gc.collect()
+    assert len(tables) == 1 and tables[0]() is None
 
 
 def test_is_prime_against_sieve():

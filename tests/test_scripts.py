@@ -53,7 +53,7 @@ def test_cli_battery_runs_every_command():
     proc = run_script("cli_battery.py")
     assert proc.returncode == 0, proc.stderr
     blocks = proc.stdout.split("$ arithdyn ")[1:]
-    assert len(blocks) == 59
+    assert len(blocks) == 98
     codes = {}
     for block in blocks:
         argv, code = block.splitlines()[:2]
@@ -63,8 +63,13 @@ def test_cli_battery_runs_every_command():
     assert codes[f"verify-lemma d-antiorbit --families 10 --depth 30 "
                  f"--config RAISED_CAPS.json {flags}"] == "exit 0"
     for argv in ("preimage --fn phi --m 4 --bound 0", "preimage --fn psi --m 4 --bound -3",
-                 "min-open --fn phi --n 4 --scan-bound 0"):
+                 "min-open --fn phi --n 4 --scan-bound 0", "partition-demo --mod 0",
+                 "verify-lemma tau-subset --k 3", "table connectivity --families 3",
+                 "eval --fn phi* --n 12"):
         assert codes[f"{argv} {flags}"] == "exit 2"
+    for argv in ("orbit --fn phi --n 6", "search --fn psi", "partition-demo",
+                 "min-open --fn phi --n 6 --topology taubar"):
+        assert codes[f"{argv} {flags}"] == "exit 0"
 
 
 def test_span_tracer_finds_every_entry_point():
