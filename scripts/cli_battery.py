@@ -14,8 +14,9 @@ under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
 caps, one small run of every other subcommand (and one at its defaults
 where those are cheap), the size refusals of `preimage`, `min-open` and
-`partition-demo`, and the refusals of options a command does not read,
-of `--k`/`--l` and of the dropped function-name aliases.
+`partition-demo`, the refusals of options a command does not read (among
+them a bound where fibres are complete), of `--k`/`--l`, of the dropped
+function-name aliases, of an unknown subcommand and of a missing option.
 """
 import contextlib
 import io
@@ -57,7 +58,6 @@ def commands() -> list[list[str]]:
             ["preimage", "--fn", "Omega", "--m", "4", "--bound", "0"],
             ["min-open", "--fn", "phi", "--n", "4", "--scan-bound", "0"]]
     out += [["eval", "--fn", "phi", "--n", "18"], ["eval", "--fn", "J_2", "--n", "12"],
-            ["oracle-eval", "--fn", "d_3", "--n", "12"],
             ["preimage", "--fn", "psi", "--m", "12"],
             ["preimage", "--fn", "phi_star", "--m", "6", "--bound", "100"],
             ["preimage", "--fn", "Omega", "--m", "1", "--bound", "10"],
@@ -87,7 +87,10 @@ def commands() -> list[list[str]]:
             ["verify-lemma", "phi-antiorbit", "--list"],
             ["table", "connectivity", "--families", "3"],
             ["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar",
-             "--scan-bound", "3"]]
+             "--scan-bound", "3"],
+            ["preimage", "--fn", "psi", "--m", "12", "--bound", "3"],
+            ["min-open", "--fn", "psi", "--n", "12", "--scan-bound", "5"],
+            ["no-such-command"], ["eval", "--fn", "phi"]]
     out += [["eval", "--fn", alias, "--n", "12"]
             for alias in ("phi*", "big_omega", "small_omega", "jordan_2")]
     return [argv + ["--format", "json", "--no-timestamp"] for argv in out]

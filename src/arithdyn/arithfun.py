@@ -10,11 +10,11 @@ Eight families are supported, every one mapping 1 to 1 by convention
 * ordered-factorization counts d_l (d_2 is the divisor count d),
 * power divisor sums sigma_l.
 
-``evaluate`` uses multiplicative closed forms over factored input and is the
-production path; ``oracle_evaluate`` recomputes values straight from the
-definitions (tuple counting, ordered-factorization enumeration, divisor
-scans) over its own trial-division factorizer, sharing no code with the
-closed forms, so the two can check each other.
+``evaluate`` uses multiplicative closed forms over factored input; the
+bulk paths (``value_table``, ``prime_power_values``) use the same closed
+forms over prime powers.  The definitional brute-force oracle that checks
+them, sharing no code with this module's arithmetic, is a test helper
+(``tests/definitional.py``).
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, islice
-from math import comb, gcd, isqrt
+from math import comb, isqrt
 from typing import Callable, Iterator, Optional, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
@@ -356,83 +356,6 @@ def value_table(f: FunctionId, bound: int,
         table[1] = 1
     table[0] = 0
     return table
-
-
-# ---------------------------------------------------------------------------
-# oracle: values recomputed from the literal definitions
-
-
-def _oracle_factor(n: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            a = 0
-            while n % d == 0:
-                n //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
-def _count_coprime_tuples(n: int, k: int) -> int:
-    # tuples (s_1..s_k) in {1..n}^k with gcd(s_1,...,s_k,n) = 1; once the
-    # running gcd hits 1 every extension qualifies, which keeps this honest
-    # counting instead of a closed form while staying feasible
-    def rec(depth: int, g: int) -> int:
-        if g == 1:
-            return n ** (k - depth)
-        if depth == k:
-            return 0
-        return sum(rec(depth + 1, gcd(g, s)) for s in range(1, n + 1))
-    return rec(0, n)
-
-
-def _count_ordered_factorizations(n: int, l: int) -> int:
-    if l == 1:
-        return 1
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += _count_ordered_factorizations(n // d, l - 1)
-    return total
-
-
-def oracle_evaluate(f: FunctionId, n: int,
-                    config: ToolConfig = DEFAULT_CONFIG) -> int:
-    """f(n) straight from the definitional description (brute force)."""
-    if n < 1:
-        raise ValueError("oracle domain is n >= 1")
-    if n == 1:
-        return 1
-    fam, k = f.family, f.param
-    if fam is Family.JORDAN:
-        if n ** k > config.oracle_tuple_budget:
-            raise BudgetExceeded(
-                f"J_{k} oracle tuple count {n}^{k} over budget (oracle_tuple_budget)")
-        return _count_coprime_tuples(n, k)
-    if n > config.oracle_value_budget:
-        raise BudgetExceeded(f"oracle input {n} over budget (oracle_value_budget)")
-    if fam is Family.GENERALIZED_PSI:
-        out = n ** k
-        for p, _ in _oracle_factor(n):
-            out = out // p ** k * (p ** k + 1)
-        return out
-    if fam is Family.UNITARY_TOTIENT:
-        out = 1
-        for p, a in _oracle_factor(n):
-            out *= p ** a - 1
-        return out
-    if fam is Family.BIG_OMEGA:
-        return sum(a for _, a in _oracle_factor(n))
-    if fam is Family.SMALL_OMEGA:
-        return len(_oracle_factor(n))
-    if fam is Family.DIVISOR_COUNT:
-        return _count_ordered_factorizations(n, k)
-    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
 
 
 # ---------------------------------------------------------------------------

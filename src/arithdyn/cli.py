@@ -32,7 +32,6 @@ from .factorint import (
     BudgetExceeded, ComparisonUndecided, FactoredNatural, OVERFLOW, factorize,
     to_integer,
 )
-from .preimage import NotExpansive
 from .reports import Counterexample, VerificationReport
 
 SCHEMA_VERSION = 1
@@ -90,16 +89,11 @@ def _cmd_eval(args, config) -> tuple[str, Any]:
     return "INFO", {"function": str(f), "n": args.n, "value": render_value(value, config)}
 
 
-def _cmd_oracle_eval(args, config) -> tuple[str, Any]:
-    f = af.parse_function(args.fn)
-    value = af.oracle_evaluate(f, args.n, config)
-    return "INFO", {"function": str(f), "n": args.n, "value": render_value(value, config),
-                    "method": "definitional brute force"}
-
-
 def _cmd_preimage(args, config) -> tuple[str, Any]:
     f = af.parse_function(args.fn)
     fibres = pre.fibres(f, _positive(args, "bound"), config)
+    if fibres.search_bound is None:  # complete fibres: no bound to cut at
+        _refuse_unread(args, f"preimage --fn {args.fn}", ("bound",))
     return "INFO", {
         "function": str(f), "target": args.m, "members": list(fibres.of(args.m)),
         "completeness": fibres.completeness, "search_bound": fibres.search_bound,
@@ -174,7 +168,10 @@ def _cmd_min_open(args, config) -> tuple[str, Any]:
         _refuse_unread(args, "min-open --topology taubar", ("scan_bound",))
         mos = tp.min_open_forward(f, args.n, config=config)
     else:
-        mos = tp.min_open_backward(f, args.n, _positive(args, "scan_bound"), config)
+        scan_bound = _positive(args, "scan_bound")
+        if pre.is_expansive_family(f):  # the closure stays inside {1..n}
+            _refuse_unread(args, f"min-open --fn {args.fn}", ("scan_bound",))
+        mos = tp.min_open_backward(f, args.n, scan_bound, config)
     return "INFO", {
         "function": str(f), "point": mos.point, "topology": mos.topology,
         "completeness": mos.completeness, "size": len(mos.members),
@@ -559,6 +556,14 @@ def emit(report: Report, fmt: str, out=None) -> None:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is refused like any other: one `error: ...` line on
+    stderr, exit 2.  add_subparsers builds every subparser from this class."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged.
@@ -579,7 +584,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--bit-budget", type=int, default=argparse.SUPPRESS,
                         help="override big-natural bit budget")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="arithdyn",
         description="certified-at-depth checks for arithmetic-dynamical claims",
         parents=[common], allow_abbrev=False)
@@ -596,10 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "sigma_k (k >= 1), d_l (l >= 2)")
 
     p = add("eval", _cmd_eval, help="evaluate a catalogue function")
-    add_fn(p)
-    p.add_argument("--n", type=int, required=True)
-
-    p = add("oracle-eval", _cmd_oracle_eval, help="definitional brute-force value")
     add_fn(p)
     p.add_argument("--n", type=int, required=True)
 
@@ -700,8 +701,8 @@ def run(argv=None, out=None) -> int:
     try:
         config = _load_config(args)
         status, results = args.handler(args, config)
-    except (BudgetExceeded, NotExpansive, dy.MismatchedScheme,
-            ComparisonUndecided, ValueError, OSError) as exc:
+    except (BudgetExceeded, dy.MismatchedScheme, ComparisonUndecided,
+            ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     params = {k: v for k, v in vars(args).items()

@@ -19,10 +19,6 @@ class ToolConfig:
     # Bit budget for materialising a factored natural as a plain integer.
     # 2^65536 (65537 bits) fits; towers like 2^(2^65536) stay symbolic.
     bit_budget: int = 4_000_000
-    # Brute-force oracle limits: tuple-enumeration count for Jordan,
-    # plain input size for everything else.
-    oracle_tuple_budget: int = 100_000_000
-    oracle_value_budget: int = 10_000
     # inverse_phi refuses targets above this.
     inverse_phi_budget: int = 1_000_000
     # Scheme depth caps (defaults are where exact representation, possibly

@@ -39,7 +39,7 @@ from .factorint import (
     factorize, nat_resolve, nth_prime, pairwise_all_different, prime_factors,
     prime_index, to_integer,
 )
-from .preimage import complete_preimage, fibres, is_expansive_family, preimage_closure
+from .preimage import fibres, is_expansive_family, preimage_closure
 from .reports import Counterexample, VerificationReport
 
 
@@ -473,7 +473,10 @@ def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
         return {x for x in xs if mode == AMBIENT or surjective_core_membership(f, x, config)}
 
     def step(layer: set[int]) -> set[int]:
-        return kept(x for y in layer for x in complete_preimage(f, y, config))
+        # looked up here, not above: a horizon of 1 never steps, so it
+        # answers even for an f without complete fibres
+        fibre = fibres(f, None, config).of
+        return kept(x for y in layer for x in fibre(y))
 
     size = _union_of_layers(kept(seeds), step, horizon)
     return EntropyEstimate(f, tuple(seeds), horizon, Fraction(size, horizon),

@@ -576,11 +576,6 @@ def factorize(n: int, config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:
     return FactoredNatural(pps) if pps else ONE
 
 
-def multiply(a: FactoredNatural, b: FactoredNatural) -> FactoredNatural:
-    """Product; exponents add, interval ranges must stay disjoint."""
-    return FactoredNatural(a.explicit + b.explicit, a.intervals + b.intervals)
-
-
 def _prod(values: list[int]) -> int:
     # balanced product: much faster than a left fold on many small factors
     while len(values) > 1:

@@ -342,12 +342,6 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
                   f"bounded scan of 1..{bound}")
 
 
-def complete_preimage(f: FunctionId, m: int,
-                      config: ToolConfig = DEFAULT_CONFIG) -> tuple[int, ...]:
-    """Complete fibre for functions that admit one; raises otherwise."""
-    return fibres(f, None, config).of(m)
-
-
 def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,
                      config: ToolConfig = DEFAULT_CONFIG) -> set[int]:
     """x and all its iterated preimages, with the fibres of

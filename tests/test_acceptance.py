@@ -20,6 +20,7 @@ from arithdyn import preimage as pre
 from arithdyn import topology as tp
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import DeferredValue, factored_range, primes_upto, to_integer
+from definitional import oracle_evaluate
 
 
 class Stopwatch:
@@ -38,7 +39,7 @@ def announce(criterion, message, elapsed=None):
 
 
 def test_criterion_01_oracle_equivalence():
-    # Jordan's tuple-counting oracle is range-limited by its own budget:
+    # Jordan's tuple-counting oracle grows as n^k, so its ranges are cut:
     # k=1 to 500, k=2 to 200 (as stated), k=3 to 60.
     pairs = [
         (af.PHI, 500), (af.jordan(2), 200), (af.jordan(3), 60),
@@ -52,7 +53,7 @@ def test_criterion_01_oracle_equivalence():
         mismatches = []
         for f, hi in pairs:
             for n in range(1, hi + 1):
-                if af.evaluate_int(f, n) != af.oracle_evaluate(f, n):
+                if af.evaluate_int(f, n) != oracle_evaluate(f, n):
                     mismatches.append((str(f), n))
     assert mismatches == []
     assert sw.elapsed < 60

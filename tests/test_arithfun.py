@@ -13,6 +13,7 @@ from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, factored_range, factorize, to_integer,
 )
+from definitional import oracle_evaluate
 
 ALL_SMALL = [
     af.PHI, af.jordan(2), af.jordan(3),
@@ -63,28 +64,20 @@ def test_known_values():
 def test_everything_maps_one_to_one():
     for f in ALL_SMALL:
         assert af.evaluate_int(f, 1) == 1
-        assert af.oracle_evaluate(f, 1) == 1
+        assert oracle_evaluate(f, 1) == 1
 
 
 def test_oracle_examples():
-    assert af.oracle_evaluate(af.PHI, 6) == 2
-    assert af.oracle_evaluate(af.divisor_count(3), 12) == 18
-    assert af.oracle_evaluate(af.sigma(2), 6) == 50
-
-
-def test_oracle_budget():
-    tiny = DEFAULT_CONFIG.replace(oracle_tuple_budget=100, oracle_value_budget=50)
-    with pytest.raises(BudgetExceeded):
-        af.oracle_evaluate(af.jordan(2), 50, tiny)
-    with pytest.raises(BudgetExceeded):
-        af.oracle_evaluate(af.PSI, 100, tiny)
+    assert oracle_evaluate(af.PHI, 6) == 2
+    assert oracle_evaluate(af.divisor_count(3), 12) == 18
+    assert oracle_evaluate(af.sigma(2), 6) == 50
 
 
 def test_oracle_equivalence_sample():
     for f in ALL_SMALL:
         hi = 60 if f == af.jordan(3) else 150
         for n in range(1, hi + 1):
-            assert af.evaluate_int(f, n) == af.oracle_evaluate(f, n), (str(f), n)
+            assert af.evaluate_int(f, n) == oracle_evaluate(f, n), (str(f), n)
 
 
 def test_intervals_only_for_prime_counters():
@@ -244,19 +237,15 @@ def test_value_tables_build_no_spf_table(monkeypatch):
 
 
 def test_value_table_matches_oracle():
-    # the Jordan oracle counts tuples one at a time; a budget of 1e6 tuples
-    # covers J_3, J_4 and J_5 up to n = 100, 31 and 15 and keeps this test
-    # to seconds
-    config = DEFAULT_CONFIG.replace(oracle_tuple_budget=10 ** 6)
+    # the Jordan oracle counts tuples one at a time; skipping n^k > 1e6
+    # keeps J_3, J_4 and J_5 to n = 100, 31 and 15 and this test to seconds
     checked = 0
     for f in SWEPT:
         table = af.value_table(f, 300)
         for n in range(1, 301):
-            try:
-                expected = af.oracle_evaluate(f, n, config)
-            except BudgetExceeded:
+            if f.family is af.Family.JORDAN and n ** f.param > 10 ** 6:
                 continue
-            assert table[n] == expected, (str(f), n)
+            assert table[n] == oracle_evaluate(f, n), (str(f), n)
             checked += 1
     assert checked > 4000
 

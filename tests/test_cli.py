@@ -27,12 +27,6 @@ def test_eval_command():
     assert doc["schema"] == 1
 
 
-def test_oracle_eval_command():
-    code, doc = run_json("oracle-eval", "--fn", "d_3", "--n", "12")
-    assert code == 0
-    assert doc["results"]["value"] == 18
-
-
 def test_eval_rejects_unknown_function(capsys):
     code, _ = run_cli("eval", "--fn", "zeta", "--n", "3")
     assert code == 2
@@ -88,14 +82,27 @@ def test_orbit_refusals(capsys):
 
 def test_parser_is_built_once_and_usage_errors_repeat(capsys):
     assert cli.build_parser() is cli.build_parser()
-    for argv in (["verify-lemma", "--depth", "x"], ["no-such-command"], []):
+    # a bad int, an unknown subcommand, none at all, an unknown option, a
+    # missing option and a bad choice: each one `error:` line, never usage
+    for argv in (["verify-lemma", "--depth", "x"], ["no-such-command"], [],
+                 ["verify-lemma", "tau-subset", "--k", "3"], ["eval", "--fn", "phi"],
+                 ["min-open", "--fn", "phi", "--n", "6", "--topology", "tau_bar"]):
         seen = []
         for _ in range(2):
             with pytest.raises(SystemExit) as exc:
                 run_cli(*argv)
             captured = capsys.readouterr()
             seen.append((exc.value.code, captured.out, captured.err))
-        assert seen[0] == seen[1] and seen[0][0] == 2 and seen[0][2].startswith("usage:")
+        assert seen[0] == seen[1] and seen[0][0] == 2 and seen[0][1] == ""
+        assert seen[0][2].startswith("error: ") and seen[0][2].count("\n") == 1
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("eval", "--help")
+    captured = capsys.readouterr()
+    assert exc.value.code == 0 and captured.err == ""
+    assert captured.out.startswith("usage: arithdyn eval ")
 
 
 def test_verify_lemma_list_covers_registry():
@@ -239,6 +246,15 @@ def test_verify_lemma_refuses_options_it_does_not_read(capsys, lemma, option):
     (["table", "connectivity", "--depth", "3"], "table connectivity does not read --depth"),
     (["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar", "--scan-bound", "3"],
      "min-open --topology taubar does not read --scan-bound"),
+    # complete fibres and expansive closures are never cut at a bound
+    (["preimage", "--fn", "psi", "--m", "12", "--bound", "3"],
+     "preimage --fn psi does not read --bound"),
+    (["preimage", "--fn", "phi", "--m", "4", "--bound", "3"],
+     "preimage --fn phi does not read --bound"),
+    (["min-open", "--fn", "J_2", "--n", "24", "--scan-bound", "2"],
+     "min-open --fn J_2 does not read --scan-bound"),
+    (["min-open", "--fn", "psi", "--n", "12", "--scan-bound", "5"],
+     "min-open --fn psi does not read --scan-bound"),
 ])
 def test_commands_refuse_options_they_do_not_read(capsys, argv, message):
     code, out = run_cli(*argv)
@@ -427,7 +443,7 @@ def test_text_format_runs():
     assert "value: 12" in text
 
 
-def test_config_file(tmp_path):
+def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"depth_cap_omega_anti": 3}')
     code, _ = run_cli("family", "--scheme", "omega-anti", "--depth", "4",
@@ -436,10 +452,14 @@ def test_config_file(tmp_path):
     code, _ = run_cli("family", "--scheme", "omega-anti", "--depth", "3",
                       "--config", str(cfg))
     assert code == 0
-    bad = tmp_path / "bad.json"
-    bad.write_text('{"unknown_key": 1}')
-    code, _ = run_cli("eval", "--fn", "phi", "--n", "2", "--config", str(bad))
-    assert code == 2
+    capsys.readouterr()
+    # the brute-force oracle is a test helper, so its two budgets are no keys
+    for key in ("unknown_key", "oracle_tuple_budget", "oracle_value_budget"):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({key: 1}))
+        code, out = run_cli("eval", "--fn", "phi", "--n", "2", "--config", str(bad))
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
 
 
 def test_render_value_respects_the_bit_budget():
@@ -575,8 +595,9 @@ def test_sieve_refusal_names_its_key(capsys):
 @pytest.mark.parametrize("key, config, argv", [
     ("prime_index_budget", {"prime_index_budget": 3}, ["verify-lemma", "smallomega-antiorbit"]),
     ("inverse_phi_budget", {}, ["inverse-phi", "--m", "2000000"]),
-    ("oracle_tuple_budget", {}, ["oracle-eval", "--fn", "J_2", "--n", "20000"]),
-    ("oracle_value_budget", {}, ["oracle-eval", "--fn", "psi", "--n", "20000"]),
+    ("sieve_bound", {"sieve_bound": 100}, ["table", "connectivity", "--bound", "200"]),
+    ("depth_cap_d_anti", {"depth_cap_d_anti": 3},
+     ["verify-lemma", "d-antiorbit", "--families", "2", "--depth", "4"]),
     ("bit_budget", {"bit_budget": 64}, ["orbit", "--fn", "psi", "--n", "2", "--depth", "100"]),
     # a family's prime is looked up under the run's config, not the default
     ("prime_index_budget", {"prime_index_budget": 3},

@@ -490,6 +490,14 @@ def test_ent_cset_examples():
     assert est.value == 1
 
 
+def test_ent_cset_needs_complete_fibres_only_past_horizon_one():
+    # horizon 1 takes no preimage, so phi_star (no complete fibres) answers
+    est = dy.ent_cset_estimate(af.PHI_STAR, [6], 1)
+    assert est.value == 1 and est.set_size == 1
+    with pytest.raises(pre.NotFiniteFibre):
+        dy.ent_cset_estimate(af.PHI_STAR, [6], 2)
+
+
 def test_ent_cset_core_mode():
     with pytest.raises(ValueError):
         dy.ent_cset_estimate(af.PHI, [6], 3, mode=dy.CORE)

@@ -10,7 +10,7 @@ from arithdyn.config import DEFAULT_CONFIG, ToolConfig
 from arithdyn.factorint import (
     BudgetExceeded, ComparisonUndecided, DeferredValue, FactoredNatural, OVERFLOW,
     certainly_different, factorize, factored_range, is_prime,
-    multiply, nat_add, nth_prime, pairwise_all_different, prime_index,
+    nat_add, nth_prime, pairwise_all_different, prime_index,
     prime_factors, primes_upto, smallest_factor_table, to_integer,
 )
 
@@ -67,13 +67,12 @@ def test_nth_prime_strictly_increasing_to_1e5():
 
 
 def test_multiply_examples():
+    # the constructor multiplies: repeated primes add their exponents
     one = FactoredNatural()
     two = FactoredNatural(((2, 1),))
-    assert multiply(one, two) == two
-    assert multiply(two, FactoredNatural(((2, 2), (3, 1)))) == \
-        FactoredNatural(((2, 3), (3, 1)))
-    with_interval = multiply(FactoredNatural(((3, 1),)),
-                             FactoredNatural((), ((3, 4),)))
+    assert FactoredNatural(one.explicit + two.explicit) == two
+    assert FactoredNatural(((2, 1), (2, 2), (3, 1))) == FactoredNatural(((2, 3), (3, 1)))
+    with_interval = FactoredNatural(((3, 1),), ((3, 4),))
     assert to_integer(with_interval) == 3 * 5 * 7
 
 
@@ -191,7 +190,7 @@ def test_round_trip(n):
 @given(st.integers(min_value=1, max_value=1000),
        st.integers(min_value=1, max_value=1000))
 def test_fundamental_theorem(a, b):
-    assert factorize(a * b) == multiply(factorize(a), factorize(b))
+    assert factorize(a * b) == FactoredNatural(factorize(a).explicit + factorize(b).explicit)
 
 
 @given(st.integers(min_value=2, max_value=10 ** 5))

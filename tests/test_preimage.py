@@ -104,12 +104,12 @@ def test_nonfinite_fibre_witnesses():
 
 
 def test_complete_preimage_dispatch():
-    assert pre.complete_preimage(af.PHI, 4) == (5, 8, 10, 12)
-    assert pre.complete_preimage(af.PSI, 12) == (6, 8, 9, 11)
+    assert pre.fibres(af.PHI).of(4) == (5, 8, 10, 12)
+    assert pre.fibres(af.PSI).of(12) == (6, 8, 9, 11)
     with pytest.raises(pre.NotFiniteFibre):
-        pre.complete_preimage(af.BIG_OMEGA, 1)
+        pre.fibres(af.BIG_OMEGA).of(1)
     with pytest.raises(pre.NotFiniteFibre):
-        pre.complete_preimage(af.PHI_STAR, 6)
+        pre.fibres(af.PHI_STAR).of(6)
 
 
 def test_preimage_table():
@@ -161,13 +161,13 @@ def test_bounded_fibres_match_value_table_scan(name):
 def test_complete_fibres_match_expansive_scan(name):
     f = af.parse_function(name)
     for m in list(range(1, 201)) + [720, 5040, 7776]:
-        assert pre.complete_preimage(f, m) == pre.preimage_expansive(f, m).members, (name, m)
+        assert pre.fibres(f).of(m) == pre.preimage_expansive(f, m).members, (name, m)
 
 
 def _fibre(f, m, n):
     if f == af.PHI_STAR:
         return pre.preimage_bounded(f, m, n).members
-    return pre.complete_preimage(f, m)
+    return pre.fibres(f).of(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,7 +192,7 @@ def test_large_prime_power_candidates():
 
 def test_expansive_targets_past_the_sieve_bound():
     tiny = DEFAULT_CONFIG.replace(sieve_bound=100)
-    assert pre.complete_preimage(af.PSI, 7776, tiny) == pre.complete_preimage(af.PSI, 7776)
+    assert pre.fibres(af.PSI, None, tiny).of(7776) == pre.fibres(af.PSI).of(7776)
     with pytest.raises(BudgetExceeded):
         pre.preimage_expansive(af.PSI, 7776, tiny)
 
@@ -225,8 +225,6 @@ def test_fibre_policy(name):
             assert list(fib.of(m)) == expected.get(m, []), (name, m)
         with pytest.raises(pre.NotFiniteFibre):
             pre.fibres(f)
-        with pytest.raises(pre.NotFiniteFibre):
-            pre.complete_preimage(f, 1)
     if f == af.PHI:
         with pytest.raises(BudgetExceeded):
             fib.of(DEFAULT_CONFIG.inverse_phi_budget + 2)

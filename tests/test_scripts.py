@@ -53,11 +53,15 @@ def test_cli_battery_runs_every_command():
     proc = run_script("cli_battery.py")
     assert proc.returncode == 0, proc.stderr
     blocks = proc.stdout.split("$ arithdyn ")[1:]
-    assert len(blocks) == 98
+    assert len(blocks) == 101
     codes = {}
     for block in blocks:
         argv, code = block.splitlines()[:2]
         codes[argv] = code
+        if code == "exit 2":  # a refusal: one error line and no report
+            stdout, stderr = block.split("--- stdout\n")[1].split("--- stderr\n")
+            assert stdout == "", argv
+            assert stderr.startswith("error: ") and stderr.count("\n") == 1, argv
     assert "exit 3" not in codes.values()
     flags = "--format json --no-timestamp"
     assert codes[f"verify-lemma d-antiorbit --families 10 --depth 30 "
@@ -65,7 +69,9 @@ def test_cli_battery_runs_every_command():
     for argv in ("preimage --fn phi --m 4 --bound 0", "preimage --fn psi --m 4 --bound -3",
                  "min-open --fn phi --n 4 --scan-bound 0", "partition-demo --mod 0",
                  "verify-lemma tau-subset --k 3", "table connectivity --families 3",
-                 "eval --fn phi* --n 12"):
+                 "eval --fn phi* --n 12", "preimage --fn psi --m 12 --bound 3",
+                 "min-open --fn psi --n 12 --scan-bound 5", "no-such-command",
+                 "eval --fn phi"):
         assert codes[f"{argv} {flags}"] == "exit 2"
     for argv in ("orbit --fn phi --n 6", "search --fn psi", "partition-demo",
                  "min-open --fn phi --n 6 --topology taubar"):
