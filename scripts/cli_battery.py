@@ -13,10 +13,12 @@ the six scheme claims at the benchmark's certify sizes, the tower claims
 under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
 caps, one small run of every other subcommand (and one at its defaults
-where those are cheap), the size refusals of `preimage`, `min-open` and
-`partition-demo`, the refusals of options a command does not read (among
-them a bound where fibres are complete), of `--k`/`--l`, of the dropped
-function-name aliases, of an unknown subcommand and of a missing option.
+where those are cheap), the phi tau-closure of 2 at the closure
+benchmark's scan bound and the one-node closure of 3 under a large one,
+the size refusals of `preimage`, `min-open` and `partition-demo`, the
+refusals of options a command does not read (among them a bound where
+fibres are complete), of `--k`/`--l`, of the dropped function-name
+aliases, of an unknown subcommand and of a missing option.
 """
 import contextlib
 import io
@@ -68,6 +70,8 @@ def commands() -> list[list[str]]:
             ["centropy", "--fn", "psi", "--seeds", "6", "--horizon", "10"],
             ["centropy", "--fn", "psi", "--seeds", "6", "--horizon", "10", "--mode", "core"],
             ["min-open", "--fn", "psi", "--n", "12"],
+            ["min-open", "--fn", "phi", "--n", "2", "--scan-bound", "2000"],
+            ["min-open", "--fn", "phi", "--n", "3", "--scan-bound", "200000"],
             ["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar"],
             ["components", "--fn", "phi"], ["components", "--fn", "psi", "--bound", "300"],
             ["separation", "--fn", "psi"], ["separation", "--fn", "phi", "--bound", "1000"],

@@ -53,7 +53,7 @@ def test_cli_battery_runs_every_command():
     proc = run_script("cli_battery.py")
     assert proc.returncode == 0, proc.stderr
     blocks = proc.stdout.split("$ arithdyn ")[1:]
-    assert len(blocks) == 101
+    assert len(blocks) == 103
     codes = {}
     for block in blocks:
         argv, code = block.splitlines()[:2]
@@ -74,7 +74,9 @@ def test_cli_battery_runs_every_command():
                  "eval --fn phi"):
         assert codes[f"{argv} {flags}"] == "exit 2"
     for argv in ("orbit --fn phi --n 6", "search --fn psi", "partition-demo",
-                 "min-open --fn phi --n 6 --topology taubar"):
+                 "min-open --fn phi --n 6 --topology taubar",
+                 "min-open --fn phi --n 2 --scan-bound 2000",
+                 "min-open --fn phi --n 3 --scan-bound 200000"):
         assert codes[f"{argv} {flags}"] == "exit 0"
 
 
