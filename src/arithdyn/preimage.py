@@ -8,7 +8,13 @@ lookup from there, and it alone decides how the fibre is found:
   expansive families J_k (k >= 2), psi_k and sigma_k, through one
   divisor-driven inverter: each prime power p^a of a preimage of m has
   f(p^a) | m, so the fibre is the set of coprime products of such
-  candidates whose values multiply to exactly m;
+  candidates whose values multiply to exactly m.  A phi lookup with a
+  bound switches, once its targets y <= top have cost about what a table
+  costs, to one batch table of every fibre phi^-1(y), y <= top: one walk
+  over the primes p <= top + 1 takes at most one power of each while the
+  product of the phi(p^a) stays <= top.  Its fibres are complete by the
+  same argument (each phi(p^a) of a member divides y, so p <= top + 1);
+  the table lives as long as that lookup and is not kept for the process;
 * cut at ``bound``, for phi_star (the same inverter, members <= bound) and
   for Omega, omega and d_l (one ``fibre_table`` of 1..bound): the latter
   contain all primes in one fibre and admit only witness lists and bounded
@@ -306,6 +312,80 @@ def fibre_table(f: FunctionId, bound: int,
     return by_value
 
 
+# A phi lookup builds its table once it has answered top // _TABLE_SWITCH
+# targets y <= top one inverse_phi call at a time: for targets up to a few
+# thousand a call costs about 37 us and the table about 2 us per unit of top
+# (Python 3.11 on a 2-core x86-64 machine), so by then the calls have cost
+# about what the table costs.
+_TABLE_SWITCH = 16
+
+
+def _phi_fibre_table(top: int, config: ToolConfig) -> dict[int, tuple[int, ...]]:
+    """{y: phi^-1(y), ascending} for every y <= top whose fibre is not empty.
+
+    Every x with phi(x) = y is a coprime product of prime powers p^a, and
+    phi(x) is the product of their phi(p^a) = (p-1)p^(a-1), so each
+    phi(p^a) divides y and p <= y + 1 <= top + 1.  An iterative depth-first
+    walk over the primes p <= top + 1 in ascending order, taking at most
+    one power of each while the product of the phi(p^a) stays <= top,
+    emits every such x exactly once under its phi value: each fibre is
+    complete, as inverse_phi's are.
+    """
+    primes = primes_upto(top + 1, config)
+    count = len(primes)
+    table: dict[int, list[int]] = {1: [1]}
+    stack = [(0, 1, 1)]  # (index of the next prime, phi value, product)
+    while stack:
+        i, value, x = stack.pop()
+        limit = top // value
+        for j in range(i, count):
+            p = primes[j]
+            w = p - 1  # phi(p^a), from a = 1
+            if w > limit:
+                break
+            # a product goes on only while (q - 1) times its phi value stays
+            # <= top for the next prime q
+            grow = primes[j + 1] - 1 if j + 1 < count else limit + 1
+            xp = x * p
+            while w <= limit:
+                y = value * w
+                members = table.get(y)
+                if members is None:
+                    table[y] = [xp]
+                else:
+                    members.append(xp)
+                if w * grow <= limit:
+                    stack.append((j + 1, y, xp))
+                w *= p
+                xp *= p
+    for y, members in table.items():  # in place: each list is freed for its tuple
+        members.sort()
+        table[y] = tuple(members)
+    return table
+
+
+def _phi_fibres(bound: Optional[int], config: ToolConfig) -> Callable[[int], tuple[int, ...]]:
+    """phi's lookup for `fibres(PHI, bound)`.  top is the bound cut to
+    inverse_phi_budget and to what primes_upto serves under sieve_bound;
+    targets above it always go to inverse_phi and its budget."""
+    top = 0 if bound is None else min(bound, config.inverse_phi_budget,
+                                      config.sieve_bound - 1)
+    table: Optional[dict[int, tuple[int, ...]]] = None
+    calls = 0
+
+    def of(y: int) -> tuple[int, ...]:
+        nonlocal table, calls
+        if not 1 <= y <= top:
+            return inverse_phi(y, config).members
+        if table is None:
+            if calls * _TABLE_SWITCH < top:
+                calls += 1
+                return inverse_phi(y, config).members
+            table = _phi_fibre_table(top, config)
+        return table.get(y, ())
+    return of
+
+
 class Fibres(NamedTuple):
     """f's fibres under the policy `fibres` chose: of(y) is f^-1(y),
     ascending, complete or cut at search_bound; method says how."""
@@ -320,14 +400,19 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
     """The fibre lookup for f: complete where f admits that (phi and the
     expansive families, whatever the bound), else cut at `bound`.
 
+    phi calls inverse_phi per target until its targets y <= top, top the
+    bound cut to inverse_phi_budget and sieve_bound, number top / 16;
+    then it builds one table of every fibre phi^-1(y), y <= top, and reads
+    from it (`_phi_fibres`).  Without a bound it never builds the table.
     Omega, omega and d_l read one fibre table of 1..bound, built here once,
     so a lookup is a dict lookup.  Without a bound they, and phi_star,
-    raise NotFiniteFibre.  A bound below 1 is refused for every f.
+    raise NotFiniteFibre.  A bound below 1 is refused for every f.  Each
+    table belongs to the lookup returned; none is kept for the process.
     """
     if bound is not None and bound < 1:
         raise ValueError("bound >= 1")
     if f == PHI:
-        return Fibres(lambda y: inverse_phi(y, config).members, COMPLETE, None,
+        return Fibres(_phi_fibres(bound, config), COMPLETE, None,
                       "divisor-driven inverse totient")
     if is_expansive_family(f):
         return Fibres(lambda y: _invert(f, y, None, config), COMPLETE, None,
@@ -343,14 +428,17 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
 
 
 def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,
-                     config: ToolConfig = DEFAULT_CONFIG) -> set[int]:
-    """x and all its iterated preimages, with the fibres of
-    `fibres(f, scan_bound)`.  A node above scan_bound joins the closure but
-    is not expanded.
+                     config: ToolConfig = DEFAULT_CONFIG,
+                     lookup: Optional[Fibres] = None) -> set[int]:
+    """x and all its iterated preimages, with the fibres of `lookup`, by
+    default `fibres(f, scan_bound)`.  A node above scan_bound joins the
+    closure but is not expanded.
     """
     if x < 1:
         raise ValueError("x >= 1")
-    fibre = fibres(f, scan_bound, config).of
+    if lookup is None:
+        lookup = fibres(f, scan_bound, config)
+    fibre = lookup.of
     closure = {x}
     frontier = [x]
     while frontier:

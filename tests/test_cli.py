@@ -604,6 +604,9 @@ def test_sieve_refusal_names_its_key(capsys):
      ["family", "--scheme", "omega-anti", "--index", "5", "--depth", "2"]),
     ("prime_index_budget", {"prime_index_budget": 3},
      ["verify-lemma", "omega-antiorbit", "--families", "5", "--depth", "3"]),
+    # a phi closure expanding a node past inverse_phi_budget
+    ("inverse_phi_budget", {"inverse_phi_budget": 100},
+     ["min-open", "--fn", "phi", "--n", "2", "--scan-bound", "1000"]),
 ])
 def test_budget_refusal_names_its_key(tmp_path, capsys, key, config, argv):
     cfg = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -228,6 +230,69 @@ def test_fibre_policy(name):
     if f == af.PHI:
         with pytest.raises(BudgetExceeded):
             fib.of(DEFAULT_CONFIG.inverse_phi_budget + 2)
+
+
+@lru_cache(maxsize=None)
+def _inverse_phi(y):
+    return pre.inverse_phi(y).members
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=3000))
+def test_phi_fibre_table_matches_inverse_phi(top):
+    table = pre._phi_fibre_table(top, DEFAULT_CONFIG)
+    assert max(table) <= top
+    for y in range(1, top + 1):
+        assert table.get(y, ()) == _inverse_phi(y), (top, y)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=300))
+def test_phi_fibre_table_holds_every_scanned_preimage(top):
+    # phi(n) >= sqrt(n / 2), so every n with phi(n) <= top is <= 2 top^2
+    scan = 2 * top ** 2
+    values = af.value_table(af.PHI, scan)
+    expected = {}
+    for n in range(1, scan + 1):
+        if values[n] <= top:
+            expected.setdefault(values[n], []).append(n)
+    table = pre._phi_fibre_table(top, DEFAULT_CONFIG)
+    assert {y: list(members) for y, members in table.items()} == expected
+
+
+def test_phi_lookup_builds_its_table_after_top_over_16_calls(monkeypatch):
+    # the lookup calls inverse_phi through its module-global name, as the
+    # benchmark's tracer counts it
+    calls, original = [], pre.inverse_phi
+
+    def counted(m, config=DEFAULT_CONFIG):
+        calls.append(m)
+        return original(m, config)
+
+    monkeypatch.setattr(pre, "inverse_phi", counted)
+    fib = pre.fibres(af.PHI, 320)
+    for y in range(1, 321):
+        assert fib.of(y) == _inverse_phi(y), y
+    assert calls == list(range(1, 21))  # 20 * 16 = 320: the table answers the rest
+    assert fib.of(500) == _inverse_phi(500) and calls[-1] == 500
+    # a lookup without a bound, or with no room under sieve_bound, has no table
+    for bound, config in ((None, DEFAULT_CONFIG), (320, DEFAULT_CONFIG.replace(sieve_bound=1))):
+        calls.clear()
+        fib = pre.fibres(af.PHI, bound, config)
+        for y in range(1, 321):
+            fib.of(y)
+        assert calls == list(range(1, 321))
+
+
+def test_phi_lookup_refuses_past_the_budget_above_its_table():
+    small = DEFAULT_CONFIG.replace(inverse_phi_budget=100)
+    fib = pre.fibres(af.PHI, 1000, small)
+    for y in range(1, 101):
+        assert fib.of(y) == _inverse_phi(y)
+    with pytest.raises(BudgetExceeded, match="inverse_phi_budget"):
+        fib.of(102)
+    with pytest.raises(ValueError):
+        fib.of(0)
 
 
 def test_preimage_bounded_validation():

@@ -4,6 +4,7 @@ from arithdyn import arithfun as af
 from arithdyn import topology as tp
 from arithdyn import preimage as pre
 from arithdyn.config import DEFAULT_CONFIG
+from arithdyn.factorint import BudgetExceeded
 from arithdyn.preimage import NotFiniteFibre
 
 
@@ -58,6 +59,41 @@ def test_min_open_backward_phi():
     for f, scan_bound in ((af.PHI, 0), (af.PSI, -3), (af.PHI_STAR, 0)):
         with pytest.raises(ValueError):
             tp.min_open_backward(f, 4, scan_bound)
+
+
+def _inverse_phi_closure(x, scan_bound):
+    # per-target inverse_phi, every node up to scan_bound expanded
+    acc, frontier = {x}, [x]
+    while frontier:
+        y = frontier.pop()
+        if y <= scan_bound:
+            fresh = set(pre.inverse_phi(y).members) - acc
+            acc |= fresh
+            frontier.extend(fresh)
+    return tuple(sorted(acc))
+
+
+@pytest.mark.parametrize("scan_bound", [50, 2000, 5000])
+def test_min_open_backward_phi_matches_inverse_phi_closures(scan_bound):
+    # x = 3 is one node and never builds the fibre table; x = 2 covers 1..bound
+    for x in (2, 3, 4, 6, 96, 1000):
+        m = tp.min_open_backward(af.PHI, x, scan_bound)
+        assert m.members == _inverse_phi_closure(x, scan_bound), (x, scan_bound)
+        truncated = m.members[-1] > scan_bound
+        assert m.completeness == (tp.TRUNCATED if truncated else tp.COMPLETE)
+        assert m.truncation_bound == (scan_bound if truncated else None)
+
+
+def test_min_open_backward_phi_budgets():
+    # a node past inverse_phi_budget is refused, as without the fibre table
+    small = DEFAULT_CONFIG.replace(inverse_phi_budget=100)
+    with pytest.raises(BudgetExceeded, match="inverse_phi_budget"):
+        tp.min_open_backward(af.PHI, 2, 1000, small)
+    # a sieve_bound below the scan bound only shrinks the table: no refusal
+    for sieve_bound in (1, 100):
+        tiny = DEFAULT_CONFIG.replace(sieve_bound=sieve_bound)
+        assert tp.min_open_backward(af.PHI, 2, 2000, tiny) == tp.min_open_backward(
+            af.PHI, 2, 2000)
 
 
 def test_min_open_backward_bounded_only():
