@@ -263,14 +263,27 @@ def test_catalogue_sweep_matches_monotone_profiles():
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(ALL_SMALL), st.integers(min_value=1, max_value=10 ** 4))
+@example(f=af.jordan(3), x=3671)
 def test_forward_orbit_equals_int_iteration(f, x):
     # the factored-space orbit against evaluate_int on plain integers, for as
-    # long as the values stay within 120 bits
+    # long as the values stay within 120 bits; a step whose tail p^k -+ 1
+    # passes the factorizer's 128 bits (J_3 at the 107-bit second iterate
+    # from 3671) is refused, and then all three refuse it at the same step
     raw = af.forward_orbit(f, x)
     values = af.orbit_values(f, x)
     cur = x
     for _ in range(200):
-        want = af.evaluate_int(f, cur)
+        try:
+            want = af.evaluate_int(f, cur)
+        except ValueError as exc:
+            msg = str(exc)
+            assert msg == "factorize handles inputs up to 128 bits"
+            with pytest.raises(ValueError) as raw_exc:
+                next(raw)
+            with pytest.raises(ValueError) as values_exc:
+                next(values)
+            assert str(raw_exc.value) == str(values_exc.value) == msg
+            break
         got = next(raw)
         if f.family in af.MULTIPLICATIVE_VALUE:
             assert isinstance(got, FactoredNatural) and to_integer(got) == want
