@@ -367,7 +367,11 @@ def _phi_fibre_table(top: int, config: ToolConfig) -> dict[int, tuple[int, ...]]
 def _phi_fibres(bound: Optional[int], config: ToolConfig) -> Callable[[int], tuple[int, ...]]:
     """phi's lookup for `fibres(PHI, bound)`.  top is the bound cut to
     inverse_phi_budget and to what primes_upto serves under sieve_bound;
-    targets above it always go to inverse_phi and its budget."""
+    targets above it always go to inverse_phi and its budget.  Nothing is
+    built until the lookup is called.  Once built, the table holds every x
+    with phi(x) <= top, so its memory grows with top and so with those two
+    keys: at top = 10^6 (the default inverse_phi_budget) a closure's peak
+    RSS was 235 MiB, where per-target calls peaked at 172 MiB."""
     top = 0 if bound is None else min(bound, config.inverse_phi_budget,
                                       config.sieve_bound - 1)
     table: Optional[dict[int, tuple[int, ...]]] = None
@@ -428,17 +432,14 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
 
 
 def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,
-                     config: ToolConfig = DEFAULT_CONFIG,
-                     lookup: Optional[Fibres] = None) -> set[int]:
-    """x and all its iterated preimages, with the fibres of `lookup`, by
-    default `fibres(f, scan_bound)`.  A node above scan_bound joins the
-    closure but is not expanded.
+                     config: ToolConfig = DEFAULT_CONFIG) -> set[int]:
+    """x and all its iterated preimages, with the fibres of
+    `fibres(f, scan_bound)`.  A node above scan_bound joins the closure but
+    is not expanded.
     """
     if x < 1:
         raise ValueError("x >= 1")
-    if lookup is None:
-        lookup = fibres(f, scan_bound, config)
-    fibre = lookup.of
+    fibre = fibres(f, scan_bound, config).of
     closure = {x}
     frontier = [x]
     while frontier:

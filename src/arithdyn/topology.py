@@ -88,10 +88,10 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
         return MinimalOpenSet(x, TAU, tuple(sorted(closure)), COMPLETE)
     if scan_bound is None:
         raise ValueError(f"{f} needs a scan_bound")
-    lookup = fibres(f, scan_bound, config)
-    closure = preimage_closure(f, x, scan_bound, config, lookup)
+    closure = preimage_closure(f, x, scan_bound, config)
     # with complete fibres (phi) only the unexpanded nodes cut the closure
-    truncated = lookup.completeness == BOUNDED_SEARCH or max(closure) > scan_bound
+    truncated = (fibres(f, scan_bound, config).completeness == BOUNDED_SEARCH
+                 or max(closure) > scan_bound)
     return MinimalOpenSet(x, TAU, tuple(sorted(closure)),
                           TRUNCATED if truncated else COMPLETE,
                           truncation_bound=scan_bound if truncated else None)
