@@ -13,11 +13,13 @@ the six scheme claims at the benchmark's certify sizes, the tower claims
 under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
 caps, one small run of every other subcommand (and one at its defaults
-where those are cheap), the phi tau-closure of 2 at the closure
+where those are cheap), the separation lemma for psi and phi at bound
+1000, the phi tau-closure of 2 at the closure
 benchmark's scan bound and the one-node closure of 3 under a large one,
 the size refusals of `preimage`, `min-open` and `partition-demo`, the
 refusals of options a command does not read (among them a bound where
-fibres are complete), of `--k`/`--l`, of the dropped function-name
+fibres are complete, and `--families` on the lemma listing), of `--list`
+after a lemma id, of `--k`/`--l`, of the dropped function-name
 aliases, of an unknown subcommand and of a missing option.
 """
 import contextlib
@@ -63,7 +65,7 @@ def commands() -> list[list[str]]:
             ["preimage", "--fn", "psi", "--m", "12"],
             ["preimage", "--fn", "phi_star", "--m", "6", "--bound", "100"],
             ["preimage", "--fn", "Omega", "--m", "1", "--bound", "10"],
-            ["inverse-phi", "--m", "4"], ["phi-bound", "--m", "2"],
+            ["preimage", "--fn", "phi", "--m", "4"], ["phi-bound", "--m", "2"],
             ["orbit", "--fn", "phi", "--n", "6"],
             ["orbit", "--fn", "psi", "--n", "2", "--depth", "60"],
             ["entropy", "--fn", "psi", "--seeds", "6,18,54", "--horizon", "60"],
@@ -74,7 +76,8 @@ def commands() -> list[list[str]]:
             ["min-open", "--fn", "phi", "--n", "3", "--scan-bound", "200000"],
             ["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar"],
             ["components", "--fn", "phi"], ["components", "--fn", "psi", "--bound", "300"],
-            ["separation", "--fn", "psi"], ["separation", "--fn", "phi", "--bound", "1000"],
+            ["verify-lemma", "separation", "--fn", "psi", "--bound", "1000"],
+            ["verify-lemma", "separation", "--fn", "phi", "--bound", "1000"],
             ["partition-demo"], ["partition-demo", "--mod", "3", "--bound", "100"],
             ["search", "--fn", "psi"],
             ["search", "--fn", "psi", "--max-start", "8", "--max-depth", "8",
@@ -87,7 +90,7 @@ def commands() -> list[list[str]]:
             ["verify-lemma", "phi-antiorbit", "--fn", "psi", "--bound", "7"],
             ["verify-lemma", "monotone-o-zero", "--depth", "9"],
             ["verify-lemma", "nonfinite-fibre", "--bound", "9"],
-            ["verify-lemma", "--list", "--families", "3"],
+            ["verify-lemma", "--families", "3"],
             ["verify-lemma", "phi-antiorbit", "--list"],
             ["table", "connectivity", "--families", "3"],
             ["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar",
