@@ -14,13 +14,13 @@ under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
 caps, one small run of every other subcommand (and one at its defaults
 where those are cheap), the separation lemma for psi and phi at bound
-1000, the phi tau-closure of 2 at the closure
-benchmark's scan bound and the one-node closure of 3 under a large one,
-the size refusals of `preimage`, `min-open` and `partition-demo`, the
-refusals of options a command does not read (among them a bound where
-fibres are complete, and `--families` on the lemma listing), of `--list`
-after a lemma id, of `--k`/`--l`, of the dropped function-name
-aliases, of an unknown subcommand and of a missing option.
+1000, the phi tau-closure of 2 at the closure benchmark's scan bound and
+the one-node closure of 3 under a large one, the size refusals of
+`preimage`, `min-open` and `partition-demo`, the refusals of options a
+command does not read (among them a bound where fibres are complete, and
+`--families` on the lemma listing), of `--list` after a lemma id, of
+`--k`/`--l`, of the dropped function-name aliases, of an unknown
+subcommand and of a missing option.
 """
 import contextlib
 import io

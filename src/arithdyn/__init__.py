@@ -14,7 +14,7 @@ from .dynamics import (
     generic_family_terms,
     ent_set_estimate, ent_cset_estimate, search_families,
 )
-from .preimage import inverse_phi, phi_bound, preimage_expansive
+from .preimage import inverse_phi, phi_bound
 from .reports import Counterexample, VerificationReport
 
 __version__ = "0.1.0"
@@ -28,6 +28,6 @@ __all__ = [
     "FamilySpec", "GenericFamilySpec", "Scheme", "family_terms",
     "verify_disjoint", "generic_family_terms", "ent_set_estimate", "ent_cset_estimate",
     "search_families",
-    "inverse_phi", "phi_bound", "preimage_expansive",
+    "inverse_phi", "phi_bound",
     "Counterexample", "VerificationReport",
 ]

@@ -168,22 +168,18 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
     fam, k = f.family, f.param
 
     if fam is Family.BIG_OMEGA or fam is Family.SMALL_OMEGA:
+        # one count per explicit prime (its exponent for Omega), then
+        # hi - lo + 1 per interval of consecutive primes
+        counts = [e if fam is Family.BIG_OMEGA else 1 for _, e in n.explicit]
+        counts += [nat_add(hi, 1 - lo) for lo, hi in n.intervals]
         total: Nat = 0
-        for _, e in n.explicit:
-            add = e if fam is Family.BIG_OMEGA else 1
-            if isinstance(add, DeferredValue):
+        for count in counts:
+            if isinstance(count, DeferredValue):
                 if not isinstance(total, int):
                     raise BudgetExceeded("cannot add two symbolic counts")
-                total = add.shift(total)
+                total = count.shift(total)
             else:
-                total = nat_add(total, add)
-        for lo, hi in n.intervals:
-            if isinstance(hi, DeferredValue):
-                if not isinstance(total, int):
-                    raise BudgetExceeded("cannot add two symbolic counts")
-                total = hi.shift(total - lo + 1)
-            else:
-                total = nat_add(total, hi - lo + 1)
+                total = nat_add(total, count)
         return total
 
     _require_no_intervals(f, n)

@@ -101,12 +101,6 @@ def _cmd_preimage(args, config) -> tuple[str, Any]:
     }
 
 
-def _cmd_inverse_phi(args, config) -> tuple[str, Any]:
-    result = pre.inverse_phi(args.m, config)
-    return "INFO", {"target": args.m, "members": list(result.members),
-                    "completeness": result.completeness}
-
-
 def _cmd_phi_bound(args, config) -> tuple[str, Any]:
     bound = pre.phi_bound(args.m, config)
     return "INFO", {"m": args.m, "bound": render_value(bound, config)}
@@ -184,12 +178,6 @@ def _cmd_components(args, config) -> tuple[str, Any]:
     return "INFO", tp.component_census(f, _positive(args, "bound"), config)
 
 
-def _cmd_separation(args, config) -> tuple[str, Any]:
-    f = af.parse_function(args.fn)
-    rep = tp.separation_check(f, _positive(args, "bound"), config)
-    return rep.status, rep.to_payload()
-
-
 def _cmd_partition_demo(args, config) -> tuple[str, Any]:
     blocks = tp.residue_partition(_positive(args, "mod"))
     result = tp.partition_map(blocks, _positive(args, "bound"))
@@ -237,8 +225,8 @@ def _positive(args, name: str, default: Optional[int] = None) -> Optional[int]:
 def _refuse_unread(args, name: str, unread) -> None:
     """Refuse (exit 2) the first option of `unread` that was given to
     `name`: an option it does not read is never shown as if used."""
-    for opt in unread:  # False: a store_true flag not given
-        if getattr(args, opt) is not None and getattr(args, opt) is not False:
+    for opt in unread:
+        if getattr(args, opt) is not None:
             raise ValueError(f"{name} does not read --{opt.replace('_', '-')}")
 
 
@@ -387,20 +375,20 @@ LEMMAS: dict[str, Lemma] = {
     "partition-example": Lemma("successor map on a partition has the blocks as components",
                                _partition_runner, reads=("bound",)),
 }
-# the verify-lemma options besides the id, --list first; an id refuses those
-# it does not read, the listing all but --list
-_LEMMA_OPTIONS = ("list", "families", "depth", "bound", "fn")
+# the verify-lemma options besides the id; an id refuses those it does not
+# read, the listing (no id) all of them
+_LEMMA_OPTIONS = ("families", "depth", "bound", "fn")
 
 
 def _cmd_verify_lemma(args, config) -> tuple[str, Any]:
     if args.lemma is None:
-        _refuse_unread(args, "the lemma listing", _LEMMA_OPTIONS[1:])
+        _refuse_unread(args, "the lemma listing", _LEMMA_OPTIONS)
         rows = [{"id": name, "description": lemma.description}
                 for name, lemma in LEMMAS.items()]
         return "INFO", {"lemmas": rows}
     lemma = LEMMAS.get(args.lemma)
     if lemma is None:
-        raise ValueError(f"unknown lemma id {args.lemma!r}; try verify-lemma --list")
+        raise ValueError(f"unknown lemma id {args.lemma!r}; bare verify-lemma lists the ids")
     _refuse_unread(args, args.lemma, [o for o in _LEMMA_OPTIONS if o not in lemma.reads])
     rep = lemma.run(args, config)
     return rep.status, rep.to_payload()
@@ -609,9 +597,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--bound", type=int, help="bounded-search cap for non-finite-fibre f")
 
-    p = add("inverse-phi", _cmd_inverse_phi, help="complete phi^-1(m)")
-    p.add_argument("--m", type=int, required=True)
-
     p = add("phi-bound", _cmd_phi_bound, help="the phi^-1 containment certificate")
     p.add_argument("--m", type=int, required=True)
 
@@ -628,7 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("verify-lemma", _cmd_verify_lemma, help="machine-check one claim")
     p.add_argument("lemma", nargs="?")
-    p.add_argument("--list", action="store_true")
     p.add_argument("--families", type=int)
     p.add_argument("--depth", type=int)
     p.add_argument("--bound", type=int)
@@ -654,10 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("components", _cmd_components, help="window component census")
     add_fn(p)
     p.add_argument("--bound", type=int, default=1000)
-
-    p = add("separation", _cmd_separation, help="{1} | N\\{1} disconnection check")
-    add_fn(p)
-    p.add_argument("--bound", type=int, default=10_000)
 
     p = add("partition-demo", _cmd_partition_demo,
             help="partition successor-map component check")

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
@@ -416,6 +416,8 @@ def _check_walk(seeds: Sequence[int], horizon: int) -> None:
         raise ValueError("horizon >= 1")
     if not seeds:
         raise ValueError("seed set must be nonempty")
+    if min(seeds) < 1:
+        raise ValueError(f"seeds are naturals >= 1, got {min(seeds)}")
 
 
 def _union_of_layers(layer: Collection, step: Callable[[Collection], Collection],
@@ -520,9 +522,7 @@ class SearchBudget:
 
 @dataclass(frozen=True)
 class CandidateFamily:
-    direction: str  # FORWARD (orbit) or BACKWARD (anti-orbit)
     values: tuple[int, ...]
-    label: str = "EXPERIMENTAL"
 
 
 def search_families(f: FunctionId, budget: SearchBudget = SearchBudget(),
@@ -531,17 +531,16 @@ def search_families(f: FunctionId, budget: SearchBudget = SearchBudget(),
     """Greedy hunt for disjoint orbit / anti-orbit prefixes.
 
     Results are labelled EXPERIMENTAL: a prefix of length max_depth is
-    evidence, never a verdict about the infinite quantities.
+    evidence, never a verdict about the infinite quantities.  Starts run
+    upward from 2; a start some earlier family holds is skipped, and a
+    chain of max_depth values avoiding every held value becomes a family.
     """
     if direction == FORWARD:
-        return _search_orbits(f, budget, config)
-    if direction == BACKWARD:
-        return _search_antiorbits(f, budget, config)
-    raise ValueError("direction is FORWARD or BACKWARD")
-
-
-def _search_orbits(f: FunctionId, budget: SearchBudget,
-                   config: ToolConfig) -> list[CandidateFamily]:
+        chain = partial(_orbit_chain, f, budget.max_depth, config)
+    elif direction == BACKWARD:
+        chain = _antiorbit_chain(f, budget, config)
+    else:
+        raise ValueError("direction is FORWARD or BACKWARD")
     used: set[int] = set()
     out: list[CandidateFamily] = []
     for start in range(2, budget.max_start + 1):
@@ -549,28 +548,32 @@ def _search_orbits(f: FunctionId, budget: SearchBudget,
             break
         if start in used:
             continue
-        seq = [start]
-        seen = {start}
-        orbit = forward_orbit(f, start, config)
-        ok = True
-        while len(seq) < budget.max_depth:
-            v = nat_resolve(next(orbit), config)
-            if v is OVERFLOW or v.bit_length() > SEARCH_VALUE_BITS:
-                ok = False
-                break
-            if v in seen or v in used:
-                ok = False
-                break
-            seq.append(v)
-            seen.add(v)
-        if ok and len(seq) == budget.max_depth:
-            out.append(CandidateFamily(FORWARD, tuple(seq)))
-            used.update(seq)
+        values = chain(start, used)
+        if values is not None:
+            out.append(CandidateFamily(tuple(values)))
+            used.update(values)
     return out
 
 
-def _search_antiorbits(f: FunctionId, budget: SearchBudget,
-                       config: ToolConfig) -> list[CandidateFamily]:
+def _orbit_chain(f: FunctionId, depth: int, config: ToolConfig, start: int,
+                 used: set[int]) -> Optional[list[int]]:
+    """The orbit prefix of `depth` values from start, or None when it
+    repeats a value, meets `used` or passes SEARCH_VALUE_BITS first."""
+    seq, seen = [start], {start}
+    orbit = forward_orbit(f, start, config)
+    while len(seq) < depth:
+        v = nat_resolve(next(orbit), config)
+        if v is OVERFLOW or v.bit_length() > SEARCH_VALUE_BITS or v in seen or v in used:
+            return None
+        seq.append(v)
+        seen.add(v)
+    return seq
+
+
+def _antiorbit_chain(f: FunctionId, budget: SearchBudget,
+                     config: ToolConfig) -> Callable[[int, set[int]], Optional[list[int]]]:
+    """chain(start, used): the first chain of max_depth fresh preimages
+    from start, depth first, or None; one fibre lookup serves every start."""
     fibre = fibres(f, budget.scan_bound, config).of
 
     def preimages(y: int) -> Sequence[int]:
@@ -579,34 +582,21 @@ def _search_antiorbits(f: FunctionId, budget: SearchBudget,
         except BudgetExceeded:  # phi past inverse_phi_budget
             return []
 
-    used: set[int] = set()
-    out: list[CandidateFamily] = []
-
-    def extend(start: int) -> Optional[list[int]]:
-        """The first chain of max_depth fresh preimages from start, depth
-        first; untried[i] iterates the untried preimages of chain[i]."""
-        chain, seen, untried = [start], {start}, []
-        while len(chain) < budget.max_depth:
-            if len(untried) < len(chain):
-                untried.append(iter(preimages(chain[-1])))
+    def chain(start: int, used: set[int]) -> Optional[list[int]]:
+        # untried[i] iterates the untried preimages of values[i]
+        values, seen, untried = [start], {start}, []
+        while len(values) < budget.max_depth:
+            if len(untried) < len(values):
+                untried.append(iter(preimages(values[-1])))
             x = next((x for x in untried[-1] if x not in seen and x not in used), None)
             if x is not None:
-                chain.append(x)
+                values.append(x)
                 seen.add(x)
                 continue
             untried.pop()
-            seen.discard(chain.pop())
-            if not chain:
+            seen.discard(values.pop())
+            if not values:
                 return None
-        return chain
+        return values
 
-    for start in range(2, budget.max_start + 1):
-        if len(out) >= budget.max_families:
-            break
-        if start in used:
-            continue
-        chain = extend(start)
-        if chain:
-            out.append(CandidateFamily(BACKWARD, tuple(chain)))
-            used.update(chain)
-    return out
+    return chain

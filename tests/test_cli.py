@@ -46,8 +46,9 @@ def test_preimage_routes():
 
 
 def test_inverse_phi_and_bound():
-    code, doc = run_json("inverse-phi", "--m", "1")
+    code, doc = run_json("preimage", "--fn", "phi", "--m", "1")
     assert doc["results"]["members"] == [1, 2]
+    assert doc["results"]["completeness"] == "COMPLETE"
     code, doc = run_json("phi-bound", "--m", "2")
     assert doc["results"]["bound"]["value"] == 36
 
@@ -106,11 +107,34 @@ def test_help_still_prints_usage(capsys):
 
 
 def test_verify_lemma_list_covers_registry():
-    code, doc = run_json("verify-lemma", "--list")
+    code, doc = run_json("verify-lemma")
     assert code == 0
     ids = {row["id"] for row in doc["results"]["lemmas"]}
     assert ids == set(cli.LEMMAS)
     assert len(ids) == 17
+
+
+def test_verify_lemma_reports_only_the_id_at_defaults():
+    # an option not given is not shown under `parameters`, flags included
+    for lemma in cli.LEMMAS:
+        code, doc = run_json("verify-lemma", lemma)
+        assert code == 0, lemma
+        assert doc["parameters"] == {"lemma": lemma}
+
+
+@pytest.mark.parametrize("argv", [
+    ["separation", "--fn", "psi", "--bound", "1000"],  # verify-lemma separation
+    ["inverse-phi", "--m", "4"],                      # preimage --fn phi
+    ["verify-lemma", "--list"],                       # bare verify-lemma
+    ["verify-lemma", "phi-antiorbit", "--list"],
+], ids=" ".join)
+def test_removed_spellings_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_verify_lemma_unknown_id():
@@ -238,10 +262,10 @@ def test_verify_lemma_refuses_options_it_does_not_read(capsys, lemma, option):
 
 
 @pytest.mark.parametrize("argv,message", [
-    (["verify-lemma", "--list", "--families", "3"], "the lemma listing does not read --families"),
+    (["verify-lemma", "--families", "3"], "the lemma listing does not read --families"),
     (["verify-lemma", "--bound", "9"], "the lemma listing does not read --bound"),
     (["verify-lemma", "--fn", "psi"], "the lemma listing does not read --fn"),
-    (["verify-lemma", "phi-antiorbit", "--list"], "phi-antiorbit does not read --list"),
+    (["verify-lemma", "--depth", "3"], "the lemma listing does not read --depth"),
     (["table", "connectivity", "--families", "3"], "table connectivity does not read --families"),
     (["table", "connectivity", "--depth", "3"], "table connectivity does not read --depth"),
     (["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar", "--scan-bound", "3"],
@@ -380,6 +404,17 @@ def test_entropy_commands():
     assert "ambient" in doc["results"]["note"]
 
 
+@pytest.mark.parametrize("command,seeds,horizon", [
+    ("centropy", "0,6", "1"), ("centropy", "0,6", "2"), ("centropy", "-1", "1"),
+    ("entropy", "0,6", "1"), ("entropy", "6,-1", "3"),
+])
+def test_entropy_commands_refuse_seeds_below_one(capsys, command, seeds, horizon):
+    code, out = run_cli(command, "--fn", "psi", "--seeds", seeds, "--horizon", horizon)
+    assert code == 2 and out == ""
+    bad = min(int(s) for s in seeds.split(","))
+    assert capsys.readouterr().err == f"error: seeds are naturals >= 1, got {bad}\n"
+
+
 def test_min_open_command():
     code, doc = run_json("min-open", "--fn", "psi", "--n", "12")
     assert doc["results"]["members"] == [2, 3, 4, 5, 6, 7, 8, 9, 11, 12]
@@ -389,9 +424,9 @@ def test_min_open_command():
 
 
 def test_separation_and_partition_commands():
-    code, doc = run_json("separation", "--fn", "psi", "--bound", "1000")
+    code, doc = run_json("verify-lemma", "separation", "--fn", "psi", "--bound", "1000")
     assert code == 0 and doc["status"] == "PASS"
-    code, doc = run_json("separation", "--fn", "phi", "--bound", "1000")
+    code, doc = run_json("verify-lemma", "separation", "--fn", "phi", "--bound", "1000")
     assert code == 1
     code, doc = run_json("partition-demo", "--mod", "2", "--bound", "100")
     assert doc["results"]["component_count"] == 2
@@ -594,7 +629,7 @@ def test_sieve_refusal_names_its_key(capsys):
 
 @pytest.mark.parametrize("key, config, argv", [
     ("prime_index_budget", {"prime_index_budget": 3}, ["verify-lemma", "smallomega-antiorbit"]),
-    ("inverse_phi_budget", {}, ["inverse-phi", "--m", "2000000"]),
+    ("inverse_phi_budget", {}, ["preimage", "--fn", "phi", "--m", "2000000"]),
     ("sieve_bound", {"sieve_bound": 100}, ["table", "connectivity", "--bound", "200"]),
     ("depth_cap_d_anti", {"depth_cap_d_anti": 3},
      ["verify-lemma", "d-antiorbit", "--families", "2", "--depth", "4"]),
@@ -615,13 +650,6 @@ def test_budget_refusal_names_its_key(tmp_path, capsys, key, config, argv):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.endswith(f" ({key})\n"), err
-
-
-def test_separation_refuses_non_positive_bound(capsys):
-    for value in ("0", "-3"):
-        code, out = run_cli("separation", "--fn", "psi", "--bound", value)
-        assert code == 2 and out == ""
-        assert f"--bound must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_preimage_inverter_method_and_sieve_independence():
