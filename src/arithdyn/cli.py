@@ -681,8 +681,7 @@ def run(argv=None, out=None) -> int:
     try:
         config = _load_config(args)
         status, results = args.handler(args, config)
-    except (BudgetExceeded, dy.MismatchedScheme, ComparisonUndecided,
-            ValueError, OSError) as exc:
+    except (BudgetExceeded, ComparisonUndecided, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     params = {k: v for k, v in vars(args).items()

@@ -21,8 +21,10 @@ class ToolConfig:
     bit_budget: int = 4_000_000
     # inverse_phi refuses targets above this.
     inverse_phi_budget: int = 1_000_000
-    # Scheme depth caps (defaults are where exact representation, possibly
-    # symbolic, is still meaningful).
+    # Scheme depth caps.  Symbolic links represent a tower term at any
+    # depth, but each tower term nests every earlier one, so a comparison
+    # recurses through the whole chain: d-anti 3x200 under raised caps
+    # still ends in RecursionError (ROADMAP item 1).
     depth_cap_phi_anti: int = 10_000
     depth_cap_d_anti: int = 5
     depth_cap_omega_anti: int = 5

@@ -24,9 +24,9 @@ Infinite orbit/anti-orbit numbers are never reported as infinite, only as
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
@@ -41,10 +41,6 @@ from .factorint import (
 )
 from .preimage import fibres, is_expansive_family, preimage_closure
 from .reports import Counterexample, VerificationReport
-
-
-class MismatchedScheme(Exception):
-    """The families handed to verify_disjoint mix schemes."""
 
 
 class Scheme(enum.Enum):
@@ -99,8 +95,15 @@ class FamilySpec:
 def family_terms(spec: FamilySpec, depth: int,
                  config: ToolConfig = DEFAULT_CONFIG) -> list[FactoredNatural]:
     """The first `depth` terms of the family, exact factored form, in a
-    new list on every call.  Tower terms (d, Omega, omega) are built once
-    per process and config, see _next_tower_term."""
+    new list on every call.
+
+    A tower term (d, Omega, omega) holds the value of the term before it
+    plus an offset (the link): an exponent for d and Omega, an interval
+    end for omega.  The link is an int only while the new term might
+    still fit the bit budget.  Otherwise it is a DeferredValue of the term
+    before plus the offset, and that term is never materialised: evaluate
+    returns the DeferredValue at the new term, so the recurrence is decided
+    by identity."""
     cap = scheme_depth_cap(spec.scheme, config)
     if not 1 <= depth <= cap:
         raise BudgetExceeded(
@@ -115,54 +118,31 @@ def family_terms(spec: FamilySpec, depth: int,
         return [FactoredNatural(((2, 2 ** (n + 1) * k + 2 ** n - 1), (3, 1)))
                 for n in range(1, depth + 1)]
 
-    term = None
-    terms = []
-    for _ in range(depth):
-        term = _next_tower_term(spec, term, config)
-        terms.append(term)
-    return terms
-
-
-@lru_cache(maxsize=1024)
-def _next_tower_term(spec: FamilySpec, prev: Optional[FactoredNatural],
-                     config: ToolConfig) -> FactoredNatural:
-    """The term after ``prev`` in a tower family, or its first term when
-    ``prev`` is None.
-
-    The next term's shape holds the value of ``prev`` plus an offset (the
-    link): an exponent for d and Omega, an interval end for omega.  The
-    link is an int only if the next term might still fit the bit budget.
-    Otherwise it is DeferredValue(prev, offset), and prev is never
-    materialised: evaluate returns that DeferredValue at the next term, so
-    the recurrence is decided by identity.
-
-    Memoised per process (bounded like ``arithfun._tail_factors``) on the
-    previous term: the terms of one (family, config) chain are built once,
-    so a repeated or deeper request reuses the term objects and the integer
-    values cached on them, and materialises nothing again."""
     p = spec.prime(config)
-    if prev is None:
-        return FactoredNatural(((p, 1),))
     if spec.scheme is Scheme.SMALL_OMEGA_ANTI:  # p * q_{j+1} * ... * q_{j + x_n - 1}
         j = prime_index(p, config)
         offset = j - 1
 
         def shape(link):
             return FactoredNatural(((p, 1),), ((j + 1, link),))
-    else:
+    else:  # p^(x_n - 1) for d, p^(x_n) for Omega
         offset = -1 if spec.scheme is Scheme.D_ANTI else 0
 
         def shape(link):
             return FactoredNatural(((p, link),))
-    deferred = DeferredValue(prev, offset)
-    try:
-        term = shape(deferred)
-        if _value_bitlen_lb(term) > config.bit_budget:
-            return term
-    except ValueError:  # a small prev cannot certify a nonempty interval
-        pass
-    value = to_integer(prev, config)
-    return shape(deferred if value is OVERFLOW else value + offset)
+    terms = [FactoredNatural(((p, 1),))]
+    while len(terms) < depth:
+        deferred = DeferredValue(terms[-1], offset)
+        try:
+            term = shape(deferred)
+            fits = _value_bitlen_lb(term) <= config.bit_budget
+        except ValueError:  # a small term cannot certify a nonempty interval
+            fits = True
+        if fits:
+            value = to_integer(terms[-1], config)
+            term = shape(deferred if value is OVERFLOW else value + offset)
+        terms.append(term)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +221,7 @@ def verify_disjoint(specs: Sequence[FamilySpec], depth: int,
         raise ValueError("need at least one family")
     scheme = specs[0].scheme
     if any(s.scheme is not scheme for s in specs):
-        raise MismatchedScheme("verify_disjoint needs a single scheme")
+        raise ValueError("verify_disjoint needs a single scheme")
     families = [(spec.index, family_terms(spec, depth, config)) for spec in specs]
     return _check_families(f"{scheme.value} x{len(specs)} depth {depth}",
                            scheme.function, scheme.anti, families, depth, config)
@@ -518,6 +498,11 @@ class SearchBudget:
     max_depth: int = 30
     max_families: int = 10
     scan_bound: int = 5000
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)

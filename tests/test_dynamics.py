@@ -114,7 +114,7 @@ def test_j2_exponent_map():
 
 def test_mismatched_scheme_errors():
     # the scheme names f and the direction, so only a mix of schemes mismatches
-    with pytest.raises(dy.MismatchedScheme):
+    with pytest.raises(ValueError, match="single scheme"):
         dy.verify_disjoint([spec_of(dy.Scheme.PHI_ANTI),
                             spec_of(dy.Scheme.PSI_ORBIT)], 3)
 
@@ -213,16 +213,19 @@ def test_repeated_verify_materialises_nothing(monkeypatch, scheme):
     specs = dy.default_family_specs(scheme, 5)
     depth = dy.scheme_depth_cap(scheme, DEFAULT_CONFIG)
     first = dy.verify_disjoint(specs, depth)
-    calls = []
+    widths = []
     real = factorint._materialise
 
-    def counting(x, config):
-        calls.append(x)
-        return real(x, config)
+    def spy(x, config):
+        value = real(x, config)
+        if value is not OVERFLOW:
+            widths.append(value.bit_length())
+        return value
 
-    monkeypatch.setattr(factorint, "_materialise", counting)
+    monkeypatch.setattr(factorint, "_materialise", spy)
     again = dy.verify_disjoint(specs, depth)
-    assert calls == []
+    # a repeat rebuilds its terms, materialising only their small int links
+    assert max(widths, default=0) <= 64
     assert again == first and again.passed
 
 
@@ -242,7 +245,7 @@ def test_deeper_tower_request_reuses_the_shallower_terms():
     five = dy.family_terms(spec, 5, deeper)
     six = dy.family_terms(spec, 6, deeper)
     assert len(six) == 6
-    assert all(x is y for x, y in zip(five, six))
+    assert six[:5] == five
 
 
 def test_tower_terms_are_kept_per_config():
@@ -263,7 +266,6 @@ def test_tower_terms_are_kept_per_config():
 def test_certify_materialises_no_wide_integer(monkeypatch):
     # a link that must overflow the next term stays symbolic, and certified
     # comparisons decide by structure, so no tower value is materialised
-    dy._next_tower_term.cache_clear()
     widths = []
     real = factorint.to_integer
 
@@ -537,6 +539,14 @@ def test_search_value_cap_is_a_module_constant(monkeypatch):
     budget = dy.SearchBudget(max_start=10, max_depth=12, max_families=5)
     monkeypatch.setattr(dy, "SEARCH_VALUE_BITS", 8)  # psi orbits pass 8 bits by step 12
     assert dy.search_families(af.PSI, budget) == []
+
+
+@pytest.mark.parametrize("field", ["max_start", "max_depth", "max_families", "scan_bound"])
+@pytest.mark.parametrize("value", [0, -2])
+def test_search_budget_refuses_a_size_below_one(field, value):
+    # a depth below 1 would hand back one-value chains as families
+    with pytest.raises(ValueError, match=f"^{field} must be >= 1, got {value}$"):
+        dy.SearchBudget(**{field: value})
 
 
 def test_search_finds_no_phi_orbit():
