@@ -18,6 +18,12 @@ def main() -> int:
     ap.add_argument("--max-depth", type=int, default=12)
     ap.add_argument("--max-families", type=int, default=8)
     args = ap.parse_args()
+    # a size below 1 is refused as the CLI's search refuses it, naming the flag
+    for flag, value in (("--max-start", args.max_start), ("--max-depth", args.max_depth),
+                        ("--max-families", args.max_families)):
+        if value < 1:
+            print(f"error: {flag} must be >= 1, got {value}", file=sys.stderr)
+            return 2
     budget = dy.SearchBudget(max_start=args.max_start, max_depth=args.max_depth,
                              max_families=args.max_families)
 

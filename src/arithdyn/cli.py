@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -546,7 +547,15 @@ def emit(report: Report, fmt: str, out=None) -> None:
 
 class _Parser(argparse.ArgumentParser):
     """A usage error is refused like any other: one `error: ...` line on
-    stderr, exit 2.  add_subparsers builds every subparser from this class."""
+    stderr, exit 2.  add_subparsers builds every subparser from this class.
+
+    A comma list that starts with a negative number ("-1,6") is read as an
+    option's value, as "-1" is, so `--seeds -1,6` reaches the seed refusal
+    instead of reading as a missing value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d+)*$|^-\d*\.\d+$")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

@@ -35,8 +35,8 @@ from .arithfun import (
     Value, evaluate, forward_orbit, monotone_profile, pointwise_lemma, scalar_value,
 )
 from .factorint import (
-    BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _value_bitlen_lb,
-    factorize, nat_resolve, nth_prime, pairwise_all_different, prime_factors,
+    BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _factored,
+    _value_bitlen_lb, factorize, nat_resolve, nth_prime, pairwise_all_different, prime_factors,
     prime_index, to_integer,
 )
 from .preimage import fibres, is_expansive_family, preimage_closure
@@ -110,12 +110,13 @@ def family_terms(spec: FamilySpec, depth: int,
             f"depth {depth} outside 1..{cap} for {spec.scheme.value} "
             f"({spec.scheme.cap_key})")
     k = spec.index
+    # the plain shapes 2^a * 3^b, a, b >= 1, are in normal form as written
     if spec.scheme is Scheme.PHI_ANTI:
-        return [FactoredNatural(((2, k), (3, n))) for n in range(1, depth + 1)]
+        return [_factored(((2, k), (3, n))) for n in range(1, depth + 1)]
     if spec.scheme is Scheme.PSI_ORBIT:
-        return [FactoredNatural(((2, n), (3, k))) for n in range(1, depth + 1)]
+        return [_factored(((2, n), (3, k))) for n in range(1, depth + 1)]
     if spec.scheme is Scheme.J2_ORBIT:
-        return [FactoredNatural(((2, 2 ** (n + 1) * k + 2 ** n - 1), (3, 1)))
+        return [_factored(((2, 2 ** (n + 1) * k + 2 ** n - 1), (3, 1)))
                 for n in range(1, depth + 1)]
 
     p = spec.prime(config)

@@ -28,7 +28,14 @@ Three rules keep certified comparisons cheap:
   unique factorization, so two plain values are equal exactly when their
   structures are, and :func:`pairwise_all_different` decides every
   plain-vs-plain pair by hashing, without materialising either value; it
-  compares other values only inside buckets of one smallest prime factor;
+  compares other values only inside buckets of one smallest prime factor.
+  That hash pass rests on one invariant of every FactoredNatural: its
+  explicit primes are strictly ascending (so each prime's exponents are
+  merged into one) and each is certified prime.  ``FactoredNatural(...)``
+  establishes it by checking, merging and sorting whatever it is given;
+  :func:`_factored` skips that work for callers whose tuples hold it by
+  construction (:func:`factorize`, ``arithfun.evaluate`` and
+  ``dynamics.family_terms``), and its docstring states the precondition;
 * each value is materialised at most once per object: :func:`to_integer`
   stores its result (the integer or ``OVERFLOW``) on the FactoredNatural,
   keyed by the budgets it depends on, so the cache lives and dies with the
@@ -424,11 +431,18 @@ _EXPAND_LIMIT = 512
 class FactoredNatural:
     """A positive integer in fully factored, normalized form.
 
-    ``explicit`` is a tuple of (prime, exponent) sorted by prime; exponents
-    are ints >= 1 or DeferredValue.  ``intervals`` is a tuple of
-    (lo_index, hi_index) prime-index ranges, pairwise disjoint, sorted by
-    lo, and disjoint from the indices of the explicit primes.  The number 1
-    is the empty factorization.
+    ``explicit`` is a tuple of (prime, exponent) with strictly ascending
+    primes, so each prime appears once with its exponents merged, and every
+    prime certified (in the fixed table of q_1..q_12, by is_prime, or by
+    _factor_int); exponents are ints >= 1 or DeferredValue.  ``intervals``
+    is a tuple of (lo_index, hi_index) prime-index ranges, pairwise
+    disjoint, sorted by lo, and disjoint from the indices of the explicit
+    primes.  The number 1 is the empty factorization.  Equal plain values
+    therefore have equal tuples and equal hashes, which is all
+    pairwise_all_different reads of them.
+
+    The constructor checks, merges and sorts its arguments; _factored
+    builds the same object from a tuple already in this form.
     """
 
     # _value caches to_integer as (bit_budget, prime_index_budget, result)
@@ -466,13 +480,8 @@ class FactoredNatural:
             else:
                 raise TypeError(f"bad exponent {e!r}")
 
-        self._hash = None
-        self._bitlen_lb = None
-        self._value = None
         if not intervals:
-            self.explicit = tuple(sorted(exp_map.items()))
-            self.intervals = ()
-            self.is_plain = plain
+            self._fill(tuple(sorted(exp_map.items())), (), plain)
             return
 
         ivals = sorted(intervals, key=lambda iv: iv[0] if isinstance(iv[0], int) else 0)
@@ -520,9 +529,17 @@ class FactoredNatural:
             if final_ivals and not _prime_outside_intervals(p, final_ivals, DEFAULT_CONFIG):
                 raise ValueError(f"prime {p} may fall inside an interval factor")
 
-        self.explicit = tuple(sorted(exp_map.items()))
-        self.intervals = tuple(final_ivals)
-        self.is_plain = plain and not final_ivals
+        self._fill(tuple(sorted(exp_map.items())), tuple(final_ivals),
+                   plain and not final_ivals)
+
+    def _fill(self, explicit: tuple, intervals: tuple, plain: bool) -> None:
+        """The one slot fill, shared by __init__ and _factored."""
+        self.explicit = explicit
+        self.intervals = intervals
+        self.is_plain = plain
+        self._hash = None
+        self._bitlen_lb = None
+        self._value = None
 
     # -- basics ----------------------------------------------------------
 
@@ -561,6 +578,22 @@ class FactoredNatural:
 ONE = FactoredNatural()
 
 
+def _factored(explicit: tuple[tuple[int, Nat], ...], plain: bool = True) -> FactoredNatural:
+    """A FactoredNatural with no intervals, filled without the checks of
+    __init__.  Precondition: `explicit` is a tuple of (prime, exponent)
+    with strictly ascending primes, so already merged; every prime is
+    certified (by an existing FactoredNatural, by _factor_int, or as the
+    literal 2 or 3); every exponent is an int >= 1 or a DeferredValue; and
+    `plain` is False exactly when some exponent is a DeferredValue.
+
+    Its only callers build such tuples by construction: factorize,
+    arithfun.evaluate's J_k, psi_k and phi_star branches, and
+    dynamics.family_terms for phi-anti, psi-orbit and j2-orbit."""
+    x = object.__new__(FactoredNatural)
+    x._fill(explicit, (), plain)
+    return x
+
+
 def prime_factors(n: int, config: ToolConfig = DEFAULT_CONFIG) -> list[tuple[int, int]]:
     """[(p, a), ...] by ascending prime with n = prod p^a, for 1 <= n < 2^128."""
     if not isinstance(n, int) or n < 1:
@@ -573,7 +606,7 @@ def prime_factors(n: int, config: ToolConfig = DEFAULT_CONFIG) -> list[tuple[int
 def factorize(n: int, config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:
     """Complete normalized factorization of 1 <= n < 2^128."""
     pps = prime_factors(n, config)
-    return FactoredNatural(pps) if pps else ONE
+    return _factored(tuple(pps)) if pps else ONE
 
 
 def _prod(values: list[int]) -> int:

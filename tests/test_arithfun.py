@@ -103,6 +103,44 @@ def test_symbolic_exponent_support():
         af.evaluate(af.sigma(1), t5)
 
 
+_PRIMES_TO_200 = [p for p in range(2, 201) if fi.is_prime(p)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([af.PHI, af.jordan(2), af.jordan(3), af.PSI, af.generalized_psi(2),
+                        af.generalized_psi(3), af.PHI_STAR]),
+       st.lists(st.tuples(st.sampled_from(_PRIMES_TO_200), st.integers(min_value=1, max_value=6)),
+                max_size=6),
+       st.randoms(use_true_random=False))
+def test_evaluate_returns_the_normal_form(f, parts, rng):
+    # pairwise_all_different decides plain pairs by hash alone, so an
+    # unsorted or unmerged value would certify two equal values as different
+    n = FactoredNatural(parts)
+    value = af.evaluate(f, n)
+    primes = [p for p, _ in value.explicit]
+    assert primes == sorted(set(primes))
+    assert all(type(e) is int and e >= 1 for _, e in value.explicit)
+    assert value.is_plain and value.intervals == ()
+    shuffled = list(value.explicit)
+    rng.shuffle(shuffled)
+    rebuilt = FactoredNatural(shuffled)
+    assert rebuilt == value and hash(rebuilt) == hash(value)
+    m = af.evaluate_int(f, n)
+    if m.bit_length() <= 128:
+        want = factorize(m)
+        assert want == value and hash(want) == hash(value)
+
+
+def test_evaluate_keeps_deferred_exponents_apart():
+    d = DeferredValue(FactoredNatural(((13, 13 ** 12 - 1),)), -1)
+    # phi(2^D * 3): the tail 3 - 1 = 2 meets 2's deferred exponent
+    with pytest.raises(ValueError, match="^cannot merge deferred exponents$"):
+        af.evaluate(af.PHI, FactoredNatural(((2, d), (3, 1))))
+    value = af.evaluate(af.PHI, FactoredNatural(((3, d),)))
+    assert not value.is_plain
+    assert value.explicit == ((2, 1), (3, d.shift(-1)))
+
+
 def test_sigma_overflow_guard():
     big = FactoredNatural(((2, 10 ** 7),))
     with pytest.raises(BudgetExceeded):

@@ -407,6 +407,8 @@ def test_entropy_commands():
 @pytest.mark.parametrize("command,seeds,horizon", [
     ("centropy", "0,6", "1"), ("centropy", "0,6", "2"), ("centropy", "-1", "1"),
     ("entropy", "0,6", "1"), ("entropy", "6,-1", "3"),
+    # a list that starts with a negative seed is the option's value too
+    ("entropy", "-1,6", "3"), ("centropy", "-1,6", "3"),
 ])
 def test_entropy_commands_refuse_seeds_below_one(capsys, command, seeds, horizon):
     code, out = run_cli(command, "--fn", "psi", "--seeds", seeds, "--horizon", horizon)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -120,3 +122,14 @@ def test_explore_open_problems_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.count("(EXPERIMENTAL)") == 4
     assert "Prefixes are evidence only; no claims are recorded." in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--max-start", "--max-depth", "--max-families"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_explore_open_problems_refuses_a_size_below_one(flag, value):
+    # refused before any search, as `arithdyn search` refuses it: exit 2 and
+    # one error line that names the flag
+    proc = run_script("explore_open_problems.py", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {flag} must be >= 1, got {value}\n"
