@@ -13,14 +13,15 @@ the six scheme claims at the benchmark's certify sizes, the tower claims
 under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
 caps, one small run of every other subcommand (and one at its defaults
-where those are cheap), the separation lemma for psi and phi at bound
-1000, the phi tau-closure of 2 at the closure benchmark's scan bound and
-the one-node closure of 3 under a large one, the size refusals of
-`preimage`, `min-open` and `partition-demo`, the refusals of options a
-command does not read (among them a bound where fibres are complete, and
-`--families` on the lemma listing), of `--list` after a lemma id, of
-`--k`/`--l`, of the dropped function-name aliases, of an unknown
-subcommand and of a missing option.
+where those are cheap), `eval` of every family at 720 and at 81 = 3^4,
+`preimage` of sigma_2, J_3 and psi_2, the separation lemma for psi and
+phi at bound 1000, the phi tau-closure of 2 at the closure benchmark's
+scan bound and the one-node closure of 3 under a large one, the size
+refusals of `preimage`, `min-open` and `partition-demo`, the refusals of
+options a command does not read (among them a bound where fibres are
+complete, and `--families` on the lemma listing), of `--list` after a
+lemma id, of `--k`/`--l`, of the dropped function-name aliases, of an
+unknown subcommand and of a missing option.
 """
 import contextlib
 import io
@@ -84,6 +85,14 @@ def commands() -> list[list[str]]:
              "--max-families", "2"],
             ["search", "--fn", "phi", "--direction", "backward", "--max-start", "10",
              "--max-depth", "4", "--max-families", "2"]]
+    # every catalogue family's closed form, at n = 720 and at a prime power,
+    # and the complete inverter of every expansive family
+    out += [["eval", "--fn", name, "--n", str(n)]
+            for name in ("J_3", "psi_2", "phi_star", "Omega", "omega", "d_3", "sigma_2")
+            for n in (720, 81)]
+    out += [["preimage", "--fn", "sigma_2", "--m", "50"],
+            ["preimage", "--fn", "J_3", "--m", "2394"],
+            ["preimage", "--fn", "psi_2", "--m", "50"]]
     out += [["partition-demo", "--mod", "0"], ["partition-demo", "--mod", "-2"],
             ["verify-lemma", "tau-subset", "--k", "3"],
             ["eval", "--fn", "J", "--k", "2", "--l", "5", "--n", "7"],
