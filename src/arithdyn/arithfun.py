@@ -35,27 +35,84 @@ from .factorint import (
 from .reports import Counterexample, VerificationReport
 
 
+# The prime-power closed forms of the catalogue: form(p, a, k, s) is f(p^a)
+# for the family's parameter k and the sign s of its at-prime tail
+# (Family.sign).  Each is written once; evaluate reads the two tail forms
+# in factored shape, the other readers call them on ints.
+
+
+def _tail_times_power(p: int, a: int, k: int, s: int) -> int:
+    """J_k (s = -1), psi_k (s = +1): (p^k + s) p^(k(a-1))."""
+    return (p ** k + s) * p ** (k * (a - 1))
+
+
+def _power_tail(p: int, a: int, k: None, s: int) -> int:
+    """phi_star (s = -1): p^a + s."""
+    return p ** a + s
+
+
+def _geometric(p: int, a: int, k: int, s: int) -> int:
+    """sigma_k (s = +1): 1 + p^k + ... + p^(ka) = (p^(k(a+1)) - 1) / (p^k - 1)."""
+    pk = p ** k
+    return (pk ** (a + 1) - 1) // (pk - 1)
+
+
+def _binomial(p: int, a: int, l: int, s: None) -> int:
+    """d_l: C(a + l - 1, l - 1), the ordered ways to write p^a as l factors."""
+    return comb(a + l - 1, l - 1)
+
+
+def _exponent(p: int, a: Nat, k: None, s: None) -> Nat:
+    """Omega: a."""
+    return a
+
+
+def _one(p: int, a: Nat, k: None, s: None) -> int:
+    """omega: 1."""
+    return 1
+
+
 class Family(enum.Enum):
-    JORDAN = "jordan"
-    GENERALIZED_PSI = "psi"
-    UNITARY_TOTIENT = "phi_star"
-    BIG_OMEGA = "Omega"
-    SMALL_OMEGA = "omega"
-    DIVISOR_COUNT = "d"
-    SIGMA = "sigma"
+    """A catalogue family.  The value is its name ("jordan"); each member
+    also carries its record, the one home of what a reader of the
+    catalogue needs to know about the family:
 
+    * spelling: str(f) is `prefix` for a family that takes no parameter,
+      and `prefix`_k otherwise, except that the parameter of `short`,
+      (k, name), reads name (phi = J_1, psi = psi_1, d = d_2);
+    * parameter rule: `least` is the least parameter, None for a family
+      that takes none;
+    * closed form: `form(p, a, k, sign)` is f(p^a); `sign` is the s of the
+      tail that f reads at a prime, f(p) = p^t + s (t = k for J_k, psi_k
+      and sigma_k, t = a = 1 for phi_star), and None for the counts d_l,
+      Omega and omega, whose value at a prime is one constant
+      (FunctionId.at_prime);
+    * classes: `factored` (evaluate keeps the value a FactoredNatural),
+      `additive` (f(mn) = f(m) + f(n) for coprime m, n > 1: Omega and
+      omega, whose tables start at 0), and `expansive_from`, the least
+      parameter from which f(n) >= n for every n (None: no parameter).
+      The kind of fibres and the target of the infinite fibre follow from
+      the at-prime form (FunctionId.infinite_fibre).
+    """
+    #                  value       prefix      short        least  form               sign  factored additive expansive_from
+    JORDAN =          ("jordan",   "J",        (1, "phi"),  1,     _tail_times_power, -1,   True,    False,   2)
+    GENERALIZED_PSI = ("psi",      "psi",      (1, "psi"),  1,     _tail_times_power, 1,    True,    False,   1)
+    UNITARY_TOTIENT = ("phi_star", "phi_star", None,        None,  _power_tail,       -1,   True,    False,   None)
+    BIG_OMEGA =       ("Omega",    "Omega",    None,        None,  _exponent,         None, False,   True,    None)
+    SMALL_OMEGA =     ("omega",    "omega",    None,        None,  _one,              None, False,   True,    None)
+    DIVISOR_COUNT =   ("d",        "d",        (2, "d"),    2,     _binomial,         None, False,   False,   None)
+    SIGMA =           ("sigma",    "sigma",    None,        1,     _geometric,        1,    False,   False,   1)
 
-_PARAMETRIC = {Family.JORDAN, Family.GENERALIZED_PSI, Family.DIVISOR_COUNT, Family.SIGMA}
-# Families whose values are naturally another factored natural.
-MULTIPLICATIVE_VALUE = {Family.JORDAN, Family.GENERALIZED_PSI, Family.UNITARY_TOTIENT}
-
-# The members bound once for the per-call paths (evaluate, scalar_value):
-# on CPython 3.11 a Family.X read costs about 110 ns and an enum hash, as in
-# `in MULTIPLICATIVE_VALUE`, about 90 ns.
-_JORDAN, _GENERALIZED_PSI, _UNITARY_TOTIENT = (
-    Family.JORDAN, Family.GENERALIZED_PSI, Family.UNITARY_TOTIENT)
-_BIG_OMEGA, _SMALL_OMEGA, _DIVISOR_COUNT = (
-    Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT)
+    def __new__(cls, value: str, prefix: str, short: Optional[tuple[int, str]],
+                least: Optional[int], form: Callable, sign: Optional[int],
+                factored: bool, additive: bool, expansive_from: Optional[int]):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.prefix, member.short, member.least = prefix, short, least
+        member.form, member.sign = form, sign
+        member.factored, member.additive = factored, additive
+        member.expansive_from = expansive_from
+        return member
 
 
 @dataclass(frozen=True)
@@ -64,29 +121,47 @@ class FunctionId:
     param: Optional[int] = None
 
     def __post_init__(self):
-        if self.family in _PARAMETRIC:
-            if self.param is None or self.param < 1:
-                raise ValueError(f"{self.family.value} needs a parameter >= 1")
-            if self.family is Family.DIVISOR_COUNT and self.param < 2:
-                raise ValueError("d_l needs l >= 2")
-        elif self.param is not None:
-            raise ValueError(f"{self.family.value} takes no parameter")
+        least = self.family.least
+        if least is None:
+            if self.param is not None:
+                raise ValueError(f"{self.family.value} takes no parameter")
+        elif self.param is None or self.param < 1:
+            raise ValueError(f"{self.family.value} needs a parameter >= 1")
+        elif self.param < least:
+            raise ValueError(f"{self.family.prefix}_l needs l >= {least}")
 
     def __str__(self):
-        f, k = self.family, self.param
-        if f is Family.JORDAN:
-            return "phi" if k == 1 else f"J_{k}"
-        if f is Family.GENERALIZED_PSI:
-            return "psi" if k == 1 else f"psi_{k}"
-        if f is Family.UNITARY_TOTIENT:
-            return "phi_star"
-        if f is Family.BIG_OMEGA:
-            return "Omega"
-        if f is Family.SMALL_OMEGA:
-            return "omega"
-        if f is Family.DIVISOR_COUNT:
-            return "d" if k == 2 else f"d_{k}"
-        return f"sigma_{k}"
+        fam, k = self.family, self.param
+        if k is None:
+            return fam.prefix
+        if fam.short is not None and fam.short[0] == k:
+            return fam.short[1]
+        return f"{fam.prefix}_{k}"
+
+    @property
+    def at_prime(self) -> tuple[int, int]:
+        """(t, s) with f(p) = p^t + s at every prime p: the tail (t = k, or
+        t = 1 for phi_star, which takes no parameter) or, for the counts,
+        t = 0 and s one less than their value at every prime, f(2)."""
+        fam, k = self.family, self.param
+        if fam.sign is None:
+            return 0, fam.form(2, 1, k, None) - 1
+        return (1 if k is None else k), fam.sign
+
+    @property
+    def infinite_fibre(self) -> Optional[int]:
+        """The target whose fibre holds every prime, for the counts (f is
+        constant on the primes), or None: the other families' fibres are
+        finite, and preimage inverts them by solving the at-prime tail
+        backwards."""
+        t, s = self.at_prime
+        return 1 + s if t == 0 else None
+
+    @property
+    def expansive(self) -> bool:
+        """f(n) >= n for every n, so every fibre f^-1(m) lies in 1..m."""
+        least = self.family.expansive_from
+        return least is not None and self.param >= least
 
 
 def jordan(k: int) -> FunctionId:
@@ -120,17 +195,20 @@ SIGMA1 = sigma(1)
 
 def parse_function(text: str) -> FunctionId:
     """Parse str(f) for every catalogue f (phi, psi, phi_star, Omega, omega,
-    d, J_k, psi_k, d_l, sigma_l), and J_1, psi_1 and d_2."""
-    t = text.strip()
-    plain = {"phi": PHI, "psi": PSI, "d": D, "phi_star": PHI_STAR,
-             "Omega": BIG_OMEGA, "omega": SMALL_OMEGA}
-    if t in plain:
-        return plain[t]
-    for prefix, builder in (("J", jordan), ("psi", generalized_psi),
-                            ("d", divisor_count), ("sigma", sigma)):
-        head, sep, tail = t.partition("_")
-        if head == prefix and sep and tail.isdigit():
-            return builder(int(tail))
+    d, J_k, psi_k, d_l, sigma_l), and J_1, psi_1 and d_2: the name of a
+    family that takes no parameter, a short name, or a prefix, "_" and the
+    parameter in ASCII digits without a leading zero.  Any other spelling
+    is refused."""
+    head, sep, tail = text.partition("_")
+    for fam in Family:
+        if fam.least is None:
+            if text == fam.prefix:
+                return FunctionId(fam)
+        elif fam.short is not None and text == fam.short[1]:
+            return FunctionId(fam, fam.short[0])
+        elif head == fam.prefix and sep and tail.isascii() and tail.isdigit() \
+                and str(int(tail)) == tail:
+            return FunctionId(fam, int(tail))
     raise ValueError(f"unknown function id {text!r}")
 
 
@@ -175,14 +253,15 @@ def _merge(parts: list[tuple[int, Nat]], plain: bool) -> FactoredNatural:
 
 def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
              config: ToolConfig = DEFAULT_CONFIG) -> Value:
-    """Exact value of f at n via multiplicative closed forms.
+    """Exact value of f at n via its record's closed form (Family.form).
 
-    Multiplicative families return a FactoredNatural; Omega/omega/d_l/sigma_l
-    return a plain natural (possibly a DeferredValue when the input carries
-    symbolic exponents).  Interval factors are only understood by Omega and
-    omega.
+    The factored families (J_k, psi_k, phi_star) return a FactoredNatural;
+    Omega/omega/d_l/sigma_l return a plain natural (possibly a DeferredValue
+    when the input carries symbolic exponents).  Interval factors are only
+    understood by Omega and omega.
 
-    The multiplicative branches (J_k, psi_k, phi_star) merge once: the
+    The two tail forms are read in factored shape: J_k and psi_k give
+    p^(k(e-1)) and the factors of p^k + s, phi_star those of p^e + s.  The
     input's own exponents and the cached factorisations of its tails go
     into one dict, sorted once into the normal form (_merge), so the value
     is never re-checked or re-sorted by FactoredNatural.__init__.
@@ -191,12 +270,13 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
         n = factorize(n, config)
     fam, k = f.family, f.param
     if not n.explicit and not n.intervals:
-        return ONE if fam is _JORDAN or fam is _GENERALIZED_PSI or fam is _UNITARY_TOTIENT else 1
+        return ONE if fam.factored else 1
+    form = fam.form
 
-    if fam is _BIG_OMEGA or fam is _SMALL_OMEGA:
+    if form is _exponent or form is _one:
         # one count per explicit prime (its exponent for Omega), then
         # hi - lo + 1 per interval of consecutive primes
-        counts = [e for _, e in n.explicit] if fam is _BIG_OMEGA else [1] * len(n.explicit)
+        counts = [e for _, e in n.explicit] if form is _exponent else [1] * len(n.explicit)
         counts += [nat_add(hi, 1 - lo) for lo, hi in n.intervals]
         total: Nat = 0
         for count in counts:
@@ -211,8 +291,8 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
     if n.intervals:
         raise ValueError(f"{f} does not evaluate on interval factors")
 
-    if fam is _JORDAN or fam is _GENERALIZED_PSI:
-        sign = -1 if fam is _JORDAN else 1
+    if form is _tail_times_power:  # J_k, psi_k: (p^k + s) p^(k(e-1))
+        sign = fam.sign
         parts: list[tuple[int, Nat]] = []
         for p, e in n.explicit:
             if isinstance(e, int):
@@ -220,22 +300,23 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
                     parts.append((p, k * (e - 1)))
             else:
                 parts.append((p, _nat_scale(e, k, k)))  # k*(e-1)
-            parts.extend(_tail_factors(pow(p, k) + sign))  # J_k: p^k - 1, psi_k: p^k + 1
+            parts.extend(_tail_factors(pow(p, k) + sign))
         # only the input's own exponents can be deferred, and each one is
         # kept, so the value is plain exactly when n is
         return _merge(parts, n.is_plain)
 
-    if fam is _UNITARY_TOTIENT:
+    if form is _power_tail:  # phi_star: p^e + s
+        sign = fam.sign
         parts = []
         for p, e in n.explicit:
             if not isinstance(e, int):
                 raise BudgetExceeded("phi_star needs explicit exponents")
             if e * p.bit_length() > 140:
                 raise BudgetExceeded(f"phi_star factor {p}^{e}-1 too large to factor")
-            parts.extend(_tail_factors(pow(p, e) - 1))
+            parts.extend(_tail_factors(pow(p, e) + sign))
         return _merge(parts, True)
 
-    if fam is _DIVISOR_COUNT:
+    if form is _binomial:
         deferred = [e for _, e in n.explicit if isinstance(e, DeferredValue)]
         if deferred:
             if k == 2 and len(n.explicit) == 1:
@@ -265,8 +346,8 @@ def forward_orbit(f: FunctionId, x: Union[int, FactoredNatural],
                   config: ToolConfig = DEFAULT_CONFIG) -> Iterator[Value]:
     """The iterates f(x), f(f(x)), ... in the form evaluate returns them.
 
-    Each iterate is fed back as it came: the MULTIPLICATIVE_VALUE families
-    stay factored, so a step factorises only the small tails p^k -+ 1 and
+    Each iterate is fed back as it came: the factored families (Family.
+    factored) stay factored, so a step factorises only the small tails p^k -+ 1 and
     never an iterate; an int iterate (Omega, omega, d_l, sigma_l) is
     factorised once, when the iterate after it is asked for.
     """
@@ -295,33 +376,18 @@ def orbit_values(f: FunctionId, x: int,
 
 
 def scalar_value(f: FunctionId, pps: list[tuple[int, int]]) -> int:
-    """f over a small prime-power decomposition, plain ints only."""
+    """f over a small prime-power decomposition, plain ints only: the
+    product of the closed form (Family.form) at each prime power, or
+    their sum for the additive Omega and omega."""
     if not pps:
         return 1
     fam, k = f.family, f.param
+    form, sign = fam.form, fam.sign
+    if fam.additive:
+        return sum([form(p, a, k, sign) for p, a in pps])
     out = 1
-    if fam is _JORDAN:
-        for p, a in pps:
-            pk = pow(p, k)
-            out *= (pk - 1) * pk ** (a - 1)
-    elif fam is _GENERALIZED_PSI:
-        for p, a in pps:
-            pk = pow(p, k)
-            out *= (pk + 1) * pk ** (a - 1)
-    elif fam is _UNITARY_TOTIENT:
-        for p, a in pps:
-            out *= pow(p, a) - 1
-    elif fam is _BIG_OMEGA:
-        out = sum(a for _, a in pps)
-    elif fam is _SMALL_OMEGA:
-        out = len(pps)
-    elif fam is _DIVISOR_COUNT:
-        for _, a in pps:
-            out *= comb(a + k - 1, k - 1)
-    else:
-        for p, a in pps:
-            pk = pow(p, k)
-            out *= (pow(pk, a + 1) - 1) // (pk - 1)
+    for p, a in pps:
+        out *= form(p, a, k, sign)
     return out
 
 
@@ -359,7 +425,7 @@ def value_table(f: FunctionId, bound: int,
     """
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
-    additive = f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA)
+    additive = f.family.additive
     table = [0 if additive else 1] * (bound + 1)
     if bound >= 1:
         half = bound // 2
@@ -392,11 +458,12 @@ def prime_power_values(f: FunctionId, bound: int,
     ascending order, each prime p followed by its powers p^2, p^3, ...
     <= bound (so not in order of q).
 
-    At a prime every family is one term, evaluated in one pass over
-    primes_upto(bound): J_k(p) = p^k - 1, psi_k(p) = sigma_k(p) = p^k + 1,
-    phi_star(p) = p - 1, d_l(p) = l and Omega(p) = omega(p) = 1.  Only the
-    higher powers, whose primes are <= sqrt(bound), go through
-    scalar_value.
+    At a prime every family is one term, f(p) = p^t + s
+    (FunctionId.at_prime), evaluated in one pass over primes_upto(bound):
+    J_k(p) = p^k - 1, psi_k(p) = sigma_k(p) = p^k + 1, phi_star(p) = p - 1,
+    and the constant d_l(p) = l and Omega(p) = omega(p) = 1.  Only the
+    higher powers, whose primes are <= sqrt(bound), call the closed form
+    (Family.form), one call each.
 
     The pointwise hypotheses below (f against the identity, psi_k * J_k =
     J_2k) are decided on these values alone.  Write n >= 2 as a product of
@@ -422,21 +489,15 @@ def prime_power_values(f: FunctionId, bound: int,
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
     primes = primes_upto(bound, config)
-    fam, k = f.family, f.param
-    if fam is Family.JORDAN:
-        values = [p ** k - 1 for p in primes]
-    elif fam is Family.GENERALIZED_PSI or fam is Family.SIGMA:
-        values = [p ** k + 1 for p in primes]
-    elif fam is Family.UNITARY_TOTIENT:
-        values = [p - 1 for p in primes]
-    else:
-        values = [k if fam is Family.DIVISOR_COUNT else 1] * len(primes)
+    t, s = f.at_prime
+    values = [p ** t + s for p in primes] if t else [1 + s] * len(primes)
+    form, k, sign = f.family.form, f.param, f.family.sign
     rows = zip(primes, values)
     for p, v in islice(rows, bisect_right(primes, isqrt(bound))):
         yield p, v
         q, a = p * p, 2
         while q <= bound:
-            yield q, scalar_value(f, [(p, a)])
+            yield q, form(p, a, k, sign)
             q *= p
             a += 1
     yield from rows

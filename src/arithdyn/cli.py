@@ -164,7 +164,7 @@ def _cmd_min_open(args, config) -> tuple[str, Any]:
         mos = tp.min_open_forward(f, args.n, config=config)
     else:
         scan_bound = _positive(args, "scan_bound")
-        if pre.is_expansive_family(f):  # the closure stays inside {1..n}
+        if f.expansive:  # the closure stays inside {1..n}
             _refuse_unread(args, f"min-open --fn {args.fn}", ("scan_bound",))
         mos = tp.min_open_backward(f, args.n, scan_bound, config)
     return "INFO", {
@@ -290,7 +290,8 @@ def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
 
 def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
     count = _positive(args, "families", 100)
-    for f, target in ((af.SMALL_OMEGA, 1), (af.BIG_OMEGA, 1), (af.D, 2)):
+    for f in (af.SMALL_OMEGA, af.BIG_OMEGA, af.D):
+        target = f.infinite_fibre
         witnesses = pre.nonfinite_fibre_witness(f, target, count, config)
         for p in witnesses:
             got = af.evaluate(f, factorize(p, config), config)

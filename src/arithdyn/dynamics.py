@@ -31,15 +31,15 @@ from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
-    BIG_OMEGA, D, FunctionId, J2, MULTIPLICATIVE_VALUE, PHI, PSI, SMALL_OMEGA,
-    Value, evaluate, forward_orbit, monotone_profile, pointwise_lemma, scalar_value,
+    BIG_OMEGA, D, FunctionId, J2, PHI, PSI, SMALL_OMEGA, Value, evaluate, forward_orbit,
+    monotone_profile, pointwise_lemma, scalar_value,
 )
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _factored,
     _value_bitlen_lb, factorize, nat_resolve, nth_prime, pairwise_all_different, prime_factors,
     prime_index, to_integer,
 )
-from .preimage import fibres, is_expansive_family, preimage_closure
+from .preimage import fibres, preimage_closure
 from .reports import Counterexample, VerificationReport
 
 
@@ -425,7 +425,7 @@ def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
     first: dict[Value, None] = {}
     for s in seeds:
         x = factorize(s, config)
-        first[x if f.family in MULTIPLICATIVE_VALUE else s] = None
+        first[x if f.family.factored else s] = None
 
     def step(layer: dict[Value, None]) -> dict[Value, None]:
         nxt: dict[Value, None] = {}
@@ -449,7 +449,7 @@ def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
     """Preimage analogue over ambient N (or the surjective core when
     expansiveness makes core membership decidable)."""
     _check_walk(seeds, horizon)
-    if mode == CORE and not is_expansive_family(f):
+    if mode == CORE and not f.expansive:
         raise ValueError("CORE mode needs a verified expansive function")
 
     def kept(xs: Iterable[int]) -> set[int]:
@@ -474,7 +474,7 @@ def surjective_core_membership(f: FunctionId, x: int,
     <= x), and arbitrarily deep ancestry exists exactly when the tree
     contains a fixed point.
     """
-    if not is_expansive_family(f):
+    if not f.expansive:
         raise ValueError(f"core membership needs an expansive f, not {f}")
     if x < 1:
         raise ValueError("x >= 1")

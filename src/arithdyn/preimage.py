@@ -71,18 +71,9 @@ class PreimageResult:
             raise ValueError("members must be sorted and duplicate-free")
 
 
-def is_expansive_family(f: FunctionId) -> bool:
-    """Families with f(n) >= n for all n (so fibres live in {1..m})."""
-    if f.family in (Family.GENERALIZED_PSI, Family.SIGMA):
-        return True
-    return f.family is Family.JORDAN and f.param >= 2
-
-
 # ---------------------------------------------------------------------------
 # the divisor-driven inverter
 
-_INVERTIBLE = (Family.JORDAN, Family.GENERALIZED_PSI, Family.SIGMA,
-               Family.UNITARY_TOTIENT)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 
 
@@ -137,56 +128,59 @@ def _divisors(m: int, config: ToolConfig) -> list[int]:
 
 def _candidates(f: FunctionId, m: int, config: ToolConfig) -> list[list[tuple[int, int]]]:
     """For every prime p with some f(p^a) | m, the list [(f(p^a), p^a), ...]
-    of those powers, ascending in a.
+    of those powers, ascending in a.  A divisor d of m is solved against
+    f's at-prime tail f(p) = p^t + s (FunctionId.at_prime), and the values
+    at higher powers come from f's closed form (Family.form):
 
-    * J_k, psi_k: f(p) = p^k -+ 1 is a divisor d, and f(p^a) = f(p) p^(k(a-1));
-    * phi_star: f(p^a) = p^a - 1, so p^a = d + 1;
-    * sigma_k: f(p^a) = 1 + p^k + ... + p^(ka).  For a = 1, p^k = d - 1.
+    * J_k, psi_k: p^k = d - s, and f(p^a) = d p^(k(a-1));
+    * phi_star: the tail is every f(p^a) = p^a + s, so p^a = d - s;
+    * sigma_k: f(p^a) = 1 + p^k + ... + p^(ka).  For a = 1, p^k = d - s.
       For a >= 2, p^(ka) < d - 1 < (p+1)^(ka) leaves p = floor((d -
       1)^(1/(ka))) as the only candidate; primes up to 31 are instead
       walked through their powers directly, so the roots are only taken
       while 37^(ka) < d.
     """
     fam, k = f.family, f.param
+    t, s = f.at_prime
+    form = fam.form
     divisors = _divisors(m, config)
     by_prime: dict[int, list[tuple[int, int]]] = {}
     if fam is Family.UNITARY_TOTIENT:
         for d in divisors:
-            pa = _as_prime_power(d + 1)
+            pa = _as_prime_power(d - s)
             if pa is not None:
-                by_prime.setdefault(pa[0], []).append((d, d + 1))
+                by_prime.setdefault(pa[0], []).append((d, d - s))
     elif fam is Family.SIGMA:
         for d in divisors:
-            p = _prime_root(d - 1, k)
+            p = _prime_root(d - s, t)
             if p is not None:
                 by_prime.setdefault(p, []).append((d, p))
             a = 2
-            while 37 ** (k * a) < d:
-                p = _iroot(d - 1, k * a)
-                pk = p ** k
-                if (pk ** (a + 1) - 1) // (pk - 1) == d and is_prime(p):
+            while 37 ** (t * a) < d:
+                p = _iroot(d - 1, t * a)
+                if form(p, a, k, s) == d and is_prime(p):
                     by_prime.setdefault(p, []).append((d, p ** a))
                 a += 1
         for p in _SMALL_PRIMES:
-            pk = p ** k
-            value, pw = 1 + pk + pk * pk, p * p
+            a, value = 2, form(p, 2, k, s)
             if value > m:
                 break
             while value <= m:
                 if m % value == 0:
-                    by_prime.setdefault(p, []).append((value, pw))
-                value, pw = value * pk + 1, pw * p
+                    by_prime.setdefault(p, []).append((value, p ** a))
+                a += 1
+                value = form(p, a, k, s)
     else:
-        sign = 1 if fam is Family.JORDAN else -1
         for d in divisors:
-            p = _prime_root(d + sign, k)
+            p = _prime_root(d - s, t)
             if p is None:
                 continue
             powers = by_prime[p] = []
-            value, pw = d, p
+            a, value = 1, d
             while m % value == 0:
-                powers.append((value, pw))
-                value, pw = value * (d + sign), pw * p
+                powers.append((value, p ** a))
+                a += 1
+                value = form(p, a, k, s)
     return [sorted(powers) for powers in by_prime.values()]
 
 
@@ -235,7 +229,7 @@ def preimage_expansive(f: FunctionId, m: int,
     """Complete fibre f^-1(m) for expansive f, by scanning 1..m.
 
     Kept as the reference the inverter is tested against."""
-    if not is_expansive_family(f):
+    if not f.expansive:
         raise NotExpansive(f"{f} is not in the expansive set")
     if m < 1:
         raise ValueError("m >= 1")
@@ -253,11 +247,13 @@ def preimage_bounded(f: FunctionId, m: int, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> PreimageResult:
     """Members of f^-1(m) found below `bound`; never claimed complete.
 
-    Multiplicative families go through the inverter; Omega, omega and d_l
-    scan 1..bound."""
+    Families with finite fibres go through the inverter; Omega, omega and
+    d_l scan 1..bound."""
     if bound < 1:
         raise ValueError("bound >= 1")
-    if f.family in _INVERTIBLE:
+    if m < 1:
+        raise ValueError("m >= 1")
+    if f.infinite_fibre is None:
         return PreimageResult(m, _invert(f, m, bound, config), BOUNDED_SEARCH, bound)
     table = value_table(f, bound, config)
     members = tuple(n for n in range(1, bound + 1) if table[n] == m)
@@ -286,12 +282,9 @@ def inverse_phi(m: int, config: ToolConfig = DEFAULT_CONFIG) -> PreimageResult:
 def nonfinite_fibre_witness(f: FunctionId, target: int, count: int,
                             config: ToolConfig = DEFAULT_CONFIG) -> list[int]:
     """`count` distinct fibre members certifying f^-1(target) beats any
-    finite bound: all primes sit in omega^-1(1), Omega^-1(1) and d_k^-1(k)."""
-    expected = {
-        Family.BIG_OMEGA: 1,
-        Family.SMALL_OMEGA: 1,
-        Family.DIVISOR_COUNT: f.param,
-    }.get(f.family)
+    finite bound: all primes sit in omega^-1(1), Omega^-1(1) and d_k^-1(k)
+    (FunctionId.infinite_fibre)."""
+    expected = f.infinite_fibre
     if expected is None:
         raise NotFiniteFibre(f"{f} has no catalogued infinite fibre")
     if target != expected:
@@ -409,7 +402,8 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
     then it builds one table of every fibre phi^-1(y), y <= top, and reads
     from it (`_phi_fibres`).  Without a bound it never builds the table.
     Omega, omega and d_l read one fibre table of 1..bound, built here once,
-    so a lookup is a dict lookup.  Without a bound they, and phi_star,
+    so a lookup is a dict lookup; a target below 1 is refused, as the
+    inverters refuse it.  Without a bound they, and phi_star,
     raise NotFiniteFibre.  A bound below 1 is refused for every f.  Each
     table belongs to the lookup returned; none is kept for the process.
     """
@@ -418,17 +412,21 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
     if f == PHI:
         return Fibres(_phi_fibres(bound, config), COMPLETE, None,
                       "divisor-driven inverse totient")
-    if is_expansive_family(f):
+    if f.expansive:
         return Fibres(lambda y: _invert(f, y, None, config), COMPLETE, None,
                       "divisor-driven inversion (complete)")
     if bound is None:
         raise NotFiniteFibre(f"{f} admits no complete enumeration without a bound")
-    if f.family in _INVERTIBLE:  # phi_star
+    if f.infinite_fibre is None:  # phi_star
         return Fibres(lambda y: _invert(f, y, bound, config), BOUNDED_SEARCH, bound,
                       f"divisor-driven inversion, members <= {bound}")
     table = fibre_table(f, bound, config)
-    return Fibres(lambda y: table.get(y, ()), BOUNDED_SEARCH, bound,
-                  f"bounded scan of 1..{bound}")
+
+    def of(y: int) -> list[int]:
+        if y < 1:
+            raise ValueError("m >= 1")
+        return table.get(y, ())
+    return Fibres(of, BOUNDED_SEARCH, bound, f"bounded scan of 1..{bound}")
 
 
 def preimage_closure(f: FunctionId, x: int, scan_bound: Optional[int] = None,

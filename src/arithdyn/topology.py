@@ -14,12 +14,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
-from .arithfun import (
-    Family, FunctionId, orbit_values, pointwise_lemma, value_table,
-)
-from .preimage import (
-    BOUNDED_SEARCH, NotFiniteFibre, fibres, is_expansive_family, preimage_closure,
-)
+from .arithfun import FunctionId, orbit_values, pointwise_lemma, value_table
+from .preimage import BOUNDED_SEARCH, NotFiniteFibre, fibres, preimage_closure
 from .reports import Counterexample, VerificationReport
 
 TAU = "TAU"
@@ -81,9 +77,9 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
         raise ValueError("x >= 1")
     if scan_bound is not None and scan_bound < 1:
         raise ValueError("scan_bound >= 1")
-    if f.family in (Family.BIG_OMEGA, Family.SMALL_OMEGA, Family.DIVISOR_COUNT):
+    if f.infinite_fibre is not None:
         raise NotFiniteFibre(f"{f} is not finite fibre; no complete closure exists")
-    if is_expansive_family(f):  # f(n) >= n keeps the closure inside {1..x}
+    if f.expansive:  # f(n) >= n keeps the closure inside {1..x}
         closure = preimage_closure(f, x, None, config)
         return MinimalOpenSet(x, TAU, tuple(sorted(closure)), COMPLETE)
     if scan_bound is None:
@@ -151,10 +147,10 @@ def verify_tau_subset(f: FunctionId, bound: int,
     The conclusion follows by induction along the preimages: a preimage x
     of y <= k has x <= f(x) = y <= k, so every iterated preimage of k lies
     inside 1..k.  That needs f(x) >= x for every x, including x above the
-    bound, so f must be an expansive family (preimage.is_expansive_family);
+    bound, so f must be an expansive family (FunctionId.expansive);
     any other f is refused.
     """
-    if not is_expansive_family(f):
+    if not f.expansive:
         raise ValueError(f"tau-subset check needs an expansive f, not {f}")
     return pointwise_lemma(
         f"tau-subset {f}", f, bound, ">=",

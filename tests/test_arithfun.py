@@ -342,7 +342,7 @@ def test_forward_orbit_equals_int_iteration(f, x):
             assert str(raw_exc.value) == str(values_exc.value) == msg
             break
         got = next(raw)
-        if f.family in af.MULTIPLICATIVE_VALUE:
+        if f.family.factored:
             assert isinstance(got, FactoredNatural) and to_integer(got) == want
         else:
             assert got == want
@@ -464,7 +464,7 @@ def test_prime_power_decisions_match_a_full_table_scan(f, bound):
         None if ge is None else (ge[0], f">= {ge[0]}", ge[1]))
     assert _failure_fields(tp.verify_taubar_subset(f, bound)) == (
         None if le is None else (le[0], f"<= {le[0]}", le[1]))
-    if pre.is_expansive_family(f):
+    if f.expansive:
         assert _failure_fields(tp.verify_tau_subset(f, bound)) == (
             None if ge is None else (ge[0], f">= {ge[0]}", ge[1]))
 

@@ -142,7 +142,7 @@ def test_result_validation():
 
 INVERTIBLE = ("phi", "J_2", "J_3", "psi", "psi_2", "psi_3", "sigma_1",
               "sigma_2", "phi_star")
-EXPANSIVE = [name for name in INVERTIBLE if pre.is_expansive_family(af.parse_function(name))]
+EXPANSIVE = [name for name in INVERTIBLE if af.parse_function(name).expansive]
 SCAN = 20_000
 
 
@@ -207,7 +207,7 @@ POLICY_BOUND = 2000
 @pytest.mark.parametrize("name", CATALOGUE)
 def test_fibre_policy(name):
     f = af.parse_function(name)
-    complete = f == af.PHI or pre.is_expansive_family(f)
+    complete = f == af.PHI or f.expansive
     fib = pre.fibres(f, POLICY_BOUND)
     if complete:
         assert fib.completeness == pre.COMPLETE and fib.search_bound is None
