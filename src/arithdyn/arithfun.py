@@ -22,7 +22,7 @@ import enum
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import compress, islice
 from math import comb, isqrt
 from typing import Callable, Iterator, Optional, Union
@@ -33,12 +33,6 @@ from .factorint import (
     _factored, factorize, nat_add, nat_resolve, primes_upto,
 )
 from .reports import Counterexample, VerificationReport
-
-
-# The prime-power closed forms of the catalogue: form(p, a, k, s) is f(p^a)
-# for the family's parameter k and the sign s of its at-prime tail
-# (Family.sign).  Each is written once; evaluate reads the two tail forms
-# in factored shape, the other readers call them on ints.
 
 
 def _tail_times_power(p: int, a: int, k: int, s: int) -> int:
@@ -73,25 +67,20 @@ def _one(p: int, a: Nat, k: None, s: None) -> int:
 
 
 class Family(enum.Enum):
-    """A catalogue family.  The value is its name ("jordan"); each member
-    also carries its record, the one home of what a reader of the
-    catalogue needs to know about the family:
+    """A catalogue family, carrying its record: the one home of each fact
+    about it.  The value is its name ("jordan").
 
-    * spelling: str(f) is `prefix` for a family that takes no parameter,
-      and `prefix`_k otherwise, except that the parameter of `short`,
-      (k, name), reads name (phi = J_1, psi = psi_1, d = d_2);
-    * parameter rule: `least` is the least parameter, None for a family
-      that takes none;
-    * closed form: `form(p, a, k, sign)` is f(p^a); `sign` is the s of the
-      tail that f reads at a prime, f(p) = p^t + s (t = k for J_k, psi_k
-      and sigma_k, t = a = 1 for phi_star), and None for the counts d_l,
-      Omega and omega, whose value at a prime is one constant
-      (FunctionId.at_prime);
-    * classes: `factored` (evaluate keeps the value a FactoredNatural),
-      `additive` (f(mn) = f(m) + f(n) for coprime m, n > 1: Omega and
-      omega, whose tables start at 0), and `expansive_from`, the least
-      parameter from which f(n) >= n for every n (None: no parameter).
-      The kind of fibres and the target of the infinite fibre follow from
+    * Spelling: str(f) is `prefix`, or `prefix`_k for a parameter k >=
+      `least` (None: the family takes none); `short`, (k, name), spells
+      that k as name (phi = J_1, psi = psi_1, d = d_2).
+    * Closed form: `form`(p, a, k, sign) = f(p^a).  `sign` is the s of the
+      tail f(p) = p^t + s of J_k, psi_k, sigma_k (t = k) and phi_star
+      (t = 1), and None for the counts d_l, Omega and omega, which are
+      constant on the primes (FunctionId.at_prime).
+    * Classes: `factored` (evaluate keeps the value a FactoredNatural),
+      `additive` (a sum over coprime factors: Omega and omega) and
+      `expansive_from` (the least k from which f(n) >= n for every n;
+      None: none).  The kind of fibres and the infinite fibre follow from
       the at-prime form (FunctionId.infinite_fibre).
     """
     #                  value       prefix      short        least  form               sign  factored additive expansive_from
@@ -101,6 +90,9 @@ class Family(enum.Enum):
     BIG_OMEGA =       ("Omega",    "Omega",    None,        None,  _exponent,         None, False,   True,    None)
     SMALL_OMEGA =     ("omega",    "omega",    None,        None,  _one,              None, False,   True,    None)
     DIVISOR_COUNT =   ("d",        "d",        (2, "d"),    2,     _binomial,         None, False,   False,   None)
+    # sigma from l = 1 on purpose: sigma_1 is the classical sum of divisors and
+    # the monotone table needs it, even though some statements of the
+    # catalogue start at l = 2
     SIGMA =           ("sigma",    "sigma",    None,        1,     _geometric,        1,    False,   False,   1)
 
     def __new__(cls, value: str, prefix: str, short: Optional[tuple[int, str]],
@@ -108,9 +100,8 @@ class Family(enum.Enum):
                 factored: bool, additive: bool, expansive_from: Optional[int]):
         member = object.__new__(cls)
         member._value_ = value
-        member.prefix, member.short, member.least = prefix, short, least
-        member.form, member.sign = form, sign
-        member.factored, member.additive = factored, additive
+        member.prefix, member.short, member.least, member.form = prefix, short, least, form
+        member.sign, member.factored, member.additive = sign, factored, additive
         member.expansive_from = expansive_from
         return member
 
@@ -134,15 +125,11 @@ class FunctionId:
         fam, k = self.family, self.param
         if k is None:
             return fam.prefix
-        if fam.short is not None and fam.short[0] == k:
-            return fam.short[1]
-        return f"{fam.prefix}_{k}"
+        return fam.short[1] if fam.short and fam.short[0] == k else f"{fam.prefix}_{k}"
 
     @property
     def at_prime(self) -> tuple[int, int]:
-        """(t, s) with f(p) = p^t + s at every prime p: the tail (t = k, or
-        t = 1 for phi_star, which takes no parameter) or, for the counts,
-        t = 0 and s one less than their value at every prime, f(2)."""
+        """(t, s) with f(p) = p^t + s at every prime p; t = 0 for the counts."""
         fam, k = self.family, self.param
         if fam.sign is None:
             return 0, fam.form(2, 1, k, None) - 1
@@ -150,10 +137,8 @@ class FunctionId:
 
     @property
     def infinite_fibre(self) -> Optional[int]:
-        """The target whose fibre holds every prime, for the counts (f is
-        constant on the primes), or None: the other families' fibres are
-        finite, and preimage inverts them by solving the at-prime tail
-        backwards."""
+        """The one target whose fibre holds every prime, for f constant on
+        the primes; None where every fibre is finite."""
         t, s = self.at_prime
         return 1 + s if t == 0 else None
 
@@ -164,23 +149,12 @@ class FunctionId:
         return least is not None and self.param >= least
 
 
-def jordan(k: int) -> FunctionId:
-    return FunctionId(Family.JORDAN, k)
-
-
-def generalized_psi(k: int) -> FunctionId:
-    return FunctionId(Family.GENERALIZED_PSI, k)
-
-
-def divisor_count(l: int) -> FunctionId:
-    return FunctionId(Family.DIVISOR_COUNT, l)
-
-
-def sigma(l: int) -> FunctionId:
-    # l >= 1 on purpose: sigma_1 is the classical sum of divisors and the
-    # monotone table needs it, even though some statements of the
-    # catalogue start at l = 2
-    return FunctionId(Family.SIGMA, l)
+# the parametrised families by their parameter: jordan(k), generalized_psi(k),
+# divisor_count(l), sigma(l)
+jordan = partial(FunctionId, Family.JORDAN)
+generalized_psi = partial(FunctionId, Family.GENERALIZED_PSI)
+divisor_count = partial(FunctionId, Family.DIVISOR_COUNT)
+sigma = partial(FunctionId, Family.SIGMA)
 
 
 PHI = jordan(1)
@@ -213,15 +187,6 @@ def parse_function(text: str) -> FunctionId:
 
 
 Value = Union[FactoredNatural, int, DeferredValue]
-
-
-def _nat_scale(e: Nat, k: int, minus: int) -> Nat:
-    """k*e - minus, defined for int e always and deferred e only when k == 1."""
-    if isinstance(e, int):
-        return k * e - minus
-    if k == 1:
-        return e.shift(-minus)
-    raise BudgetExceeded(f"cannot scale symbolic exponent {e!r} by {k}")
 
 
 @lru_cache(maxsize=1024)
@@ -298,8 +263,10 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
             if isinstance(e, int):
                 if e > 1:
                     parts.append((p, k * (e - 1)))
+            elif k == 1:  # a deferred exponent scales by k = 1 only
+                parts.append((p, e.shift(-1)))
             else:
-                parts.append((p, _nat_scale(e, k, k)))  # k*(e-1)
+                raise BudgetExceeded(f"cannot scale symbolic exponent {e!r} by {k}")
             parts.extend(_tail_factors(pow(p, k) + sign))
         # only the input's own exponents can be deferred, and each one is
         # kept, so the value is plain exactly when n is
@@ -586,17 +553,11 @@ def monotone_profile(f: FunctionId, bound: int,
     return MonotoneProfile(f, bound, *(None if v is None else v[0] for v in least))
 
 
-# (name, function, True for "f(n) <= n", False for "f(n) > n above 1")
-_MONOTONE_CHECKS = (
-    ("phi", PHI, True), ("phi_star", PHI_STAR, True), ("Omega", BIG_OMEGA, True),
-    ("omega", SMALL_OMEGA, True), ("d", D, True),
-    ("psi", PSI, False), ("J_2", J2, False),
-    ("sigma_1", SIGMA1, False), ("psi_1", PSI, False), ("J_3", jordan(3), False),
-    ("sigma_2", sigma(2), False), ("psi_2", generalized_psi(2), False),
-    ("J_4", jordan(4), False),
-    ("sigma_3", sigma(3), False), ("psi_3", generalized_psi(3), False),
-    ("J_5", jordan(5), False),
-)
+# the functions of the monotone sweep, by the spelling their check names
+# show; each is checked for "f(n) > n above 1" if expansive, else for
+# "f(n) <= n"
+_MONOTONE_CHECKS = ("phi", "phi_star", "Omega", "omega", "d", "psi", "J_2", "sigma_1",
+                    "psi_1", "J_3", "sigma_2", "psi_2", "J_4", "sigma_3", "psi_3", "J_5")
 
 
 def catalogue_monotone_sweep(bound: int,
@@ -608,12 +569,15 @@ def catalogue_monotone_sweep(bound: int,
     Checks: phi/phi_star/Omega/omega/d weakly below n; psi/J_2 and
     sigma_k/psi_k/J_{k+2} (k <= 3) strictly above n for n >= 2.
     """
-    # each distinct (function, direction) is checked once ("psi > n" and
-    # "psi_1 > n" share one)
-    found: dict[tuple[FunctionId, bool], Optional[int]] = {}
-    for _, f, below in _MONOTONE_CHECKS:
-        if (f, below) not in found:
-            (least,) = least_violations(f, bound, (operator.gt if below else operator.le,), config)
-            found[f, below] = None if least is None else least[0]
-    return {f"{name} {'<=' if below else '>'} n": found[f, below]
-            for name, f, below in _MONOTONE_CHECKS}
+    # each distinct function is checked once ("psi > n" and "psi_1 > n"
+    # share one)
+    found: dict[FunctionId, Optional[int]] = {}
+    out: dict[str, Optional[int]] = {}
+    for name in _MONOTONE_CHECKS:
+        f = parse_function(name)
+        if f not in found:
+            (least,) = least_violations(f, bound, (operator.le if f.expansive else operator.gt,),
+                                        config)
+            found[f] = None if least is None else least[0]
+        out[f"{name} {'>' if f.expansive else '<='} n"] = found[f]
+    return out

@@ -129,32 +129,27 @@ def _cmd_family(args, config) -> tuple[str, Any]:
 
 
 def _cmd_entropy(args, config) -> tuple[str, Any]:
+    """`entropy` (forward) and `centropy` (backward, in --mode): the
+    estimate for --fn, --seeds and --horizon, with its value as an exact
+    fraction and a decimal."""
     f = af.parse_function(args.fn)
     seeds = [int(s) for s in args.seeds.split(",")]
-    est = dy.ent_set_estimate(f, seeds, args.horizon, config)
-    return "INFO", {
-        "function": str(f), "seeds": seeds, "horizon": est.horizon,
-        "direction": est.direction, "set_size": est.set_size,
-        "value": {"numerator": est.value.numerator,
-                  "denominator": est.value.denominator,
-                  "decimal": float(est.value)},
-    }
-
-
-def _cmd_centropy(args, config) -> tuple[str, Any]:
-    f = af.parse_function(args.fn)
-    seeds = [int(s) for s in args.seeds.split(",")]
-    mode = dy.CORE if args.mode == "core" else dy.AMBIENT
-    est = dy.ent_cset_estimate(f, seeds, args.horizon, mode, config)
-    return "INFO", {
-        "function": str(f), "seeds": seeds, "horizon": est.horizon,
-        "direction": est.direction, "mode": est.mode, "set_size": est.set_size,
-        "note": "computed on ambient N, not restricted to sc(f)"
-                if est.mode == dy.AMBIENT else "restricted to the surjective core",
-        "value": {"numerator": est.value.numerator,
-                  "denominator": est.value.denominator,
-                  "decimal": float(est.value)},
-    }
+    if args.command == "entropy":
+        est = dy.ent_set_estimate(f, seeds, args.horizon, config)
+    else:
+        mode = dy.CORE if args.mode == "core" else dy.AMBIENT
+        est = dy.ent_cset_estimate(f, seeds, args.horizon, mode, config)
+    out = {"function": str(f), "seeds": seeds, "horizon": est.horizon,
+           "direction": est.direction}
+    if args.command == "centropy":
+        out["mode"] = est.mode
+    out["set_size"] = est.set_size
+    if args.command == "centropy":
+        out["note"] = ("computed on ambient N, not restricted to sc(f)"
+                       if est.mode == dy.AMBIENT else "restricted to the surjective core")
+    out["value"] = {"numerator": est.value.numerator, "denominator": est.value.denominator,
+                    "decimal": float(est.value)}
+    return "INFO", out
 
 
 def _cmd_min_open(args, config) -> tuple[str, Any]:
@@ -633,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True, help="comma-separated naturals")
     p.add_argument("--horizon", type=int, required=True)
 
-    p = add("centropy", _cmd_centropy, help="partial contravariant entropy")
+    p = add("centropy", _cmd_entropy, help="partial contravariant entropy")
     add_fn(p)
     p.add_argument("--seeds", required=True)
     p.add_argument("--horizon", type=int, required=True)

@@ -40,12 +40,20 @@ class ToolConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ToolConfig":
+        """The config a JSON file holds: one object whose keys are fields
+        and whose values are ints (a bool or a float such as 1e6 is none).
+        Anything else is refused (ValueError), never coerced."""
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError(f"config file {path} holds no JSON object")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(raw) - known)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in raw.items():
+            if type(value) is not int:
+                raise ValueError(f"config key {key} needs an int, got {json.dumps(value)}")
         return cls(**raw)
 
 

@@ -254,9 +254,9 @@ def preimage_bounded(f: FunctionId, m: int, bound: int,
     if m < 1:
         raise ValueError("m >= 1")
     if f.infinite_fibre is None:
-        return PreimageResult(m, _invert(f, m, bound, config), BOUNDED_SEARCH, bound)
-    table = value_table(f, bound, config)
-    members = tuple(n for n in range(1, bound + 1) if table[n] == m)
+        members = _invert(f, m, bound, config)
+    else:
+        members = tuple(fibre_table(f, bound, config).get(m, ()))
     return PreimageResult(m, members, BOUNDED_SEARCH, bound)
 
 

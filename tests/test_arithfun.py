@@ -396,8 +396,8 @@ def test_catalogue_monotone_sweep_checks_each_function_once(monkeypatch):
 
 def test_prime_power_values_lists_every_prime_power():
     # pins each family's one-term value at a prime against scalar_value
-    functions = {f for _, f, _ in af._MONOTONE_CHECKS} | {af.divisor_count(3),
-                                                          af.generalized_psi(3)}
+    functions = {af.parse_function(name) for name in af._MONOTONE_CHECKS} | {
+        af.divisor_count(3), af.generalized_psi(3)}
     for bound in (1, 2, 3, 4, 8, 9, 16, 17, 1000):
         pps = {n: pps[0] for n, pps in factored_range(bound) if len(pps) == 1}
         for f in functions:
@@ -491,7 +491,9 @@ def test_pointwise_checks_refuse_a_bound_below_one(bound):
 @given(st.integers(min_value=1, max_value=3000))
 def test_sweep_and_identity_match_a_full_table_scan(bound):
     expected = {}
-    for name, f, below in af._MONOTONE_CHECKS:
+    for name in af._MONOTONE_CHECKS:
+        f = af.parse_function(name)
+        below = not f.expansive
         least = _least_by_scan(af.value_table(f, bound), bound,
                                operator.gt if below else operator.le)
         expected[f"{name} {'<=' if below else '>'} n"] = None if least is None else least[0]

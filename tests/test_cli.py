@@ -309,7 +309,8 @@ def test_function_aliases_are_refused(capsys, alias):
 
 
 def test_every_catalogue_spelling_round_trips_through_eval():
-    for name, f, _ in af._MONOTONE_CHECKS:
+    for name in af._MONOTONE_CHECKS:
+        f = af.parse_function(name)
         for spelling in (name, str(f)):
             code, doc = run_json("eval", "--fn", spelling, "--n", "12")
             assert code == 0, spelling
