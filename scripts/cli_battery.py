@@ -20,8 +20,10 @@ scan bound and the one-node closure of 3 under a large one, the size
 refusals of `preimage`, `min-open` and `partition-demo`, the refusals of
 options a command does not read (among them a bound where fibres are
 complete, and `--families` on the lemma listing), of `--list` after a
-lemma id, of `--k`/`--l`, of the dropped function-name aliases, of an
-unknown subcommand and of a missing option.
+lemma id, of `--k`/`--l`, of the dropped function-name aliases and of
+other spellings than str(f), of an unknown subcommand, of a missing
+option, of fibre targets below 1 and of config files that hold no JSON
+object or a value that is not an int.
 """
 import contextlib
 import io
@@ -45,6 +47,15 @@ CERTIFY_SIZES = {
 TOWER_LEMMAS = ("d-antiorbit", "omega-antiorbit", "smallomega-antiorbit")
 RAISED_CAP = 10_000
 CONFIG_PLACEHOLDER = "RAISED_CAPS.json"
+# the config files commands name: each name stands for a file holding its
+# JSON in a temporary directory; all but the first are refused
+CONFIGS = {
+    CONFIG_PLACEHOLDER: {s.cap_key: RAISED_CAP for s in dy.TOWER_SCHEMES},
+    "FLOAT_BOUND.json": {"sieve_bound": 1e6},
+    "BOOL_CAP.json": {"depth_cap_phi_anti": True},
+    "NULL_BUDGET.json": {"bit_budget": None},
+    "ARRAY.json": [1, 2],
+}
 
 
 def commands() -> list[list[str]]:
@@ -109,6 +120,11 @@ def commands() -> list[list[str]]:
             ["no-such-command"], ["eval", "--fn", "phi"]]
     out += [["eval", "--fn", alias, "--n", "12"]
             for alias in ("phi*", "big_omega", "small_omega", "jordan_2")]
+    out += [["eval", "--fn", spelling, "--n", "5"] for spelling in ("J_01", " phi ", "psi_02")]
+    out += [["preimage", "--fn", name, "--m", m, "--bound", "10"]
+            for name, m in (("Omega", "0"), ("omega", "-5"), ("d_3", "0"))]
+    out += [["eval", "--fn", "phi", "--n", "5", "--config", name]
+            for name in CONFIGS if name != CONFIG_PLACEHOLDER]
     return [argv + ["--format", "json", "--no-timestamp"] for argv in out]
 
 
@@ -128,18 +144,25 @@ def run_one(argv: list[str]) -> tuple[int, str, str]:
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, CONFIG_PLACEHOLDER)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({s.cap_key: RAISED_CAP for s in dy.TOWER_SCHEMES}, fh)
+        paths = {}
+        for name, content in CONFIGS.items():
+            paths[name] = os.path.join(tmp, name)
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                json.dump(content, fh)
+
+        def placeholders(text: str) -> str:
+            for name, path in paths.items():
+                text = text.replace(path, name)
+            return text
+
         for argv in commands():
-            code, out, err = run_one([path if a == CONFIG_PLACEHOLDER else a
-                                      for a in argv])
+            code, out, err = run_one([paths.get(a, a) for a in argv])
             print(f"$ arithdyn {' '.join(argv)}")
             print(f"exit {code}")
             print("--- stdout")
-            print(out.replace(path, CONFIG_PLACEHOLDER), end="")
+            print(placeholders(out), end="")
             print("--- stderr")
-            print(err.replace(path, CONFIG_PLACEHOLDER), end="")
+            print(placeholders(err), end="")
     return 0
 
 

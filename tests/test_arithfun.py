@@ -1,5 +1,6 @@
 import io
 import operator
+from functools import lru_cache
 from itertools import islice
 from math import gcd
 
@@ -48,6 +49,20 @@ def test_parse_function_spellings():
         af.parse_function("zeta")
     for f in ALL_SMALL:
         assert af.parse_function(str(f)) == f
+    assert af.parse_function("psi_1") == af.PSI
+    assert af.parse_function("d_2") == af.D
+    # one spelling per function: str(f) or the three aliases above, so no
+    # leading zero, non-ASCII digit, sign or surrounding whitespace
+    for text in ("J_01", "J_\u0663", " phi ", "phi ", "J_+3", "psi_02", "d_", "J",
+                 "sigma", "omega_1", "phi_star_1", "Phi"):
+        with pytest.raises(ValueError, match="^unknown function id "):
+            af.parse_function(text)
+    # a spelled parameter outside the family's range keeps its own refusal
+    for text, message in (("J_0", "jordan needs a parameter >= 1"),
+                          ("d_1", "d_l needs l >= 2"),
+                          ("sigma_0", "sigma needs a parameter >= 1")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            af.parse_function(text)
 
 
 def test_known_values():
@@ -272,6 +287,63 @@ def test_value_tables_build_no_spf_table(monkeypatch):
     for module in (fi, af):
         monkeypatch.setattr(module, "smallest_factor_table", refuse, raising=False)
     assert answers() == expected
+
+
+# every record of the catalogue table at parameters k <= 4
+RECORDS = [af.FunctionId(fam, k) for fam in af.Family
+           for k in ([None] if fam.least is None else range(fam.least, 5))]
+PRIMES_TO_50 = list(fi.primes_upto(50))
+
+
+def _oracle_affordable(f, p, a):
+    """Whether the brute-force oracle answers f(p^a) in well under a second:
+    the J_k tuple count recurses on the p^(a-1) multiples of p at each of k
+    levels; d_l and sigma_l scan 1..p^a."""
+    n = p ** a
+    if f.family is af.Family.JORDAN:
+        return n * (n // p) ** (f.param - 1) <= 100_000
+    if f.family in (af.Family.DIVISOR_COUNT, af.Family.SIGMA):
+        return n <= 20_000
+    return True
+
+
+@lru_cache(maxsize=None)
+def _record_classes_hold(f):
+    """The record's classes against the functions: expansive exactly when
+    no n <= 2000 has f(n) < n, factored exactly when evaluate returns a
+    FactoredNatural, additive exactly when f(24) = f(8) + f(3) (else
+    f(8) f(3)), and the infinite-fibre target holds the first 50 primes (or,
+    with none, f separates them)."""
+    table = af.value_table(f, 2000)
+    assert f.expansive == all(table[n] >= n for n in range(1, 2001)), f
+    assert f.family.factored == isinstance(af.evaluate(f, 720), FactoredNatural), f
+    parts = oracle_evaluate(f, 8), oracle_evaluate(f, 3)
+    assert oracle_evaluate(f, 24) == (sum(parts) if f.family.additive else parts[0] * parts[1]), f
+    at_primes = [oracle_evaluate(f, fi.nth_prime(i)) for i in range(1, 51)]
+    if f.infinite_fibre is None:
+        assert len(set(at_primes)) == 50, f
+    else:
+        assert set(at_primes) == {f.infinite_fibre}, f
+    return True
+
+
+@pytest.mark.parametrize("f", RECORDS, ids=str)
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_records_match_the_definitions(f, data):
+    # the closed form at p^a, p <= 50 and a <= 6 as far as the oracle
+    # affords it, through each reader: the form itself, scalar_value,
+    # evaluate and, at a = 1, the at-prime tail p^t + s
+    p = data.draw(st.sampled_from(PRIMES_TO_50), label="p")
+    a = data.draw(st.integers(min_value=1, max_value=max(
+        a for a in range(1, 7) if _oracle_affordable(f, p, a))), label="a")
+    want = oracle_evaluate(f, p ** a)
+    assert f.family.form(p, a, f.param, f.family.sign) == want
+    assert af.scalar_value(f, [(p, a)]) == want
+    assert af.evaluate_int(f, p ** a) == want
+    t, s = f.at_prime
+    assert p ** t + s == oracle_evaluate(f, p)
+    assert _record_classes_hold(f)
 
 
 def test_value_table_matches_oracle():

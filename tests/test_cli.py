@@ -45,6 +45,18 @@ def test_preimage_routes():
     assert code == 2  # refuses: not finite fibre, no bound given
 
 
+@pytest.mark.parametrize("argv", [
+    ["--fn", "Omega", "--bound", "10"], ["--fn", "omega", "--bound", "10"],
+    ["--fn", "d_3", "--bound", "10"], ["--fn", "phi_star", "--bound", "10"],
+    ["--fn", "phi"], ["--fn", "psi"], ["--fn", "J_2"], ["--fn", "sigma_1"],
+])
+@pytest.mark.parametrize("m", ["0", "-5"])
+def test_preimage_refuses_a_target_below_one(capsys, argv, m):
+    code, out = run_cli("preimage", *argv, "--m", m)
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: m >= 1\n"
+
+
 def test_inverse_phi_and_bound():
     code, doc = run_json("preimage", "--fn", "phi", "--m", "1")
     assert doc["results"]["members"] == [1, 2]
@@ -301,7 +313,8 @@ def test_k_l_and_abbreviated_options_are_usage_errors(capsys, argv):
     assert captured.out == "" and "error: unrecognized arguments: " in captured.err
 
 
-@pytest.mark.parametrize("alias", ["phi*", "big_omega", "small_omega", "jordan_2"])
+@pytest.mark.parametrize("alias", ["phi*", "big_omega", "small_omega", "jordan_2",
+                                   "J_01", "J_\u0663", " phi ", "psi_02"])
 def test_function_aliases_are_refused(capsys, alias):
     code, out = run_cli("eval", "--fn", alias, "--n", "5")
     assert code == 2 and out == ""
@@ -498,6 +511,32 @@ def test_config_file(tmp_path, capsys):
         code, out = run_cli("eval", "--fn", "phi", "--n", "2", "--config", str(bad))
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"bit_budget": "big"}', "bit_budget"),
+    ('{"bit_budget": null}', "bit_budget"),
+    ('{"sieve_bound": 1e6}', "sieve_bound"),
+    ('{"sieve_bound": 1000000.0}', "sieve_bound"),
+    ('{"depth_cap_phi_anti": true}', "depth_cap_phi_anti"),
+    ('{"inverse_phi_budget": [10]}', "inverse_phi_budget"),
+])
+def test_config_file_values_must_be_ints(tmp_path, capsys, text, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out = run_cli("eval", "--fn", "phi", "--n", "5", "--config", str(cfg))
+    assert code == 2 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key} needs an int, got ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"bit_budget"', "7", "null"])
+def test_config_file_must_hold_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code, out = run_cli("eval", "--fn", "phi", "--n", "5", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: config file {cfg} holds no JSON object\n"
 
 
 def test_render_value_respects_the_bit_budget():

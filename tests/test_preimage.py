@@ -308,6 +308,18 @@ def test_preimage_bounded_validation():
             pre.fibres(f, 0)
 
 
+@pytest.mark.parametrize("name", CATALOGUE)
+@pytest.mark.parametrize("m", [0, -5])
+def test_every_fibre_lookup_refuses_a_target_below_one(name, m):
+    # the fibre tables of Omega, omega and d_l refuse it as the inverters do
+    f = af.parse_function(name)
+    bound = None if f == af.PHI or f.expansive else 10
+    with pytest.raises(ValueError, match="^m >= 1$"):
+        pre.fibres(f, bound).of(m)
+    with pytest.raises(ValueError, match="^m >= 1$"):
+        pre.preimage_bounded(f, m, 10)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 128), st.integers(min_value=1, max_value=12))
 def test_iroot(n, k):
     r = pre._iroot(n, k)

@@ -55,7 +55,7 @@ def test_cli_battery_runs_every_command():
     proc = run_script("cli_battery.py")
     assert proc.returncode == 0, proc.stderr
     blocks = proc.stdout.split("$ arithdyn ")[1:]
-    assert len(blocks) == 120
+    assert len(blocks) == 130
     codes = {}
     for block in blocks:
         argv, code = block.splitlines()[:2]
@@ -73,7 +73,9 @@ def test_cli_battery_runs_every_command():
                  "verify-lemma tau-subset --k 3", "table connectivity --families 3",
                  "eval --fn phi* --n 12", "preimage --fn psi --m 12 --bound 3",
                  "min-open --fn psi --n 12 --scan-bound 5", "no-such-command",
-                 "eval --fn phi"):
+                 "eval --fn phi", "eval --fn J_01 --n 5",
+                 "preimage --fn Omega --m 0 --bound 10",
+                 "eval --fn phi --n 5 --config FLOAT_BOUND.json"):
         assert codes[f"{argv} {flags}"] == "exit 2"
     for argv in ("orbit --fn phi --n 6", "search --fn psi", "partition-demo",
                  "min-open --fn phi --n 6 --topology taubar",
