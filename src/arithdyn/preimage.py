@@ -168,8 +168,7 @@ def _candidates(f: FunctionId, m: int, config: ToolConfig) -> list[list[tuple[in
             while value <= m:
                 if m % value == 0:
                     by_prime.setdefault(p, []).append((value, p ** a))
-                a += 1
-                value = form(p, a, k, s)
+                a, value = a + 1, form(p, a + 1, k, s)
     else:
         for d in divisors:
             p = _prime_root(d - s, t)
@@ -179,8 +178,7 @@ def _candidates(f: FunctionId, m: int, config: ToolConfig) -> list[list[tuple[in
             a, value = 1, d
             while m % value == 0:
                 powers.append((value, p ** a))
-                a += 1
-                value = form(p, a, k, s)
+                a, value = a + 1, form(p, a + 1, k, s)
     return [sorted(powers) for powers in by_prime.values()]
 
 
