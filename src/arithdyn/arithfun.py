@@ -22,7 +22,7 @@ import enum
 import operator
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache
 from itertools import compress, islice
 from math import comb, isqrt
 from typing import Callable, Iterator, Optional, Union
@@ -127,7 +127,7 @@ class FunctionId:
             return fam.prefix
         return fam.short[1] if fam.short and fam.short[0] == k else f"{fam.prefix}_{k}"
 
-    @property
+    @cached_property  # the inverter reads it on every call
     def at_prime(self) -> tuple[int, int]:
         """(t, s) with f(p) = p^t + s at every prime p; t = 0 for the counts."""
         fam, k = self.family, self.param
@@ -149,12 +149,20 @@ class FunctionId:
         return least is not None and self.param >= least
 
 
-# the parametrised families by their parameter: jordan(k), generalized_psi(k),
-# divisor_count(l), sigma(l)
-jordan = partial(FunctionId, Family.JORDAN)
-generalized_psi = partial(FunctionId, Family.GENERALIZED_PSI)
-divisor_count = partial(FunctionId, Family.DIVISOR_COUNT)
-sigma = partial(FunctionId, Family.SIGMA)
+def jordan(k: int) -> FunctionId:
+    return FunctionId(Family.JORDAN, k)
+
+
+def generalized_psi(k: int) -> FunctionId:
+    return FunctionId(Family.GENERALIZED_PSI, k)
+
+
+def divisor_count(l: int) -> FunctionId:
+    return FunctionId(Family.DIVISOR_COUNT, l)
+
+
+def sigma(l: int) -> FunctionId:
+    return FunctionId(Family.SIGMA, l)
 
 
 PHI = jordan(1)
@@ -180,8 +188,8 @@ def parse_function(text: str) -> FunctionId:
                 return FunctionId(fam)
         elif fam.short is not None and text == fam.short[1]:
             return FunctionId(fam, fam.short[0])
-        elif head == fam.prefix and sep and tail.isascii() and tail.isdigit() \
-                and str(int(tail)) == tail:
+        elif (head == fam.prefix and sep and tail.isascii() and tail.isdigit()
+              and str(int(tail)) == tail):
             return FunctionId(fam, int(tail))
     raise ValueError(f"unknown function id {text!r}")
 
@@ -313,10 +321,10 @@ def forward_orbit(f: FunctionId, x: Union[int, FactoredNatural],
                   config: ToolConfig = DEFAULT_CONFIG) -> Iterator[Value]:
     """The iterates f(x), f(f(x)), ... in the form evaluate returns them.
 
-    Each iterate is fed back as it came: the factored families (Family.
-    factored) stay factored, so a step factorises only the small tails p^k -+ 1 and
-    never an iterate; an int iterate (Omega, omega, d_l, sigma_l) is
-    factorised once, when the iterate after it is asked for.
+    Each iterate is fed back as it came: the factored families (J_k, psi_k,
+    phi_star) stay factored, so a step factorises only the small tails
+    p^k -+ 1 and never an iterate; an int iterate (Omega, omega, d_l,
+    sigma_l) is factorised once, when the iterate after it is asked for.
     """
     while True:
         x = evaluate(f, x, config)

@@ -285,8 +285,7 @@ def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
 
 def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
     count = _positive(args, "families", 100)
-    for f in (af.SMALL_OMEGA, af.BIG_OMEGA, af.D):
-        target = f.infinite_fibre
+    for f, target in ((af.SMALL_OMEGA, 1), (af.BIG_OMEGA, 1), (af.D, 2)):
         witnesses = pre.nonfinite_fibre_witness(f, target, count, config)
         for p in witnesses:
             got = af.evaluate(f, factorize(p, config), config)

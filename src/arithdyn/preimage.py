@@ -246,7 +246,7 @@ def preimage_bounded(f: FunctionId, m: int, bound: int,
     """Members of f^-1(m) found below `bound`; never claimed complete.
 
     Families with finite fibres go through the inverter; Omega, omega and
-    d_l scan 1..bound."""
+    d_l read the fibre table of 1..bound."""
     if bound < 1:
         raise ValueError("bound >= 1")
     if m < 1:
@@ -420,7 +420,7 @@ def fibres(f: FunctionId, bound: Optional[int] = None,
                       f"divisor-driven inversion, members <= {bound}")
     table = fibre_table(f, bound, config)
 
-    def of(y: int) -> list[int]:
+    def of(y: int) -> Sequence[int]:
         if y < 1:
             raise ValueError("m >= 1")
         return table.get(y, ())
