@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import enum
 import operator
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress, islice
+from itertools import compress, count, islice
 from math import comb, isqrt
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .factorint import (
@@ -175,12 +175,17 @@ J2 = jordan(2)
 SIGMA1 = sigma(1)
 
 
+# the most digits a parameter may have: 640 is the least limit Python's
+# int-string conversion can be set to, so int() and str() never refuse it
+_PARAM_DIGITS = 640
+
+
 def parse_function(text: str) -> FunctionId:
     """Parse str(f) for every catalogue f (phi, psi, phi_star, Omega, omega,
     d, J_k, psi_k, d_l, sigma_l), and J_1, psi_1 and d_2: the name of a
     family that takes no parameter, a short name, or a prefix, "_" and the
-    parameter in ASCII digits without a leading zero.  Any other spelling
-    is refused."""
+    parameter in at most 640 ASCII digits without a leading zero.  Any
+    other spelling is refused."""
     head, sep, tail = text.partition("_")
     for fam in Family:
         if fam.least is None:
@@ -189,7 +194,7 @@ def parse_function(text: str) -> FunctionId:
         elif fam.short is not None and text == fam.short[1]:
             return FunctionId(fam, fam.short[0])
         elif (head == fam.prefix and sep and tail.isascii() and tail.isdigit()
-              and str(int(tail)) == tail):
+              and len(tail) <= _PARAM_DIGITS and str(int(tail)) == tail):
             return FunctionId(fam, int(tail))
     raise ValueError(f"unknown function id {text!r}")
 
@@ -237,7 +242,9 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
     p^(k(e-1)) and the factors of p^k + s, phi_star those of p^e + s.  The
     input's own exponents and the cached factorisations of its tails go
     into one dict, sorted once into the normal form (_merge), so the value
-    is never re-checked or re-sorted by FactoredNatural.__init__.
+    is never re-checked or re-sorted by FactoredNatural.__init__.  A tail
+    p^k + s of more than 128 bits is refused with factorize's message
+    before it is computed, so a huge k costs nothing.
     """
     if isinstance(n, int):
         n = factorize(n, config)
@@ -275,6 +282,8 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
                 parts.append((p, e.shift(-1)))
             else:
                 raise BudgetExceeded(f"cannot scale symbolic exponent {e!r} by {k}")
+            if k * (p.bit_length() - 1) > 128:  # p^k + s >= 2^129 - 1
+                raise ValueError("factorize handles inputs up to 128 bits")
             parts.extend(_tail_factors(pow(p, k) + sign))
         # only the input's own exponents can be deferred, and each one is
         # kept, so the value is plain exactly when n is
@@ -427,11 +436,40 @@ def value_table(f: FunctionId, bound: int,
 # identity and monotonicity sweeps
 
 
+def _primes_upto(bound: int, config: ToolConfig) -> Sequence[int]:
+    """primes_upto(bound), with a bound below 1 refused (ValueError): every
+    pointwise check would otherwise PASS vacuously."""
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
+    return primes_upto(bound, config)
+
+
+def _at_primes(f: FunctionId, primes: Sequence[int]) -> list[int]:
+    """[f(p) for p in primes], each the one term p^t + s (FunctionId.at_prime)."""
+    t, s = f.at_prime
+    return [p ** t + s for p in primes] if t else [1 + s] * len(primes)
+
+
+def _higher_powers(f: FunctionId, bound: int, roots: Sequence[int]) -> list[tuple[int, int]]:
+    """(q, f(q)) for q = p^a <= bound with a >= 2, p by p in the order of
+    `roots` and ascending in a, each by one call of the closed form
+    (Family.form)."""
+    form, k, sign = f.family.form, f.param, f.family.sign
+    rows = []
+    for p in roots:
+        q, a = p * p, 2
+        while q <= bound:
+            rows.append((q, form(p, a, k, sign)))
+            q *= p
+            a += 1
+    return rows
+
+
 def prime_power_values(f: FunctionId, bound: int,
                        config: ToolConfig = DEFAULT_CONFIG) -> Iterator[tuple[int, int]]:
     """(q, f(q)) for every prime power 2 <= q <= bound, prime by prime in
     ascending order, each prime p followed by its powers p^2, p^3, ...
-    <= bound (so not in order of q).
+    <= bound (so not in order of q): the passes of value_table.
 
     At a prime every family is one term, f(p) = p^t + s
     (FunctionId.at_prime), evaluated in one pass over primes_upto(bound):
@@ -441,8 +479,8 @@ def prime_power_values(f: FunctionId, bound: int,
     (Family.form), one call each.
 
     The pointwise hypotheses below (f against the identity, psi_k * J_k =
-    J_2k) are decided on these values alone.  Write n >= 2 as a product of
-    coprime prime powers n = q_1 ... q_r:
+    J_2k) are decided on the prime powers alone.  Write n >= 2 as a product
+    of coprime prime powers n = q_1 ... q_r:
 
     * multiplicative f (every family but Omega and omega): f(n) =
       f(q_1) ... f(q_r) with every factor positive, so each of f(n) <= n,
@@ -456,25 +494,17 @@ def prime_power_values(f: FunctionId, bound: int,
     Either way an n where the hypothesis fails has a failing prime power
     q_i <= n (for the additive >= and >, the prime power 2), so the least
     failure in 2..bound is the least failing prime power.  Composite n are
-    never evaluated.
+    never evaluated, and least_violations and identity_check_psi_jordan do
+    not walk these rows either: they decide the primes from the at-prime
+    values and evaluate only the higher powers.
 
-    A bound below 1 is refused (ValueError): every check that reads these
-    values would otherwise PASS vacuously.
+    A bound below 1 is refused (ValueError).
     """
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
-    primes = primes_upto(bound, config)
-    t, s = f.at_prime
-    values = [p ** t + s for p in primes] if t else [1 + s] * len(primes)
-    form, k, sign = f.family.form, f.param, f.family.sign
-    rows = zip(primes, values)
+    primes = _primes_upto(bound, config)
+    rows = zip(primes, _at_primes(f, primes))
     for p, v in islice(rows, bisect_right(primes, isqrt(bound))):
         yield p, v
-        q, a = p * p, 2
-        while q <= bound:
-            yield q, form(p, a, k, sign)
-            q *= p
-            a += 1
+        yield from _higher_powers(f, bound, (p,))
     yield from rows
 
 
@@ -483,14 +513,47 @@ def least_violations(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> list[Optional[tuple[int, int]]]:
     """For each predicate in `violated`, one of operator.lt, le, gt and ge
     read as violated(f(n), n), the least n in 2..bound it holds at, as
-    (n, f(n)), or None.  The rows of prime_power_values, which says why
-    the prime powers decide it, are built once; each predicate's least
-    failing row is found without a Python loop over them."""
-    rows = list(prime_power_values(f, bound, config))
-    qs = [q for q, _ in rows]
-    values = [v for _, v in rows]
-    return [min(compress(rows, map(holds, values, qs)), default=None)
-            for holds in violated]
+    (n, f(n)), or None.  The least such n is a prime power (see
+    prime_power_values): the least of the least prime and the least higher
+    power p^a (a >= 2, p <= sqrt(bound)) it holds at.  The higher powers
+    are evaluated once and searched without a Python loop; the primes are
+    decided in closed form, by a bisection over primes_upto(bound).
+
+    Lemma (monotone at-prime difference).  At a prime f(p) = p^t + s
+    (FunctionId.at_prime), so g(p) = f(p) - p = p^t - p + s is, over p >=
+    2: 1 + s - p for t = 0, strictly decreasing; the constant s for t = 1;
+    s + p (p^(t-1) - 1) for t >= 2, strictly increasing.  Each predicate
+    is g(p) < 0, <= 0, > 0 or >= 0, a threshold on a monotone g, so the
+    primes it holds at are a prefix or a suffix of the ascending primes,
+    and two evaluations and a bisection find the least of them.
+
+    A bound below 1 is refused (ValueError)."""
+    primes = _primes_upto(bound, config)
+    powers = _higher_powers(f, bound, primes[:bisect_right(primes, isqrt(bound))])
+    qs = [q for q, _ in powers]
+    values = [v for _, v in powers]
+    t, s = f.at_prime
+    out = []
+    for holds in violated:
+        least = min(compress(powers, map(holds, values, qs)), default=None)
+        p = _least_of_prefix_or_suffix(primes, lambda p: holds(p ** t + s, p))
+        if p is not None and (least is None or p < least[0]):
+            least = p, p ** t + s
+        out.append(least)
+    return out
+
+
+def _least_of_prefix_or_suffix(primes: Sequence[int],
+                               holds_at: Callable[[int], bool]) -> Optional[int]:
+    """The least p in `primes` with holds_at(p), or None, where those p are
+    a prefix or a suffix of `primes`: the first prime, if it holds there;
+    else none, if it fails at the last; else the suffix's first prime, by
+    bisection."""
+    if primes and holds_at(primes[0]):
+        return primes[0]
+    if not primes or not holds_at(primes[-1]):
+        return None
+    return primes[bisect_left(primes, True, 1, len(primes) - 1, key=holds_at)]
 
 
 # the relation a pointwise hypothesis asks of f(n) against n, and the
@@ -502,7 +565,7 @@ def pointwise_lemma(lemma: str, f: FunctionId, bound: int, relation: str,
                     conclusion: str,
                     config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Check the hypothesis f(n) <relation> n for 1 < n <= bound, decided
-    on the prime powers <= bound (prime_power_values), and report FAIL at
+    on the prime powers <= bound (least_violations), and report FAIL at
     the least n where it fails or PASS with the lemma's conclusion.  f(1) =
     1 holds by the catalogue's convention: the empty factorisation has
     scalar value 1.  Every pointwise lemma of the catalogue is decided and
@@ -527,11 +590,17 @@ def identity_check_psi_jordan(k: int, n_max: int,
     prime_power_values) and the least failure is a prime power."""
     if k < 1:
         raise ValueError("k >= 1")
-    rows = zip(prime_power_values(generalized_psi(k), n_max, config),
-               prime_power_values(jordan(k), n_max, config),
-               prime_power_values(jordan(2 * k), n_max, config))
-    failure = min(((q, j_2k, psi_k * j_k) for (q, psi_k), (_, j_k), (_, j_2k) in rows
-                   if psi_k * j_k != j_2k), default=None)
+    fs = generalized_psi(k), jordan(k), jordan(2 * k)
+    primes = _primes_upto(n_max, config)
+    # the primes: C-level passes over the at-prime values, up to the first
+    # mismatch; then the higher powers
+    a, b, c = (_at_primes(g, primes) for g in fs)
+    i = next(compress(count(), map(operator.ne, map(operator.mul, a, b), c)), None)
+    failures = [] if i is None else [(primes[i], c[i], a[i] * b[i])]
+    roots = primes[:bisect_right(primes, isqrt(n_max))]
+    failures += [(q, c, a * b) for (q, a), (_, b), (_, c)
+                 in zip(*(_higher_powers(g, n_max, roots) for g in fs)) if a * b != c]
+    failure = min(failures, default=None)
     if failure is not None:
         n, rhs, lhs = failure
         return VerificationReport(

@@ -132,7 +132,8 @@ def _candidates(f: FunctionId, m: int, config: ToolConfig) -> list[list[tuple[in
     f's at-prime tail f(p) = p^t + s (FunctionId.at_prime), and the values
     at higher powers come from f's closed form (Family.form):
 
-    * J_k, psi_k: p^k = d - s, and f(p^a) = d p^(k(a-1));
+    * J_k, psi_k: p^k = d - s, and f(p^a) = d p^(k(a-1)), so each power
+      steps the value by p^k: f(p^(a+1)) = f(p^a) p^k;
     * phi_star: the tail is every f(p^a) = p^a + s, so p^a = d - s;
     * sigma_k: f(p^a) = 1 + p^k + ... + p^(ka).  For a = 1, p^k = d - s.
       For a >= 2, p^(ka) < d - 1 < (p+1)^(ka) leaves p = floor((d -
@@ -175,10 +176,10 @@ def _candidates(f: FunctionId, m: int, config: ToolConfig) -> list[list[tuple[in
             if p is None:
                 continue
             powers = by_prime[p] = []
-            a, value = 1, d
+            pa, value, step = p, d, p ** t
             while m % value == 0:
-                powers.append((value, p ** a))
-                a, value = a + 1, form(p, a + 1, k, s)
+                powers.append((value, pa))
+                pa, value = pa * p, value * step
     return [sorted(powers) for powers in by_prime.values()]
 
 

@@ -452,15 +452,33 @@ def test_tail_memo_is_keyed_on_the_tail_alone():
     assert (info.misses, info.hits) == (4, 4)
 
 
+def test_tails_past_128_bits_are_refused_before_they_are_computed(monkeypatch):
+    # J_128(2) = 2^128 - 1 is still factorised; J_129(2) is refused with
+    # factorize's own message without computing 2^129 - 1, and psi_128(2) =
+    # 2^128 + 1 (129 bits) by factorize itself
+    assert af.evaluate_int(af.jordan(128), 2) == 2 ** 128 - 1
+    real = af.factorize
+
+    def spy(n, config=DEFAULT_CONFIG):
+        assert n.bit_length() <= 129, "an oversized tail was computed"
+        return real(n, config)
+
+    monkeypatch.setattr(af, "factorize", spy)
+    af._tail_factors.cache_clear()
+    for f in (af.jordan(129), af.generalized_psi(128), af.jordan(10 ** 8)):
+        with pytest.raises(ValueError, match="^factorize handles inputs up to 128 bits$"):
+            af.evaluate(f, 2)
+
+
 def test_catalogue_monotone_sweep_checks_each_function_once(monkeypatch):
     walked = []
-    real = af.prime_power_values
+    real = af.least_violations
 
-    def spy(f, bound, config=DEFAULT_CONFIG):
+    def spy(f, bound, violated, config=DEFAULT_CONFIG):
         walked.append(f)
-        return real(f, bound, config)
+        return real(f, bound, violated, config)
 
-    monkeypatch.setattr(af, "prime_power_values", spy)
+    monkeypatch.setattr(af, "least_violations", spy)
     sweep = af.catalogue_monotone_sweep(500)
     assert len(sweep) == 16 and sweep["psi > n"] == sweep["psi_1 > n"]
     assert len(walked) == 15 and len(set(walked)) == 15  # psi once, not twice
@@ -539,6 +557,19 @@ def test_prime_power_decisions_match_a_full_table_scan(f, bound):
     if f.expansive:
         assert _failure_fields(tp.verify_tau_subset(f, bound)) == (
             None if ge is None else (ge[0], f">= {ge[0]}", ge[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(RECORDS), st.integers(min_value=1, max_value=3000),
+       st.sampled_from([operator.lt, operator.le, operator.gt, operator.ge]))
+@example(af.PHI, 3000, operator.lt).via("holds at the first prime: phi(2) = 1 < 2")
+@example(af.PSI, 3000, operator.le).via("holds at no prime: psi(p) = p + 1")
+@example(af.divisor_count(3), 3000, operator.le).via("t = 0, bisected: d_3(3) = 3 <= 3")
+def test_least_violations_decide_the_primes_as_a_full_scan(f, bound, violated):
+    # the at-prime lemma: the primes a predicate holds at are a prefix or a
+    # suffix, so least_violations bisects them instead of scanning
+    want = _least_by_scan(af.value_table(f, bound), bound, violated)
+    assert af.least_violations(f, bound, (violated,)) == [want]
 
 
 @pytest.mark.parametrize("bound", [0, -5])

@@ -2,6 +2,7 @@ import io
 import json
 import operator
 import sys
+import time
 
 import pytest
 
@@ -319,6 +320,22 @@ def test_function_aliases_are_refused(capsys, alias):
     code, out = run_cli("eval", "--fn", alias, "--n", "5")
     assert code == 2 and out == ""
     assert capsys.readouterr().err == f"error: unknown function id {alias!r}\n"
+
+
+@pytest.mark.parametrize("fn, message", [
+    ("J_99999999", "factorize handles inputs up to 128 bits"),
+    ("psi_99999999", "factorize handles inputs up to 128 bits"),
+    ("J_" + "1" * 5000, f"unknown function id {'J_' + '1' * 5000!r}"),
+    ("d_" + "1" * 641, f"unknown function id {'d_' + '1' * 641!r}"),
+])
+def test_huge_parameters_are_refused_at_once(capsys, fn, message):
+    # the tail p^k + s is refused before it is computed, and a parameter of
+    # more than 640 digits before it is converted
+    start = time.perf_counter()
+    code, out = run_cli("eval", "--fn", fn, "--n", "5")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_catalogue_spelling_round_trips_through_eval():
