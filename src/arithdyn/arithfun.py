@@ -494,9 +494,9 @@ def prime_power_values(f: FunctionId, bound: int,
     Either way an n where the hypothesis fails has a failing prime power
     q_i <= n (for the additive >= and >, the prime power 2), so the least
     failure in 2..bound is the least failing prime power.  Composite n are
-    never evaluated, and least_violations and identity_check_psi_jordan do
-    not walk these rows either: they decide the primes from the at-prime
-    values and evaluate only the higher powers.
+    never evaluated.  least_violations and identity_check_psi_jordan read
+    the primes from their at-prime values alone and evaluate only the
+    higher powers.
 
     A bound below 1 is refused (ValueError).
     """

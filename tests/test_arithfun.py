@@ -54,9 +54,11 @@ def test_parse_function_spellings():
     # one spelling per function: str(f) or the three aliases above, so no
     # leading zero, non-ASCII digit, sign or surrounding whitespace
     for text in ("J_01", "J_\u0663", " phi ", "phi ", "J_+3", "psi_02", "d_", "J",
-                 "sigma", "omega_1", "phi_star_1", "Phi"):
+                 "sigma", "omega_1", "phi_star_1", "Phi", "d_" + "1" * 641):
         with pytest.raises(ValueError, match="^unknown function id "):
             af.parse_function(text)
+    # a parameter of up to 640 digits is read
+    assert af.parse_function("d_" + "1" * 640) == af.divisor_count(int("1" * 640))
     # a spelled parameter outside the family's range keeps its own refusal
     for text, message in (("J_0", "jordan needs a parameter >= 1"),
                           ("d_1", "d_l needs l >= 2"),
