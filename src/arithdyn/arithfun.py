@@ -594,12 +594,12 @@ def identity_check_psi_jordan(k: int, n_max: int,
     primes = _primes_upto(n_max, config)
     # the primes: C-level passes over the at-prime values, up to the first
     # mismatch; then the higher powers
-    a, b, c = (_at_primes(g, primes) for g in fs)
-    i = next(compress(count(), map(operator.ne, map(operator.mul, a, b), c)), None)
-    failures = [] if i is None else [(primes[i], c[i], a[i] * b[i])]
+    psi_p, j_p, j_2k_p = (_at_primes(g, primes) for g in fs)
+    i = next(compress(count(), map(operator.ne, map(operator.mul, psi_p, j_p), j_2k_p)), None)
+    failures = [] if i is None else [(primes[i], j_2k_p[i], psi_p[i] * j_p[i])]
     roots = primes[:bisect_right(primes, isqrt(n_max))]
-    failures += [(q, c, a * b) for (q, a), (_, b), (_, c)
-                 in zip(*(_higher_powers(g, n_max, roots) for g in fs)) if a * b != c]
+    failures += [(q, j_2k, psi_k * j_k) for (q, psi_k), (_, j_k), (_, j_2k)
+                 in zip(*(_higher_powers(g, n_max, roots) for g in fs)) if psi_k * j_k != j_2k]
     failure = min(failures, default=None)
     if failure is not None:
         n, rhs, lhs = failure
