@@ -21,11 +21,10 @@ from __future__ import annotations
 import enum
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import compress, count, islice
 from math import comb, isqrt
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .factorint import (
@@ -106,12 +105,16 @@ class Family(enum.Enum):
         return member
 
 
-@dataclass(frozen=True)
-class FunctionId:
+class _FunctionId(NamedTuple):
     family: Family
     param: Optional[int] = None
 
-    def __post_init__(self):
+
+class FunctionId(_FunctionId):
+    # no __slots__ = (): cached_property keeps at_prime in the instance dict
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         least = self.family.least
         if least is None:
             if self.param is not None:
@@ -120,6 +123,7 @@ class FunctionId:
             raise ValueError(f"{self.family.value} needs a parameter >= 1")
         elif self.param < least:
             raise ValueError(f"{self.family.prefix}_l needs l >= {least}")
+        return self
 
     def __str__(self):
         fam, k = self.family, self.param
@@ -613,8 +617,7 @@ def identity_check_psi_jordan(k: int, n_max: int,
         certified_bound=f"psi_{k}*J_{k} = J_{2 * k} verified for n <= {n_max}")
 
 
-@dataclass(frozen=True)
-class MonotoneProfile:
+class MonotoneProfile(NamedTuple):
     """Pointwise comparison of f against the identity on 1..bound."""
     function: FunctionId
     bound: int

@@ -17,7 +17,6 @@ import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import lru_cache, partial
 from itertools import islice
@@ -38,8 +37,7 @@ from .reports import Counterexample, VerificationReport
 SCHEMA_VERSION = 1
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     command: str
     parameters: dict
     results: Any
@@ -657,9 +655,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("search", _cmd_search, help="exploratory family search (no claims)")
     add_fn(p)
     p.add_argument("--direction", choices=("forward", "backward"), default="forward")
-    p.add_argument("--max-start", type=int, default=dy.SearchBudget.max_start)
-    p.add_argument("--max-depth", type=int, default=dy.SearchBudget.max_depth)
-    p.add_argument("--max-families", type=int, default=dy.SearchBudget.max_families)
+    search_defaults = dy.SearchBudget._field_defaults
+    p.add_argument("--max-start", type=int, default=search_defaults["max_start"])
+    p.add_argument("--max-depth", type=int, default=search_defaults["max_depth"])
+    p.add_argument("--max-families", type=int, default=search_defaults["max_families"])
 
     return parser
 

@@ -5,13 +5,11 @@ refused" lives here, so reports are reproducible from a config snapshot.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ToolConfig:
+class ToolConfig(NamedTuple):
     # Largest smallest-prime-factor table a bulk sweep may request.
     sieve_bound: int = 10_000_000
     # Largest prime index nth_prime will enumerate (q_1 = 2).
@@ -33,10 +31,11 @@ class ToolConfig:
     depth_cap_j2_orbit: int = 10_000
 
     def replace(self, **overrides) -> "ToolConfig":
-        return dataclasses.replace(self, **overrides)
+        return self._replace(**overrides)
 
     def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields by name, in field order."""
+        return self._asdict()
 
     @classmethod
     def from_file(cls, path: str) -> "ToolConfig":
@@ -47,8 +46,7 @@ class ToolConfig:
             raw = json.load(fh)
         if not isinstance(raw, dict):
             raise ValueError(f"config file {path} holds no JSON object")
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in raw.items():

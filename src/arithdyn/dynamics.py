@@ -24,10 +24,9 @@ Infinite orbit/anti-orbit numbers are never reported as infinite, only as
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
@@ -69,16 +68,21 @@ def scheme_depth_cap(scheme: Scheme, config: ToolConfig) -> int:
     return getattr(config, scheme.cap_key)
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """One family of a scheme: index k for the 2^k/3^k shapes, or the
-    index-th admissible prime (skipping 2 where the lemma does)."""
+class _FamilySpec(NamedTuple):
     scheme: Scheme
     index: int
 
-    def __post_init__(self):
+
+class FamilySpec(_FamilySpec):
+    """One family of a scheme: index k for the 2^k/3^k shapes, or the
+    index-th admissible prime (skipping 2 where the lemma does)."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.index < 1:
             raise ValueError("family index starts at 1")
+        return self
 
     def prime(self, config: ToolConfig = DEFAULT_CONFIG) -> Optional[int]:
         if self.scheme is Scheme.OMEGA_ANTI:
@@ -240,21 +244,25 @@ def default_family_specs(scheme: Scheme, count: int) -> list[FamilySpec]:
 _VALIDATION_DEPTH = 5
 
 
-@dataclass(frozen=True)
-class GenericFamilySpec:
-    """Orbit recipe for a multiplicative f with f(p^n) = p^g(p,n) * h(p).
-
-    ``exponent_maps[i]`` holds (a_i, b_i) with g(p_i, n) = a_i*n + b_i;
-    ``cofactors[i]`` is h(p_i), which must be supported on ``primes``;
-    ``seeds[j]`` is the exponent vector of family j's first term.
-    """
+class _GenericFamilySpec(NamedTuple):
     function: FunctionId
     primes: tuple[int, ...]
     exponent_maps: tuple[tuple[int, int], ...]
     cofactors: tuple[FactoredNatural, ...]
     seeds: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
+
+class GenericFamilySpec(_GenericFamilySpec):
+    """Orbit recipe for a multiplicative f with f(p^n) = p^g(p,n) * h(p).
+
+    ``exponent_maps[i]`` holds (a_i, b_i) with g(p_i, n) = a_i*n + b_i;
+    ``cofactors[i]`` is h(p_i), which must be supported on ``primes``;
+    ``seeds[j]`` is the exponent vector of family j's first term.
+    """
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         m = len(self.primes)
         if len(set(self.primes)) != m or m == 0:
             raise ValueError("primes must be distinct and nonempty")
@@ -267,6 +275,7 @@ class GenericFamilySpec:
         for seed in self.seeds:
             if len(seed) != m:
                 raise ValueError("seed arity must match primes")
+        return self
 
 
 def generic_family_terms(spec: GenericFamilySpec, depth: int,
@@ -375,8 +384,7 @@ AMBIENT = "AMBIENT"
 CORE = "CORE"
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class _EntropyEstimate(NamedTuple):
     function: FunctionId
     seeds: tuple[int, ...]
     horizon: int
@@ -385,11 +393,17 @@ class EntropyEstimate:
     mode: str = AMBIENT
     set_size: int = 0
 
-    def __post_init__(self):
+
+class EntropyEstimate(_EntropyEstimate):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.direction not in (FORWARD, BACKWARD):
             raise ValueError("direction is FORWARD or BACKWARD")
         if self.mode not in (AMBIENT, CORE):
             raise ValueError("mode is AMBIENT or CORE")
+        return self
 
 
 def _check_walk(seeds: Sequence[int], horizon: int) -> None:
@@ -493,21 +507,25 @@ def surjective_core_membership(f: FunctionId, x: int,
 SEARCH_VALUE_BITS = 512
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class _SearchBudget(NamedTuple):
     max_start: int = 200
     max_depth: int = 30
     max_families: int = 10
     scan_bound: int = 5000
 
-    def __post_init__(self):
-        for name, value in asdict(self).items():
+
+class SearchBudget(_SearchBudget):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
+        return self
 
 
-@dataclass(frozen=True)
-class CandidateFamily:
+class CandidateFamily(NamedTuple):
     values: tuple[int, ...]
 
 

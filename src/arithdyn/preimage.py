@@ -28,7 +28,6 @@ lookup from there, and it alone decides how the fibre is found:
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -55,20 +54,25 @@ COMPLETE = "COMPLETE"
 BOUNDED_SEARCH = "BOUNDED_SEARCH"
 
 
-@dataclass(frozen=True)
-class PreimageResult:
+class _PreimageResult(NamedTuple):
     target: int
     members: tuple[int, ...]
     completeness: str
     search_bound: Optional[int] = None
 
-    def __post_init__(self):
+
+class PreimageResult(_PreimageResult):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.completeness not in (COMPLETE, BOUNDED_SEARCH):
             raise ValueError(f"bad completeness {self.completeness!r}")
         if (self.completeness == BOUNDED_SEARCH) != (self.search_bound is not None):
             raise ValueError("BOUNDED_SEARCH results carry their bound")
         if list(self.members) != sorted(set(self.members)):
             raise ValueError("members must be sorted and duplicate-free")
+        return self
 
 
 # ---------------------------------------------------------------------------

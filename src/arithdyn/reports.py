@@ -1,12 +1,10 @@
 """Shared verification-report types."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     """Where a checked claim broke: family index (when applicable),
     position/argument, and the two values that should have agreed."""
     family: Optional[int]
@@ -29,29 +27,34 @@ def _json_value(value: Any) -> Any:
     return value if isinstance(value, (int, str)) else repr(value)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of checking one claim at a given (families, depth) scope.
-
-    For plain sweeps `families_checked` is 1 and `depth` is the bound that
-    was scanned.  `certified_bound` carries statements like
-    "a(phi) >= 20 at depth 30" and is only ever present on PASS.
-    """
+class _VerificationReport(NamedTuple):
     lemma_id: str
     families_checked: int
     depth: int
     status: str  # "PASS" | "FAIL"
     counterexample: Optional[Counterexample] = None
     certified_bound: Optional[str] = None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...] = ()
 
-    def __post_init__(self):
+
+class VerificationReport(_VerificationReport):
+    """Outcome of checking one claim at a given (families, depth) scope.
+
+    For plain sweeps `families_checked` is 1 and `depth` is the bound that
+    was scanned.  `certified_bound` carries statements like
+    "a(phi) >= 20 at depth 30" and is only ever present on PASS.
+    """
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.status not in ("PASS", "FAIL"):
             raise ValueError(f"bad status {self.status!r}")
         if (self.status == "FAIL") != (self.counterexample is not None):
             raise ValueError("FAIL reports carry a counterexample; PASS reports do not")
         if self.certified_bound is not None and self.status != "PASS":
             raise ValueError("certified bounds only accompany PASS")
+        return self
 
     @property
     def passed(self) -> bool:

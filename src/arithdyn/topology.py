@@ -10,8 +10,8 @@ bound always travels with the verdict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from bisect import bisect_left, bisect_right
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import FunctionId, orbit_values, pointwise_lemma, value_table
@@ -24,21 +24,26 @@ COMPLETE = "COMPLETE"
 TRUNCATED = "TRUNCATED"
 
 
-@dataclass(frozen=True)
-class MinimalOpenSet:
+class _MinimalOpenSet(NamedTuple):
     point: int
     topology: str
     members: tuple[int, ...]
     completeness: str
     truncation_bound: Optional[int] = None
 
-    def __post_init__(self):
+
+class MinimalOpenSet(_MinimalOpenSet):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.topology not in (TAU, TAU_BAR):
             raise ValueError("topology is TAU or TAU_BAR")
         if self.completeness not in (COMPLETE, TRUNCATED):
             raise ValueError("completeness is COMPLETE or TRUNCATED")
         if self.point not in self.members:
             raise ValueError("the point belongs to its minimal open set")
+        return self
 
 
 def min_open_forward(f: FunctionId, x: int,
@@ -161,18 +166,27 @@ def verify_tau_subset(f: FunctionId, bound: int,
 # the partition example
 
 
-@dataclass(frozen=True)
-class ResidueBlock:
-    """The congruence class {x : x = residue (mod modulus)} within N."""
+class _ResidueBlock(NamedTuple):
     modulus: int
     residue: int
 
-    def __post_init__(self):
+
+class ResidueBlock(_ResidueBlock):
+    """The congruence class {x : x = residue (mod modulus)} within N."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0 <= self.residue < self.modulus:
             raise ValueError("need 0 <= residue < modulus")
+        return self
 
     def contains(self, x: int) -> bool:
         return x % self.modulus == self.residue
+
+    def members(self, bound: int) -> range:
+        """The members in 1..bound, ascending."""
+        return range(self.residue or self.modulus, bound + 1, self.modulus)
 
     def successor(self, x: int) -> int:
         return x + self.modulus
@@ -181,22 +195,35 @@ class ResidueBlock:
         return f"{self.residue} mod {self.modulus}"
 
 
-@dataclass(frozen=True)
-class ExplicitBlock:
-    """A block given by its strictly increasing member list."""
+class _ExplicitBlock(NamedTuple):
     generators: tuple[int, ...]
 
-    def __post_init__(self):
+
+class ExplicitBlock(_ExplicitBlock):
+    """A block given by its strictly increasing member list."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be strictly increasing")
+        return self
 
     def contains(self, x: int) -> bool:
-        return x in set(self.generators)
+        gs = self.generators
+        i = bisect_left(gs, x)
+        return i < len(gs) and gs[i] == x
+
+    def members(self, bound: int) -> tuple[int, ...]:
+        """The members in 1..bound, ascending."""
+        gs = self.generators
+        return gs[bisect_left(gs, 1):bisect_right(gs, bound)]
 
     def successor(self, x: int) -> Optional[int]:
+        """The least member above x, or None."""
         gs = self.generators
-        i = gs.index(x)
-        return gs[i + 1] if i + 1 < len(gs) else None
+        i = bisect_right(gs, x)
+        return gs[i] if i < len(gs) else None
 
     def label(self) -> str:
         head = ",".join(map(str, self.generators[:4]))
@@ -206,8 +233,7 @@ class ExplicitBlock:
 Block = Union[ResidueBlock, ExplicitBlock]
 
 
-@dataclass(frozen=True)
-class PartitionMapResult:
+class PartitionMapResult(NamedTuple):
     blocks: tuple[str, ...]
     function_table: dict[int, int]
     boundary: tuple[int, ...]
@@ -248,13 +274,16 @@ def partition_map(blocks: Sequence[Block], bound: int) -> PartitionMapResult:
     edges they would contribute are discarded rather than clamped.
     """
     lemma = "partition-example"
-    owner: dict[int, int] = {}
-    for x in range(1, bound + 1):
-        holders = [i for i, b in enumerate(blocks) if b.contains(x)]
-        if len(holders) != 1:
-            raise ValueError(
-                f"{x} belongs to {len(holders)} blocks; need a partition of 1..{bound}")
-        owner[x] = holders[0]
+    # owner[x]: the one block listing x; -1 while none does, -2 once two do
+    owner = [-1] * (bound + 1)
+    for i, block in enumerate(blocks):
+        for x in block.members(bound):
+            owner[x] = i if owner[x] == -1 else -2
+    bad = next((x for x in range(1, bound + 1) if owner[x] < 0), None)
+    if bad is not None:
+        holders = sum(b.contains(bad) for b in blocks)
+        raise ValueError(
+            f"{bad} belongs to {holders} blocks; need a partition of 1..{bound}")
 
     ftable: dict[int, int] = {}
     boundary: list[int] = []

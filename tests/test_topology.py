@@ -1,4 +1,7 @@
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithdyn import arithfun as af
 from arithdyn import topology as tp
@@ -196,10 +199,113 @@ def test_partition_explicit_blocks():
 
 
 def test_partition_rejects_non_partition():
-    with pytest.raises(ValueError):
+    # each refusal names the least x held by 0 or by 2+ blocks
+    with pytest.raises(ValueError, match=r"^1 belongs to 0 blocks; need a partition of 1\.\.10$"):
         tp.partition_map([tp.ResidueBlock(2, 0)], 10)  # odds uncovered
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^2 belongs to 2 blocks; need a partition of 1\.\.10$"):
         tp.partition_map([tp.ResidueBlock(2, 0), tp.ResidueBlock(1, 0)], 10)
+    overlap = [tp.ExplicitBlock((1, 3, 5)), tp.ResidueBlock(2, 0), tp.ExplicitBlock((2, 4, 7)),
+               tp.ResidueBlock(2, 1)]
+    with pytest.raises(ValueError, match=r"^1 belongs to 2 blocks; need a partition of 1\.\.9$"):
+        tp.partition_map(overlap, 9)
+    with pytest.raises(ValueError, match=r"^2 belongs to 2 blocks; need a partition of 1\.\.9$"):
+        tp.partition_map(overlap[:3], 9)
+
+
+def _brute_partition(blocks, bound):
+    """(refusal, None) for the least x of 1..bound held by 0 or 2+ blocks,
+    else (None, (owner, successor table)), asking every block about every x."""
+    def holds(block, x):
+        if isinstance(block, tp.ResidueBlock):
+            return x % block.modulus == block.residue
+        return x in block.generators
+
+    owner = {}
+    for x in range(1, bound + 1):
+        holders = [i for i, b in enumerate(blocks) if holds(b, x)]
+        if len(holders) != 1:
+            return f"{x} belongs to {len(holders)} blocks; need a partition of 1..{bound}", None
+        owner[x] = holders[0]
+    ftable = {}
+    for x in range(1, bound + 1):
+        block = blocks[owner[x]]
+        if isinstance(block, tp.ResidueBlock):
+            ftable[x] = x + block.modulus
+        else:
+            later = [g for g in block.generators if g > x]
+            if later:
+                ftable[x] = later[0]
+    return None, (owner, ftable)
+
+
+@st.composite
+def _partitions(draw):
+    """A residue or explicit partition of a window, sometimes with a block
+    dropped (a hole) or one added (an overlap), and the window's bound."""
+    bound = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        blocks = tp.residue_partition(draw(st.integers(1, 8)))
+    else:
+        k = draw(st.integers(1, 4))
+        # members run past the bound, and 0 belongs to no window
+        span = bound + draw(st.integers(0, 10))
+        owners = draw(st.lists(st.integers(0, k - 1), min_size=span + 1, max_size=span + 1))
+        blocks = [tp.ExplicitBlock(tuple(x for x, o in enumerate(owners) if o == i))
+                  for i in range(k)]
+    blocks = list(draw(st.permutations(blocks)))
+    if len(blocks) > 1 and draw(st.booleans()):
+        del blocks[draw(st.integers(0, len(blocks) - 1))]
+    if draw(st.booleans()):
+        modulus = draw(st.integers(1, 8))
+        blocks.append(tp.ResidueBlock(modulus, draw(st.integers(0, modulus - 1))))
+    if draw(st.booleans()):
+        extra = draw(st.lists(st.integers(-2, bound + 3), unique=True, max_size=4))
+        blocks.append(tp.ExplicitBlock(tuple(sorted(extra))))
+    return blocks, bound
+
+
+@given(_partitions())
+@settings(max_examples=300, deadline=None)
+def test_partition_map_matches_brute_owner_table(case):
+    blocks, bound = case
+    refusal, expected = _brute_partition(blocks, bound)
+    if refusal is not None:
+        with pytest.raises(ValueError) as exc:
+            tp.partition_map(blocks, bound)
+        assert str(exc.value) == refusal
+        return
+    owner, ftable = expected
+    res = tp.partition_map(blocks, bound)
+    assert list(res.function_table.items()) == list(ftable.items())
+    assert res.boundary == tuple(x for x in range(1, bound + 1)
+                                 if x not in ftable or ftable[x] > bound)
+    # each block's members in the window form one successor chain
+    by_block = {}
+    for x in range(1, bound + 1):
+        by_block.setdefault(owner[x], []).append(x)
+    assert res.components == tuple(sorted(map(tuple, by_block.values())))
+    assert res.report.passed
+    assert res.blocks == tuple(b.label() for b in blocks)
+
+
+def test_partition_map_lists_members_instead_of_asking_every_block():
+    # the owner table once asked every block about every x: 400 x 40000
+    # contains calls.  That scan is linear in the bound, so it is timed on
+    # 1..1000 and scaled; the whole map must be at least 10x faster.
+    blocks = tp.residue_partition(400)
+
+    def best_of_3(run):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            run()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    new = best_of_3(lambda: tp.partition_map(blocks, 40000))
+    scan = best_of_3(lambda: [[i for i, b in enumerate(blocks) if b.contains(x)]
+                              for x in range(1, 1001)]) * 40
+    assert 10 * new <= scan, (new, scan)
 
 
 def test_forward_orbit_minimum_is_fixed_point():
