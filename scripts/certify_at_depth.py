@@ -4,10 +4,11 @@ per claim.  Deeper/wider runs strengthen every certified lower bound:
 
     python scripts/certify_at_depth.py --families 50 --depth 100 --bound 200000
 
-Every scheme claim of the verify-lemma registry runs at --families.  Where
---depth is past a scheme's cap (ToolConfig.depth_cap_*), that claim runs at
-its registry depth instead and its line says so, naming the cap's key;
-every printed certificate names the depth it holds at.
+Every family scheme (dynamics.Scheme) runs at --families.  Where --depth
+is past a scheme's cap (ToolConfig.depth_cap_*), that scheme runs at its
+own default depth (Scheme.size, verify-lemma's "registry depth") instead
+and its line says so, naming the cap's key; every printed certificate
+names the depth it holds at.
 """
 import argparse
 import sys
@@ -16,12 +17,11 @@ import time
 from arithdyn import arithfun as af
 from arithdyn import dynamics as dy
 from arithdyn import topology as tp
-from arithdyn.cli import LEMMAS
 from arithdyn.config import DEFAULT_CONFIG
 
 
 def main() -> int:
-    families, depth = LEMMAS["phi-antiorbit"].size  # the non-tower claims' size
+    families, depth = dy.Scheme.PHI_ANTI.size  # the non-tower schemes' size
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--families", type=int, default=families)
     ap.add_argument("--depth", type=int, default=depth)
@@ -39,13 +39,14 @@ def main() -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {label:<28} {detail}{note}")
 
     t0 = time.time()
-    for lemma in (claim for claim in LEMMAS.values() if claim.scheme is not None):
+    for scheme in dy.Scheme:
         depth, note = args.depth, ""
-        cap = dy.scheme_depth_cap(lemma.scheme, config)
+        cap = dy.scheme_depth_cap(scheme, config)
         if depth > cap:
-            depth = lemma.size[1]
-            note = f" (--depth {args.depth} is past {lemma.scheme.cap_key} = {cap}; registry depth)"
-        show(lemma.scheme.value, lemma.certify((args.families, depth), config), note)
+            depth = scheme.size[1]
+            note = f" (--depth {args.depth} is past {scheme.cap_key} = {cap}; registry depth)"
+        specs = dy.default_family_specs(scheme, args.families)
+        show(scheme.value, dy.verify_disjoint(specs, depth, config), note)
 
     sweep = af.catalogue_monotone_sweep(args.bound, config=config)
     bad = {k: v for k, v in sweep.items() if v is not None}

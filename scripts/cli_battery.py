@@ -15,15 +15,17 @@ scheme, the tower claims at 10x30 under a config that raises their depth
 caps, one small run of every other subcommand (and one at its defaults
 where those are cheap), `eval` of every family at 720 and at 81 = 3^4,
 `preimage` of sigma_2, J_3 and psi_2, the separation lemma for psi and
-phi at bound 1000, the phi tau-closure of 2 at the closure benchmark's
-scan bound and the one-node closure of 3 under a large one, the size
-refusals of `preimage`, `min-open` and `partition-demo`, the refusals of
-options a command does not read (among them a bound where fibres are
-complete, and `--families` on the lemma listing), of `--list` after a
-lemma id, of `--k`/`--l`, of the dropped function-name aliases and of
-other spellings than str(f), of an unknown subcommand, of a missing
-option, of fibre targets below 1 and of config files that hold no JSON
-object or a value that is not an int.
+phi at bound 1000, every pointwise lemma (the ids that read --fn) for
+sigma_2 and phi_star at bound 300, each passing for one of them and
+failing or refused for the other, the phi tau-closure of 2 at the
+closure benchmark's scan bound and the one-node closure of 3 under a
+large one, the size refusals of `preimage`, `min-open` and
+`partition-demo`, the refusals of options a command does not read (among
+them a bound where fibres are complete, and `--families` on the lemma
+listing), of `--list` after a lemma id, of `--k`/`--l`, of the dropped
+function-name aliases and of other spellings than str(f), of an unknown
+subcommand, of a missing option, of fibre targets below 1 and of config
+files that hold no JSON object or a value that is not an int.
 """
 import contextlib
 import io
@@ -104,6 +106,9 @@ def commands() -> list[list[str]]:
     out += [["preimage", "--fn", "sigma_2", "--m", "50"],
             ["preimage", "--fn", "J_3", "--m", "2394"],
             ["preimage", "--fn", "psi_2", "--m", "50"]]
+    out += [["verify-lemma", name, "--fn", fn, "--bound", "300"]
+            for name, lemma in cli.LEMMAS.items() if "fn" in lemma.reads
+            for fn in ("sigma_2", "phi_star")]
     out += [["partition-demo", "--mod", "0"], ["partition-demo", "--mod", "-2"],
             ["verify-lemma", "tau-subset", "--k", "3"],
             ["eval", "--fn", "J", "--k", "2", "--l", "5", "--n", "7"],

@@ -31,7 +31,7 @@ from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, Nat, ONE, OVERFLOW,
     _factored, factorize, nat_add, nat_resolve, primes_upto,
 )
-from .reports import Counterexample, VerificationReport
+from .reports import CheckedRecord, Counterexample, VerificationReport
 
 
 def _tail_times_power(p: int, a: int, k: int, s: int) -> int:
@@ -110,11 +110,10 @@ class _FunctionId(NamedTuple):
     param: Optional[int] = None
 
 
-class FunctionId(_FunctionId):
+class FunctionId(CheckedRecord, _FunctionId):
     # no __slots__ = (): cached_property keeps at_prime in the instance dict
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         least = self.family.least
         if least is None:
             if self.param is not None:
@@ -123,7 +122,6 @@ class FunctionId(_FunctionId):
             raise ValueError(f"{self.family.value} needs a parameter >= 1")
         elif self.param < least:
             raise ValueError(f"{self.family.prefix}_l needs l >= {least}")
-        return self
 
     def __str__(self):
         fam, k = self.family, self.param
@@ -564,24 +562,56 @@ def _least_of_prefix_or_suffix(primes: Sequence[int],
 # predicate violated(f(n), n) that least_violations reads as its failure
 _VIOLATED = {"<": operator.ge, "<=": operator.gt, ">=": operator.lt, ">": operator.le}
 
+# the suffix of a conclusion that holds only as far as its hypothesis was
+# checked, up to {bound}
+CONDITIONAL = "(conditional: hypothesis verified up to {bound} only)"
 
-def pointwise_lemma(lemma: str, f: FunctionId, bound: int, relation: str,
-                    conclusion: str,
+# lemma id -> (relation: the hypothesis f(n) <relation> n for 1 < n <=
+# bound; the conclusion it gives, a template over {f} and {bound}; whether
+# f must be expansive).  Above each row, why the hypothesis gives it.
+POINTWISE_LEMMAS: dict[str, tuple[str, str, bool]] = {
+    # the orbit of x stays inside 1..x, so no orbit is infinite
+    "monotone-o-zero": ("<=", "o({f}) = 0 " + CONDITIONAL, False),
+    # every backward chain from x stays inside 1..x, so no anti-orbit is infinite
+    "monotone-a-zero": (">=", "a({f}) = 0 " + CONDITIONAL, False),
+    # the orbit of 2 strictly increases, so it is infinite
+    "strict-o-positive": (">", "o({f}) > 0 " + CONDITIONAL, False),
+    # by induction on k: the orbit of k enters the orbit of f(k) < k, which reaches 1
+    "connected-forward": ("<", "1 in V(k, taubar_{f}) for all k <= {bound}; "
+                               "(N, taubar_{f}) and (N, tau_{f}) connected " + CONDITIONAL,
+                          False),
+    # f(n) >= n >= 2 for every n > 1, so no n > 1 maps to 1
+    "separation": (">=", "{{1}}, N\\{{1}} separates (N, taubar_{f}) and (N, tau_{f}) "
+                         + CONDITIONAL, False),
+    # an iterate x <= k has f(x) <= x <= k, so every iterate of k stays in 1..k
+    "taubar-subset": ("<=", "V(k, taubar_{f}) within {{1..k}} for all k <= {bound}", False),
+    # a preimage x of y <= k has x <= f(x) = y <= k; that needs f(x) >= x
+    # above the bound too, which only an expansive family guarantees
+    "tau-subset": (">=", "V(k, tau_{f}) within {{1..k}} for all k <= {bound}", True),
+}
+
+
+def pointwise_lemma(lemma: str, f: FunctionId, bound: int,
                     config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Check the hypothesis f(n) <relation> n for 1 < n <= bound, decided
-    on the prime powers <= bound (least_violations), and report FAIL at
-    the least n where it fails or PASS with the lemma's conclusion.  f(1) =
-    1 holds by the catalogue's convention: the empty factorisation has
-    scalar value 1.  Every pointwise lemma of the catalogue is decided and
-    reported here."""
+    """The lemma `lemma` of POINTWISE_LEMMAS for f, reported as "<lemma>
+    <f>": its hypothesis f(n) <relation> n checked for 1 < n <= bound,
+    decided on the prime powers <= bound (least_violations); FAIL at the
+    least n where it fails, else PASS with the row's conclusion.  f(1) = 1
+    holds by the catalogue's convention: the empty factorisation has
+    scalar value 1.  A row that needs an expansive f refuses any other f
+    (ValueError), and a bound below 1 is refused."""
+    relation, conclusion, expansive = POINTWISE_LEMMAS[lemma]
+    if expansive and not f.expansive:
+        raise ValueError(f"{lemma} check needs an expansive f, not {f}")
     (failure,) = least_violations(f, bound, (_VIOLATED[relation],), config)
+    lemma_id = f"{lemma} {f}"
     if failure is None:
         return VerificationReport(
-            lemma_id=lemma, families_checked=1, depth=bound, status="PASS",
-            certified_bound=conclusion)
+            lemma_id=lemma_id, families_checked=1, depth=bound, status="PASS",
+            certified_bound=conclusion.format(f=f, bound=bound))
     n, value = failure
     return VerificationReport(
-        lemma_id=lemma, families_checked=1, depth=bound, status="FAIL",
+        lemma_id=lemma_id, families_checked=1, depth=bound, status="FAIL",
         counterexample=Counterexample(
             None, n, f"{relation} {n}", value,
             detail=f"hypothesis f(n) {relation} n fails at n = {n}"))

@@ -18,7 +18,7 @@ import json
 import re
 import sys
 from datetime import datetime, timezone
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import islice
 from typing import Any, Callable, NamedTuple, Optional
 
@@ -145,8 +145,9 @@ def _cmd_entropy(args, config) -> tuple[str, Any]:
     if args.command == "centropy":
         out["note"] = ("computed on ambient N, not restricted to sc(f)"
                        if est.mode == dy.AMBIENT else "restricted to the surjective core")
-    out["value"] = {"numerator": est.value.numerator, "denominator": est.value.denominator,
-                    "decimal": float(est.value)}
+    value = est.value
+    out["value"] = {"numerator": value.numerator, "denominator": value.denominator,
+                    "decimal": float(value)}
     return "INFO", out
 
 
@@ -250,15 +251,30 @@ def _generic_note_runner(args, config: ToolConfig) -> VerificationReport:
                         f"({families} families, depth {depth})")
 
 
-def _pointwise(description: str,
-               check: Callable[[af.FunctionId, int, ToolConfig], VerificationReport],
-               default_fn: str, default_bound: int) -> Lemma:
-    """A pointwise lemma: check(f, bound, config) with f from --fn
+def _certify(scheme: dy.Scheme, families: Optional[int], depth: Optional[int],
+             config: ToolConfig) -> VerificationReport:
+    """Disjointness of the scheme's first `families` families to `depth`,
+    each None for the scheme's own size (Scheme.size); a depth past the
+    scheme cap is refused downstream, never clamped."""
+    default_families, default_depth = scheme.size
+    return dy.verify_disjoint(dy.default_family_specs(scheme, families or default_families),
+                              depth or default_depth, config)
+
+
+def _scheme_claim(scheme: dy.Scheme, description: str) -> Lemma:
+    """A scheme claim: _certify at --families x --depth."""
+    def run(args, config: ToolConfig) -> VerificationReport:
+        return _certify(scheme, _positive(args, "families"), _positive(args, "depth"), config)
+    return Lemma(description, run, ("families", "depth"))
+
+
+def _pointwise(lemma: str, default_fn: str, default_bound: int, description: str) -> Lemma:
+    """The lemma `lemma` of arithfun.POINTWISE_LEMMAS, with f from --fn
     (default_fn when not given) and bound from --bound."""
     def run(args, config: ToolConfig) -> VerificationReport:
         f = af.parse_function(default_fn if args.fn is None else args.fn)
-        return check(f, _positive(args, "bound", default_bound), config)
-    return Lemma(description, run, reads=("fn", "bound"))
+        return af.pointwise_lemma(lemma, f, _positive(args, "bound", default_bound), config)
+    return Lemma(description, run, ("fn", "bound"))
 
 
 def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
@@ -304,70 +320,46 @@ def _partition_runner(args, config: ToolConfig) -> VerificationReport:
 
 
 class Lemma(NamedTuple):
-    """One registry claim: its description and runner, or for a scheme
-    claim its scheme and default (families, depth) in place of a runner;
-    `reads` names the verify-lemma options it reads."""
+    """One registry claim: its description, its runner run(args, config),
+    and the verify-lemma options it reads."""
     description: str
-    runner: Optional[Callable[[argparse.Namespace, ToolConfig], VerificationReport]] = None
-    scheme: Optional[dy.Scheme] = None
-    size: tuple[int, int] = (0, 0)
-    reads: tuple[str, ...] = ("families", "depth")
-
-    def size_at(self, args) -> tuple[int, int]:
-        """(--families, --depth), each defaulting to the claim's size."""
-        families, depth = self.size
-        return _positive(args, "families", families), _positive(args, "depth", depth)
-
-    def certify(self, size: tuple[int, int], config: ToolConfig) -> VerificationReport:
-        """Disjointness of size[0] families of the scheme to depth size[1];
-        a depth past the scheme cap is refused downstream, never clamped."""
-        families, depth = size
-        return dy.verify_disjoint(dy.default_family_specs(self.scheme, families),
-                                  depth, config)
-
-    def run(self, args, config: ToolConfig) -> VerificationReport:
-        if self.scheme is None:
-            return self.runner(args, config)
-        return self.certify(self.size_at(args), config)
+    run: Callable[[argparse.Namespace, ToolConfig], VerificationReport]
+    reads: tuple[str, ...]
 
 
-# The one battery registry: verify-lemma runs it, `table orbit-numbers` and
-# scripts/certify_at_depth.py read their scheme claims and sizes from it.
+# The one battery registry, which verify-lemma runs.
 LEMMAS: dict[str, Lemma] = {
-    "phi-antiorbit": Lemma("disjoint phi anti-orbit families 2^k 3^n",
-                           scheme=dy.Scheme.PHI_ANTI, size=(20, 30)),
-    "d-antiorbit": Lemma("disjoint d anti-orbit towers p^(x-1)",
-                         scheme=dy.Scheme.D_ANTI, size=(5, 5)),
-    "omega-antiorbit": Lemma("disjoint Omega anti-orbit towers p^x",
-                             scheme=dy.Scheme.OMEGA_ANTI, size=(5, 5)),
-    "smallomega-antiorbit": Lemma("disjoint omega anti-orbit primorial blocks",
-                                  scheme=dy.Scheme.SMALL_OMEGA_ANTI, size=(5, 6)),
-    "psi-orbit": Lemma("disjoint psi orbit families 3^k 2^n",
-                       scheme=dy.Scheme.PSI_ORBIT, size=(20, 30)),
-    "j2-orbit": Lemma("disjoint J_2 orbit families 2^e 3",
-                      scheme=dy.Scheme.J2_ORBIT, size=(20, 30)),
+    "phi-antiorbit": _scheme_claim(dy.Scheme.PHI_ANTI,
+                                   "disjoint phi anti-orbit families 2^k 3^n"),
+    "d-antiorbit": _scheme_claim(dy.Scheme.D_ANTI, "disjoint d anti-orbit towers p^(x-1)"),
+    "omega-antiorbit": _scheme_claim(dy.Scheme.OMEGA_ANTI,
+                                     "disjoint Omega anti-orbit towers p^x"),
+    "smallomega-antiorbit": _scheme_claim(dy.Scheme.SMALL_OMEGA_ANTI,
+                                          "disjoint omega anti-orbit primorial blocks"),
+    "psi-orbit": _scheme_claim(dy.Scheme.PSI_ORBIT, "disjoint psi orbit families 3^k 2^n"),
+    "j2-orbit": _scheme_claim(dy.Scheme.J2_ORBIT, "disjoint J_2 orbit families 2^e 3"),
     "generic-note": Lemma("generic multiplicative construction subsumes psi/J_2",
-                          _generic_note_runner),
-    "monotone-o-zero": _pointwise("f(n) <= n forces orbit number 0 (hypothesis check)",
-                                  partial(dy.monotone_lemma, "monotone-o-zero"), "phi", 10_000),
-    "monotone-a-zero": _pointwise("f(n) >= n forces anti-orbit number 0 (hypothesis check)",
-                                  partial(dy.monotone_lemma, "monotone-a-zero"), "psi", 10_000),
-    "strict-o-positive": _pointwise("f(n) > n above 1 forces orbit number > 0",
-                                    partial(dy.monotone_lemma, "strict-o-positive"), "psi", 10_000),
+                          _generic_note_runner, ("families", "depth")),
+    "monotone-o-zero": _pointwise("monotone-o-zero", "phi", 10_000,
+                                  "f(n) <= n forces orbit number 0 (hypothesis check)"),
+    "monotone-a-zero": _pointwise("monotone-a-zero", "psi", 10_000,
+                                  "f(n) >= n forces anti-orbit number 0 (hypothesis check)"),
+    "strict-o-positive": _pointwise("strict-o-positive", "psi", 10_000,
+                                    "f(n) > n above 1 forces orbit number > 0"),
     "phi-finite-fibre": Lemma("phi fibres complete and inside the certificate bound",
-                              _phi_finite_fibre_runner, reads=("bound",)),
+                              _phi_finite_fibre_runner, ("bound",)),
     "nonfinite-fibre": Lemma("primes witness infinite fibres of omega/Omega/d",
-                             _nonfinite_fibre_runner, reads=("families",)),
-    "tau-subset": _pointwise("V(k, tau_f) within {1..k} for expansive f",
-                             tp.verify_tau_subset, "psi", 1000),
-    "taubar-subset": _pointwise("V(k, taubar_f) within {1..k} for decreasing f",
-                                tp.verify_taubar_subset, "phi", 1000),
-    "connected-forward": _pointwise("orbits of decreasing f reach 1; connectivity",
-                                    tp.contains_one_forward, "phi", 10_000),
-    "separation": _pointwise("expansive f splits off {1}; disconnection",
-                             tp.separation_check, "psi", 10_000),
+                             _nonfinite_fibre_runner, ("families",)),
+    "tau-subset": _pointwise("tau-subset", "psi", 1000,
+                             "V(k, tau_f) within {1..k} for expansive f"),
+    "taubar-subset": _pointwise("taubar-subset", "phi", 1000,
+                                "V(k, taubar_f) within {1..k} for decreasing f"),
+    "connected-forward": _pointwise("connected-forward", "phi", 10_000,
+                                    "orbits of decreasing f reach 1; connectivity"),
+    "separation": _pointwise("separation", "psi", 10_000,
+                             "expansive f splits off {1}; disconnection"),
     "partition-example": Lemma("successor map on a partition has the blocks as components",
-                               _partition_runner, reads=("bound",)),
+                               _partition_runner, ("bound",)),
 }
 # the verify-lemma options besides the id; an id refuses those it does not
 # read, the listing (no id) all of them
@@ -401,34 +393,33 @@ def _cmd_table(args, config) -> tuple[str, Any]:
 
 
 # `table orbit-numbers`, row by row: functions, orbit_number, anti_orbit_number.
-# A cell naming a registry claim holds its certificate at --families x
-# --depth, or at the claim's own size for the pinned tower claims, whose
-# depth caps sit far below the other rows' depths.  Other cells are text.
+# A cell naming a Scheme holds its certificate at --families x --depth (as
+# verify-lemma), or at Scheme.size for the tower schemes, whose depth caps
+# sit far below the other rows' depths.  Other cells are text.
 _ZERO = "0 {cond}"
 _ORBIT_TABLE = (
-    ("phi (=J_1)", _ZERO, "phi-antiorbit"),
-    ("d (=d_2)", _ZERO, "d-antiorbit"),
-    ("Omega", _ZERO, "omega-antiorbit"),
-    ("omega", _ZERO, "smallomega-antiorbit"),
+    ("phi (=J_1)", _ZERO, dy.Scheme.PHI_ANTI),
+    ("d (=d_2)", _ZERO, dy.Scheme.D_ANTI),
+    ("Omega", _ZERO, dy.Scheme.OMEGA_ANTI),
+    ("omega", _ZERO, dy.Scheme.SMALL_OMEGA_ANTI),
     ("phi_star", _ZERO, "open problem; no verdict (see `search`)"),
-    ("J_2", "j2-orbit", _ZERO),
-    ("psi (=psi_1)", "psi-orbit", _ZERO),
+    ("J_2", dy.Scheme.J2_ORBIT, _ZERO),
+    ("psi (=psi_1)", dy.Scheme.PSI_ORBIT, _ZERO),
     ("sigma_k, psi_k, J_(k+2) (k <= 3)", "> 0 {cond}", _ZERO),
 )
-_PINNED = frozenset(name for name, lemma in LEMMAS.items()
-                    if lemma.scheme in dy.TOWER_SCHEMES)
 
 
 def _table_orbit_numbers(args, config: ToolConfig) -> tuple[str, Any]:
     bound = _positive(args, "bound", 10_000)
-    sizes = {cell: LEMMAS[cell].size if cell in _PINNED else LEMMAS[cell].size_at(args)
-             for row in _ORBIT_TABLE for cell in row[1:] if cell in LEMMAS}
+    families, depth = _positive(args, "families"), _positive(args, "depth")
     sweep = af.catalogue_monotone_sweep(bound, config=config)
     hypothesis_fail = {k: v for k, v in sweep.items() if v is not None}
-    reports = {cell: LEMMAS[cell].certify(size, config) for cell, size in sizes.items()}
-    cond = f"(conditional: hypothesis verified up to {bound} only)"
+    reports = {cell: _certify(cell, None, None, config) if cell in dy.TOWER_SCHEMES
+               else _certify(cell, families, depth, config)
+               for row in _ORBIT_TABLE for cell in row[1:] if isinstance(cell, dy.Scheme)}
+    cond = af.CONDITIONAL.format(bound=bound)
 
-    def fill(cell: str) -> str:
+    def fill(cell: str | dy.Scheme) -> str:
         rep = reports.get(cell)
         if rep is None:
             return cell.format(cond=cond)

@@ -24,14 +24,13 @@ Infinite orbit/anti-orbit numbers are never reported as infinite, only as
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import (
     BIG_OMEGA, D, FunctionId, J2, PHI, PSI, SMALL_OMEGA, Value, evaluate, forward_orbit,
-    monotone_profile, pointwise_lemma, scalar_value,
+    monotone_profile, scalar_value,
 )
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _factored,
@@ -39,24 +38,26 @@ from .factorint import (
     prime_index, to_integer,
 )
 from .preimage import fibres, preimage_closure
-from .reports import Counterexample, VerificationReport
+from .reports import CheckedRecord, Counterexample, VerificationReport
 
 
 class Scheme(enum.Enum):
     """A built-in family scheme.  The value is its name ("phi-anti"); each
     member also carries the function its families follow, whether they
-    are anti-orbits, and the ToolConfig key of its depth cap."""
-    PHI_ANTI = ("phi-anti", PHI, True, "depth_cap_phi_anti")
-    D_ANTI = ("d-anti", D, True, "depth_cap_d_anti")
-    OMEGA_ANTI = ("omega-anti", BIG_OMEGA, True, "depth_cap_omega_anti")
-    SMALL_OMEGA_ANTI = ("smallomega-anti", SMALL_OMEGA, True, "depth_cap_smallomega_anti")
-    PSI_ORBIT = ("psi-orbit", PSI, False, "depth_cap_psi_orbit")
-    J2_ORBIT = ("j2-orbit", J2, False, "depth_cap_j2_orbit")
+    are anti-orbits, the ToolConfig key of its depth cap, and its default
+    size (families, depth) for verify-lemma and `table orbit-numbers`."""
+    PHI_ANTI = ("phi-anti", PHI, True, "depth_cap_phi_anti", (20, 30))
+    D_ANTI = ("d-anti", D, True, "depth_cap_d_anti", (5, 5))
+    OMEGA_ANTI = ("omega-anti", BIG_OMEGA, True, "depth_cap_omega_anti", (5, 5))
+    SMALL_OMEGA_ANTI = ("smallomega-anti", SMALL_OMEGA, True, "depth_cap_smallomega_anti", (5, 6))
+    PSI_ORBIT = ("psi-orbit", PSI, False, "depth_cap_psi_orbit", (20, 30))
+    J2_ORBIT = ("j2-orbit", J2, False, "depth_cap_j2_orbit", (20, 30))
 
-    def __new__(cls, value: str, function: FunctionId, anti: bool, cap_key: str):
+    def __new__(cls, value: str, function: FunctionId, anti: bool, cap_key: str,
+                size: tuple[int, int]):
         member = object.__new__(cls)
         member._value_ = value
-        member.function, member.anti, member.cap_key = function, anti, cap_key
+        member.function, member.anti, member.cap_key, member.size = function, anti, cap_key, size
         return member
 
 
@@ -73,16 +74,14 @@ class _FamilySpec(NamedTuple):
     index: int
 
 
-class FamilySpec(_FamilySpec):
+class FamilySpec(CheckedRecord, _FamilySpec):
     """One family of a scheme: index k for the 2^k/3^k shapes, or the
     index-th admissible prime (skipping 2 where the lemma does)."""
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.index < 1:
             raise ValueError("family index starts at 1")
-        return self
 
     def prime(self, config: ToolConfig = DEFAULT_CONFIG) -> Optional[int]:
         if self.scheme is Scheme.OMEGA_ANTI:
@@ -252,7 +251,7 @@ class _GenericFamilySpec(NamedTuple):
     seeds: tuple[tuple[int, ...], ...]
 
 
-class GenericFamilySpec(_GenericFamilySpec):
+class GenericFamilySpec(CheckedRecord, _GenericFamilySpec):
     """Orbit recipe for a multiplicative f with f(p^n) = p^g(p,n) * h(p).
 
     ``exponent_maps[i]`` holds (a_i, b_i) with g(p_i, n) = a_i*n + b_i;
@@ -261,8 +260,7 @@ class GenericFamilySpec(_GenericFamilySpec):
     """
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         m = len(self.primes)
         if len(set(self.primes)) != m or m == 0:
             raise ValueError("primes must be distinct and nonempty")
@@ -275,7 +273,6 @@ class GenericFamilySpec(_GenericFamilySpec):
         for seed in self.seeds:
             if len(seed) != m:
                 raise ValueError("seed arity must match primes")
-        return self
 
 
 def generic_family_terms(spec: GenericFamilySpec, depth: int,
@@ -345,36 +342,6 @@ def j2_generic_spec(families: int = 5) -> GenericFamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# monotone lemmas
-
-
-# lemma id -> (the hypothesis f(n) <relation> n, the conclusion it forces)
-MONOTONE_LEMMAS = {
-    "monotone-o-zero": ("<=", "o({f}) = 0"),
-    "monotone-a-zero": (">=", "a({f}) = 0"),
-    "strict-o-positive": (">", "o({f}) > 0"),
-}
-
-
-def monotone_lemma(lemma: str, f: FunctionId, bound: int,
-                   config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """The monotone lemma `lemma` of MONOTONE_LEMMAS for f: its hypothesis
-    checked for n <= bound by arithfun.pointwise_lemma, its conclusion
-    tagged conditional-at-bound.
-
-    f(n) <= n keeps the orbit of x inside 1..x, so no orbit is infinite;
-    f(n) >= n keeps every backward chain from x inside 1..x, so no
-    anti-orbit is infinite; f(n) > n above 1 makes the orbit of 2 strictly
-    increasing, hence infinite.
-    """
-    relation, conclusion = MONOTONE_LEMMAS[lemma]
-    return pointwise_lemma(
-        f"{lemma} {f}", f, bound, relation,
-        f"{conclusion.format(f=f)} (conditional: hypothesis verified up to {bound} only)",
-        config)
-
-
-# ---------------------------------------------------------------------------
 # entropy estimates
 
 
@@ -388,22 +355,26 @@ class _EntropyEstimate(NamedTuple):
     function: FunctionId
     seeds: tuple[int, ...]
     horizon: int
-    value: Fraction
     direction: str
     mode: str = AMBIENT
     set_size: int = 0
 
 
-class EntropyEstimate(_EntropyEstimate):
+class EntropyEstimate(CheckedRecord, _EntropyEstimate):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.direction not in (FORWARD, BACKWARD):
             raise ValueError("direction is FORWARD or BACKWARD")
         if self.mode not in (AMBIENT, CORE):
             raise ValueError("mode is AMBIENT or CORE")
-        return self
+
+    @property
+    def value(self):
+        """set_size / horizon as an exact Fraction (imported here: only
+        the entropy reports read it)."""
+        from fractions import Fraction
+        return Fraction(self.set_size, self.horizon)
 
 
 def _check_walk(seeds: Sequence[int], horizon: int) -> None:
@@ -453,8 +424,7 @@ def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
         return nxt
 
     size = _union_of_layers(first, step, horizon)
-    return EntropyEstimate(f, tuple(seeds), horizon, Fraction(size, horizon),
-                           FORWARD, set_size=size)
+    return EntropyEstimate(f, tuple(seeds), horizon, FORWARD, set_size=size)
 
 
 def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
@@ -476,8 +446,7 @@ def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
         return kept(x for y in layer for x in fibre(y))
 
     size = _union_of_layers(kept(seeds), step, horizon)
-    return EntropyEstimate(f, tuple(seeds), horizon, Fraction(size, horizon),
-                           BACKWARD, mode, set_size=size)
+    return EntropyEstimate(f, tuple(seeds), horizon, BACKWARD, mode, set_size=size)
 
 
 def surjective_core_membership(f: FunctionId, x: int,
@@ -514,15 +483,13 @@ class _SearchBudget(NamedTuple):
     scan_bound: int = 5000
 
 
-class SearchBudget(_SearchBudget):
+class SearchBudget(CheckedRecord, _SearchBudget):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         for name, value in zip(self._fields, self):
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
-        return self
 
 
 class CandidateFamily(NamedTuple):

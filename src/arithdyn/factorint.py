@@ -551,11 +551,6 @@ class FactoredNatural:
     def has_intervals(self) -> bool:
         return bool(self.intervals)
 
-    @property
-    def has_deferred(self) -> bool:
-        return (any(isinstance(e, DeferredValue) for _, e in self.explicit)
-                or any(isinstance(hi, DeferredValue) for _, hi in self.intervals))
-
     def __eq__(self, other):
         if not isinstance(other, FactoredNatural):
             return NotImplemented

@@ -39,6 +39,7 @@ from .factorint import (
     BudgetExceeded, FactoredNatural, factored_range, is_prime, nth_prime,
     prime_factors, primes_upto,
 )
+from .reports import CheckedRecord
 
 
 class NotFiniteFibre(ValueError):
@@ -61,18 +62,16 @@ class _PreimageResult(NamedTuple):
     search_bound: Optional[int] = None
 
 
-class PreimageResult(_PreimageResult):
+class PreimageResult(CheckedRecord, _PreimageResult):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.completeness not in (COMPLETE, BOUNDED_SEARCH):
             raise ValueError(f"bad completeness {self.completeness!r}")
         if (self.completeness == BOUNDED_SEARCH) != (self.search_bound is not None):
             raise ValueError("BOUNDED_SEARCH results carry their bound")
         if list(self.members) != sorted(set(self.members)):
             raise ValueError("members must be sorted and duplicate-free")
-        return self
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,22 @@ class Counterexample(NamedTuple):
         return msg
 
 
+class CheckedRecord:
+    """The base of a NamedTuple record with checks, listed before the
+    NamedTuple: the constructor runs the record's _check, and _make (and
+    so _replace) builds through the constructor, so no copy skips it."""
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 def _json_value(value: Any) -> Any:
     """An int or str as itself (a JSON number or string); any other value,
     such as a FactoredNatural or DeferredValue, as its repr."""
@@ -37,7 +53,7 @@ class _VerificationReport(NamedTuple):
     notes: tuple[str, ...] = ()
 
 
-class VerificationReport(_VerificationReport):
+class VerificationReport(CheckedRecord, _VerificationReport):
     """Outcome of checking one claim at a given (families, depth) scope.
 
     For plain sweeps `families_checked` is 1 and `depth` is the bound that
@@ -46,15 +62,13 @@ class VerificationReport(_VerificationReport):
     """
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.status not in ("PASS", "FAIL"):
             raise ValueError(f"bad status {self.status!r}")
         if (self.status == "FAIL") != (self.counterexample is not None):
             raise ValueError("FAIL reports carry a counterexample; PASS reports do not")
         if self.certified_bound is not None and self.status != "PASS":
             raise ValueError("certified bounds only accompany PASS")
-        return self
 
     @property
     def passed(self) -> bool:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import FunctionId, orbit_values, pointwise_lemma, value_table
 from .preimage import BOUNDED_SEARCH, NotFiniteFibre, fibres, preimage_closure
-from .reports import Counterexample, VerificationReport
+from .reports import CheckedRecord, Counterexample, VerificationReport
 
 TAU = "TAU"
 TAU_BAR = "TAU_BAR"
@@ -32,18 +32,16 @@ class _MinimalOpenSet(NamedTuple):
     truncation_bound: Optional[int] = None
 
 
-class MinimalOpenSet(_MinimalOpenSet):
+class MinimalOpenSet(CheckedRecord, _MinimalOpenSet):
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if self.topology not in (TAU, TAU_BAR):
             raise ValueError("topology is TAU or TAU_BAR")
         if self.completeness not in (COMPLETE, TRUNCATED):
             raise ValueError("completeness is COMPLETE or TRUNCATED")
         if self.point not in self.members:
             raise ValueError("the point belongs to its minimal open set")
-        return self
 
 
 def min_open_forward(f: FunctionId, x: int,
@@ -104,62 +102,31 @@ def min_open_backward(f: FunctionId, x: int, scan_bound: Optional[int] = None,
 
 def contains_one_forward(f: FunctionId, bound: int,
                          config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(1) = 1 and f(n) < n for 1 < n <= bound, with the
-    conclusion 1 in V(k, taubar) for every k <= bound.
-
-    The conclusion follows from the hypothesis by induction on k: f(k) < k,
-    so the orbit of k enters the orbit of a smaller point, which reaches 1.
-    """
-    return pointwise_lemma(
-        f"connected-forward {f}", f, bound, "<",
-        f"1 in V(k, taubar_{f}) for all k <= {bound}; "
-        f"(N, taubar_{f}) and (N, tau_{f}) connected "
-        f"(conditional: hypothesis verified up to {bound} only)", config)
+    """The connected-forward lemma of arithfun.POINTWISE_LEMMAS: f(n) < n
+    for 1 < n <= bound puts 1 in V(k, taubar) for every k <= bound."""
+    return pointwise_lemma("connected-forward", f, bound, config)
 
 
 def separation_check(f: FunctionId, bound: int,
                      config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(1) = 1 and f(n) >= n for 1 < n <= bound, yielding the
-    disconnection verdict {1} | N\\{1}, tagged conditional-at-bound.
-
-    The fibre of 1 inside the window is then {1}: f(n) >= n >= 2 for every
-    other n, so no n > 1 maps to 1.
-    """
-    return pointwise_lemma(
-        f"separation {f}", f, bound, ">=",
-        f"{{1}}, N\\{{1}} separates (N, taubar_{f}) and (N, tau_{f}) "
-        f"(conditional: hypothesis verified up to {bound} only)", config)
+    """The separation lemma of arithfun.POINTWISE_LEMMAS: f(n) >= n for 1
+    < n <= bound splits the naturals into {1} and N\\{1}."""
+    return pointwise_lemma("separation", f, bound, config)
 
 
 def verify_taubar_subset(f: FunctionId, bound: int,
                          config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(1) = 1 and f(n) <= n for 1 < n <= bound, with the
-    conclusion V(k, taubar) within {1..k}, literally, for every k <= bound.
-
-    The conclusion follows by induction along the orbit: an iterate x <= k
-    has f(x) <= x <= k, so every iterate of k stays inside 1..k.
-    """
-    return pointwise_lemma(
-        f"taubar-subset {f}", f, bound, "<=",
-        f"V(k, taubar_{f}) within {{1..k}} for all k <= {bound}", config)
+    """The taubar-subset lemma of arithfun.POINTWISE_LEMMAS: f(n) <= n for
+    1 < n <= bound keeps V(k, taubar) within {1..k} for every k <= bound."""
+    return pointwise_lemma("taubar-subset", f, bound, config)
 
 
 def verify_tau_subset(f: FunctionId, bound: int,
                       config: ToolConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Hypothesis f(1) = 1 and f(n) >= n for 1 < n <= bound, with the
-    conclusion V(k, tau) within {1..k}, literally, for every k <= bound.
-
-    The conclusion follows by induction along the preimages: a preimage x
-    of y <= k has x <= f(x) = y <= k, so every iterated preimage of k lies
-    inside 1..k.  That needs f(x) >= x for every x, including x above the
-    bound, so f must be an expansive family (FunctionId.expansive);
-    any other f is refused.
-    """
-    if not f.expansive:
-        raise ValueError(f"tau-subset check needs an expansive f, not {f}")
-    return pointwise_lemma(
-        f"tau-subset {f}", f, bound, ">=",
-        f"V(k, tau_{f}) within {{1..k}} for all k <= {bound}", config)
+    """The tau-subset lemma of arithfun.POINTWISE_LEMMAS: f(n) >= n for 1
+    < n <= bound keeps V(k, tau) within {1..k} for every k <= bound; an f
+    that is not expansive (FunctionId.expansive) is refused."""
+    return pointwise_lemma("tau-subset", f, bound, config)
 
 
 # ---------------------------------------------------------------------------
@@ -171,15 +138,13 @@ class _ResidueBlock(NamedTuple):
     residue: int
 
 
-class ResidueBlock(_ResidueBlock):
+class ResidueBlock(CheckedRecord, _ResidueBlock):
     """The congruence class {x : x = residue (mod modulus)} within N."""
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if not 0 <= self.residue < self.modulus:
             raise ValueError("need 0 <= residue < modulus")
-        return self
 
     def contains(self, x: int) -> bool:
         return x % self.modulus == self.residue
@@ -199,15 +164,13 @@ class _ExplicitBlock(NamedTuple):
     generators: tuple[int, ...]
 
 
-class ExplicitBlock(_ExplicitBlock):
+class ExplicitBlock(CheckedRecord, _ExplicitBlock):
     """A block given by its strictly increasing member list."""
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _check(self) -> None:
         if list(self.generators) != sorted(set(self.generators)):
             raise ValueError("generators must be strictly increasing")
-        return self
 
     def contains(self, x: int) -> bool:
         gs = self.generators

@@ -516,7 +516,7 @@ def test_pointwise_checks_build_no_value_table(monkeypatch):
     assert tp.separation_check(af.PSI, 3000).passed
     for lemma, f in (("monotone-o-zero", af.PHI), ("monotone-a-zero", af.PSI),
                      ("strict-o-positive", af.PSI)):
-        assert dy.monotone_lemma(lemma, f, 3000).passed, lemma
+        assert af.pointwise_lemma(lemma, f, 3000).passed, lemma
     assert dy.surjective_core_membership(af.PSI, 1) is True
     assert cli.run(["table", "connectivity", "--bound", "3000"], out=io.StringIO()) == 0
 
@@ -547,7 +547,7 @@ def test_prime_power_decisions_match_a_full_table_scan(f, bound):
     for lemma, relation, least in (("monotone-o-zero", "<=", le),
                                    ("monotone-a-zero", ">=", ge),
                                    ("strict-o-positive", ">", strict)):
-        assert _failure_fields(dy.monotone_lemma(lemma, f, bound)) == (
+        assert _failure_fields(af.pointwise_lemma(lemma, f, bound)) == (
             None if least is None else (least[0], f"{relation} {least[0]}", least[1]))
     below = _least_by_scan(table, bound, operator.ge)
     assert _failure_fields(tp.contains_one_forward(f, bound)) == (
@@ -583,9 +583,9 @@ def test_pointwise_checks_refuse_a_bound_below_one(bound):
         lambda: tp.verify_tau_subset(af.PSI, bound),
         lambda: af.identity_check_psi_jordan(1, bound),
         lambda: af.monotone_profile(af.PHI, bound),
-        lambda: dy.monotone_lemma("monotone-o-zero", af.PHI, bound),
-        lambda: dy.monotone_lemma("monotone-a-zero", af.PSI, bound),
-        lambda: dy.monotone_lemma("strict-o-positive", af.PSI, bound),
+        lambda: af.pointwise_lemma("monotone-o-zero", af.PHI, bound),
+        lambda: af.pointwise_lemma("monotone-a-zero", af.PSI, bound),
+        lambda: af.pointwise_lemma("strict-o-positive", af.PSI, bound),
     ]
     for check in checks:
         with pytest.raises(ValueError, match=f"bound must be >= 1, got {bound}"):

@@ -385,6 +385,36 @@ def test_lemma_failure_exit_code():
     assert code == 1 and "    expected: >= 2\n    actual: 1\n" in text
 
 
+def test_pointwise_ids_run_their_table_row(capsys):
+    # every pointwise verify-lemma id is one row of arithfun.POINTWISE_LEMMAS
+    pointwise = {name for name, lemma in cli.LEMMAS.items() if "fn" in lemma.reads}
+    assert pointwise == set(af.POINTWISE_LEMMAS)
+    holds = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
+    for lemma, (relation, conclusion, expansive) in af.POINTWISE_LEMMAS.items():
+        outcomes = set()
+        for fn in ("phi", "psi", "d", "sigma_2"):
+            f = af.parse_function(fn)
+            if expansive and not f.expansive:
+                code, out = run_cli("verify-lemma", lemma, "--fn", fn, "--bound", "300")
+                assert code == 2 and out == ""
+                assert capsys.readouterr().err == (
+                    f"error: {lemma} check needs an expansive f, not {fn}\n")
+                continue
+            code, doc = run_json("verify-lemma", lemma, "--fn", fn, "--bound", "300")
+            results = doc["results"]
+            assert results["lemma"] == f"{lemma} {fn}"
+            table = af.value_table(f, 300)
+            least = next((n for n in range(2, 301) if not holds[relation](table[n], n)), None)
+            if least is None:
+                assert code == 0 and results["status"] == "PASS", (lemma, fn)
+                assert results["certified_bound"] == conclusion.format(f=fn, bound=300)
+            else:
+                assert code == 1 and results["status"] == "FAIL", (lemma, fn)
+                assert results["counterexample"]["position"] == least
+            outcomes.add(code)
+        assert 0 in outcomes, lemma
+
+
 @pytest.mark.parametrize("lemma,fn,position", [
     # the nearest class's witness used to stand in: position 0 ...
     ("monotone-o-zero", "psi", 2),

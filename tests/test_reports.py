@@ -1,7 +1,6 @@
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -49,13 +48,14 @@ def test_counterexample_describe():
 
 def test_runtime_imports_no_dataclasses():
     # a cold process pays for every module it imports; dataclasses pulls
-    # in inspect, ast and dis, which nothing else the CLI runs needs.
+    # in inspect, ast and dis, which nothing else the CLI runs needs, and
+    # fractions pulls in decimal, which only the entropy reports need.
     # Only what the import itself loads counts, not what site hooks load.
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import arithdyn.cli, arithdyn.topology\n"
-            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis')"
-            " if m in sys.modules and m not in before))\n")
+            "print(' '.join(m for m in ('dataclasses', 'inspect', 'ast', 'dis',"
+            " 'fractions', 'decimal') if m in sys.modules and m not in before))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -100,9 +100,9 @@ def test_search_parser_defaults_are_the_budget_defaults():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: dy.FamilySpec(dy.Scheme.PHI_ANTI, 0), "family index starts at 1"),
-    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, Fraction(1), "SIDEWAYS"),
+    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, "SIDEWAYS"),
      "direction is FORWARD or BACKWARD"),
-    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, Fraction(1), dy.FORWARD, "BOTH"),
+    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, dy.FORWARD, "BOTH"),
      "mode is AMBIENT or CORE"),
     (lambda: tp.ResidueBlock(3, 3), "need 0 <= residue < modulus"),
     (lambda: tp.ResidueBlock(3, -1), "need 0 <= residue < modulus"),
@@ -115,3 +115,25 @@ def test_record_refusals(build, message):
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("record, fields, message", [
+    (dy.SearchBudget(), {"max_depth": 0}, "max_depth must be >= 1, got 0"),
+    (dy.FamilySpec(dy.Scheme.PHI_ANTI, 1), {"index": 0}, "family index starts at 1"),
+    (af.PHI, {"param": 0}, "jordan needs a parameter >= 1"),
+    (VerificationReport("x", 1, 3, "PASS"), {"status": "FAIL"},
+     "FAIL reports carry a counterexample; PASS reports do not"),
+], ids=["SearchBudget", "FamilySpec", "FunctionId", "VerificationReport"])
+def test_record_copies_refuse_what_the_constructor_refuses(record, fields, message):
+    # _replace builds through _make, which goes through the constructor
+    cls = type(record)
+    with pytest.raises(ValueError) as built:
+        cls(**{**record._asdict(), **fields})
+    assert str(built.value) == message
+    with pytest.raises(ValueError) as replaced:
+        record._replace(**fields)
+    assert str(replaced.value) == message
+    with pytest.raises(ValueError) as made:
+        cls._make({**record._asdict(), **fields}.values())
+    assert str(made.value) == message
+    assert record._replace() == record and type(record._replace()) is cls
