@@ -25,7 +25,9 @@ them a bound where fibres are complete, and `--families` on the lemma
 listing), of `--list` after a lemma id, of `--k`/`--l`, of the dropped
 function-name aliases and of other spellings than str(f), of an unknown
 subcommand, of a missing option, of fibre targets below 1 and of config
-files that hold no JSON object or a value that is not an int.
+files that hold no JSON object or a value that is not an int.  Every
+command reports in JSON except five that exercise the csv and text
+renderers.
 """
 import contextlib
 import io
@@ -130,7 +132,16 @@ def commands() -> list[list[str]]:
             for name, m in (("Omega", "0"), ("omega", "-5"), ("d_3", "0"))]
     out += [["eval", "--fn", "phi", "--n", "5", "--config", name]
             for name in CONFIGS if name != CONFIG_PLACEHOLDER]
-    return [argv + ["--format", "json", "--no-timestamp"] for argv in out]
+    out = [argv + ["--format", "json"] for argv in out]
+    # a few keep their own format, so every renderer runs: the rows and the
+    # key/value branches of csv, and text over a flat report, a list of
+    # records and a list of numbers
+    out += [["table", "orbit-numbers", "--format", "csv"],
+            ["eval", "--fn", "phi", "--n", "18", "--format", "csv"],
+            ["verify-lemma", "phi-antiorbit", "--format", "text"],
+            ["verify-lemma", "--format", "text"],
+            ["preimage", "--fn", "psi", "--m", "12", "--format", "text"]]
+    return [argv + ["--no-timestamp"] for argv in out]
 
 
 def run_one(argv: list[str]) -> tuple[int, str, str]:

@@ -29,7 +29,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 from .config import DEFAULT_CONFIG, ToolConfig
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, Nat, ONE, OVERFLOW,
-    _factored, factorize, nat_add, nat_resolve, primes_upto,
+    _factored, _merge_exponents, factorize, nat_add, nat_resolve, primes_upto,
 )
 from .reports import CheckedRecord, Counterexample, VerificationReport
 
@@ -213,24 +213,6 @@ def _tail_factors(tail: int) -> tuple[tuple[int, Nat], ...]:
     return factorize(tail).explicit
 
 
-def _merge(parts: list[tuple[int, Nat]], plain: bool) -> FactoredNatural:
-    """The product of the prime powers in `parts`, each prime certified and
-    each exponent an int >= 1 or a DeferredValue (`plain`: none is):
-    exponents of one prime are added in one dict, sorted once and handed
-    to _factored.  A DeferredValue meeting any other exponent of its prime
-    is refused, as FactoredNatural refuses it."""
-    exps: dict[int, Nat] = {}
-    for q, a in parts:
-        old = exps.get(q)
-        if old is None:
-            exps[q] = a
-        elif plain or not (isinstance(old, DeferredValue) or isinstance(a, DeferredValue)):
-            exps[q] = old + a
-        else:
-            raise ValueError("cannot merge deferred exponents")
-    return _factored(tuple(sorted(exps.items())), plain)
-
-
 def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
              config: ToolConfig = DEFAULT_CONFIG) -> Value:
     """Exact value of f at n via its record's closed form (Family.form).
@@ -243,10 +225,10 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
     The two tail forms are read in factored shape: J_k and psi_k give
     p^(k(e-1)) and the factors of p^k + s, phi_star those of p^e + s.  The
     input's own exponents and the cached factorisations of its tails go
-    into one dict, sorted once into the normal form (_merge), so the value
-    is never re-checked or re-sorted by FactoredNatural.__init__.  A tail
-    p^k + s of more than 128 bits is refused with factorize's message
-    before it is computed, so a huge k costs nothing.
+    into factorint's one merge (_merge_exponents), so the value is never
+    re-checked by FactoredNatural.__init__.  A tail p^k + s of more than
+    128 bits is refused with factorize's message before it is computed,
+    so a huge k costs nothing.
     """
     if isinstance(n, int):
         n = factorize(n, config)
@@ -289,7 +271,7 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
             parts.extend(_tail_factors(pow(p, k) + sign))
         # only the input's own exponents can be deferred, and each one is
         # kept, so the value is plain exactly when n is
-        return _merge(parts, n.is_plain)
+        return _factored(_merge_exponents(parts, n.is_plain), n.is_plain)
 
     if form is _power_tail:  # phi_star: p^e + s
         sign = fam.sign
@@ -300,7 +282,7 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
             if e * p.bit_length() > 140:
                 raise BudgetExceeded(f"phi_star factor {p}^{e}-1 too large to factor")
             parts.extend(_tail_factors(pow(p, e) + sign))
-        return _merge(parts, True)
+        return _factored(_merge_exponents(parts, True))
 
     if form is _binomial:
         deferred = [e for _, e in n.explicit if isinstance(e, DeferredValue)]

@@ -30,7 +30,7 @@ from . import preimage as pre
 from . import topology as tp
 from .factorint import (
     BudgetExceeded, ComparisonUndecided, FactoredNatural, OVERFLOW, factorize,
-    to_integer,
+    prime_factors, to_integer,
 )
 from .reports import Counterexample, VerificationReport
 
@@ -280,16 +280,15 @@ def _pointwise(lemma: str, default_fn: str, default_bound: int, description: str
 def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
     bound = _positive(args, "bound", 50)
     for m in range(1, bound + 1):
-        members = pre.inverse_phi(m, config).members
-        cert = to_integer(pre.phi_bound(m, config), config)
-        if cert is OVERFLOW:
-            continue
-        for x in members:
-            if x > cert:
+        cert = pre.phi_bound(m, config)
+        exponents = dict(cert.explicit)
+        for x in pre.inverse_phi(m, config).members:
+            # x divides the certificate: no prime power of x goes past it
+            if any(exponents.get(p, 0) < a for p, a in prime_factors(x, config)):
                 return VerificationReport(
                     lemma_id="phi-finite-fibre", families_checked=1, depth=bound,
                     status="FAIL",
-                    counterexample=Counterexample(None, m, f"<= {cert}", x))
+                    counterexample=Counterexample(None, m, f"divides {cert!r}", x))
     return VerificationReport(
         lemma_id="phi-finite-fibre", families_checked=1, depth=bound,
         status="PASS",

@@ -356,8 +356,8 @@ class _EntropyEstimate(NamedTuple):
     seeds: tuple[int, ...]
     horizon: int
     direction: str
+    set_size: int
     mode: str = AMBIENT
-    set_size: int = 0
 
 
 class EntropyEstimate(CheckedRecord, _EntropyEstimate):
@@ -424,7 +424,7 @@ def ent_set_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
         return nxt
 
     size = _union_of_layers(first, step, horizon)
-    return EntropyEstimate(f, tuple(seeds), horizon, FORWARD, set_size=size)
+    return EntropyEstimate(f, tuple(seeds), horizon, FORWARD, size)
 
 
 def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
@@ -446,7 +446,7 @@ def ent_cset_estimate(f: FunctionId, seeds: Sequence[int], horizon: int,
         return kept(x for y in layer for x in fibre(y))
 
     size = _union_of_layers(kept(seeds), step, horizon)
-    return EntropyEstimate(f, tuple(seeds), horizon, BACKWARD, mode, set_size=size)
+    return EntropyEstimate(f, tuple(seeds), horizon, BACKWARD, size, mode=mode)
 
 
 def surjective_core_membership(f: FunctionId, x: int,

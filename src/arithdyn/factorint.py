@@ -32,10 +32,11 @@ Three rules keep certified comparisons cheap:
   That hash pass rests on one invariant of every FactoredNatural: its
   explicit primes are strictly ascending (so each prime's exponents are
   merged into one) and each is certified prime.  ``FactoredNatural(...)``
-  establishes it by checking, merging and sorting whatever it is given;
-  :func:`_factored` skips that work for callers whose tuples hold it by
-  construction (:func:`factorize`, ``arithfun.evaluate`` and
-  ``dynamics.family_terms``), and its docstring states the precondition;
+  establishes it by checking whatever it is given and merging it in
+  :func:`_merge_exponents`, the one merge; :func:`_factored` skips the
+  checks for tuples that hold it by construction (:func:`factorize`,
+  ``arithfun.evaluate``, ``dynamics.family_terms``, ``preimage.phi_bound``),
+  and its docstring states the precondition;
 * each value is materialised at most once per object: :func:`to_integer`
   stores its result (the integer or ``OVERFLOW``) on the FactoredNatural,
   keyed by the budgets it depends on, so the cache lives and dies with the
@@ -428,6 +429,23 @@ def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG)
 _EXPAND_LIMIT = 512
 
 
+def _merge_exponents(parts: Iterable[tuple[int, Nat]], plain: bool) -> tuple:
+    """The explicit part of the normal form of the product of `parts`, each
+    (certified prime, int >= 1 or DeferredValue; `plain`: no DeferredValue):
+    the exponents of one prime are added in one dict, sorted once by prime.
+    A DeferredValue meeting any other exponent of its prime is refused."""
+    exps: dict[int, Nat] = {}
+    for q, a in parts:
+        old = exps.get(q)
+        if old is None:
+            exps[q] = a
+        elif plain or not (isinstance(old, DeferredValue) or isinstance(a, DeferredValue)):
+            exps[q] = old + a
+        else:
+            raise ValueError("cannot merge deferred exponents")
+    return tuple(sorted(exps.items()))
+
+
 class FactoredNatural:
     """A positive integer in fully factored, normalized form.
 
@@ -441,8 +459,9 @@ class FactoredNatural:
     therefore have equal tuples and equal hashes, which is all
     pairwise_all_different reads of them.
 
-    The constructor checks, merges and sorts its arguments; _factored
-    builds the same object from a tuple already in this form.
+    The constructor checks its arguments and merges them in
+    _merge_exponents; _factored builds the same object from a tuple
+    already in this form.
     """
 
     # _value caches to_integer as (bit_budget, prime_index_budget, result)
@@ -453,36 +472,22 @@ class FactoredNatural:
     def __init__(self,
                  explicit: Iterable[tuple[int, Nat]] = (),
                  intervals: Iterable[tuple[int, Nat]] = ()):
-        exp_map: dict[int, Nat] = {}
+        pairs = list(explicit)
         plain = True
-        for p, e in explicit:
+        for p, e in pairs:
             # the type test keeps 2.0 and True out: they hash like 2 and 1
             if type(p) is not int or p not in _CERTIFIED_PRIMES:
                 if not isinstance(p, int) or p < 2:
                     raise ValueError(f"bad prime {p!r}")
                 if not is_prime(p):
                     raise ValueError(f"{p} is not prime")
-            old = exp_map.get(p)
             if isinstance(e, int):
                 if e < 1:
                     raise ValueError(f"exponent {e} < 1 for prime {p}")
-                if old is None:
-                    exp_map[p] = e
-                elif isinstance(old, int):
-                    exp_map[p] = old + e
-                else:
-                    raise ValueError("cannot merge deferred exponents")
             elif isinstance(e, DeferredValue):
-                if old is not None:
-                    raise ValueError("cannot merge deferred exponents")
-                exp_map[p] = e
                 plain = False
             else:
                 raise TypeError(f"bad exponent {e!r}")
-
-        if not intervals:
-            self._fill(tuple(sorted(exp_map.items())), (), plain)
-            return
 
         ivals = sorted(intervals, key=lambda iv: iv[0] if isinstance(iv[0], int) else 0)
         norm_ivals: list[tuple[int, Nat]] = []
@@ -513,24 +518,15 @@ class FactoredNatural:
             if (isinstance(hi, int) and hi - lo + 1 <= _EXPAND_LIMIT
                     and hi <= DEFAULT_CONFIG.prime_index_budget):
                 _ensure_prime_count(hi, DEFAULT_CONFIG)
-                for i in range(lo, hi + 1):
-                    q = _primes[i - 1]
-                    if q in exp_map:
-                        old = exp_map[q]
-                        if not isinstance(old, int):
-                            raise ValueError("cannot merge deferred exponents")
-                        exp_map[q] = old + 1
-                    else:
-                        exp_map[q] = 1
+                pairs.extend((q, 1) for q in _primes[lo - 1:hi])
             else:
                 final_ivals.append((lo, hi))
 
-        for p in exp_map:
+        merged = _merge_exponents(pairs, plain)
+        for p, _ in merged:
             if final_ivals and not _prime_outside_intervals(p, final_ivals, DEFAULT_CONFIG):
                 raise ValueError(f"prime {p} may fall inside an interval factor")
-
-        self._fill(tuple(sorted(exp_map.items())), tuple(final_ivals),
-                   plain and not final_ivals)
+        self._fill(merged, tuple(final_ivals), plain and not final_ivals)
 
     def _fill(self, explicit: tuple, intervals: tuple, plain: bool) -> None:
         """The one slot fill, shared by __init__ and _factored."""
@@ -577,13 +573,14 @@ def _factored(explicit: tuple[tuple[int, Nat], ...], plain: bool = True) -> Fact
     """A FactoredNatural with no intervals, filled without the checks of
     __init__.  Precondition: `explicit` is a tuple of (prime, exponent)
     with strictly ascending primes, so already merged; every prime is
-    certified (by an existing FactoredNatural, by _factor_int, or as the
-    literal 2 or 3); every exponent is an int >= 1 or a DeferredValue; and
-    `plain` is False exactly when some exponent is a DeferredValue.
+    certified (by an existing FactoredNatural, _factor_int or primes_upto,
+    or as the literal 2 or 3); every exponent is an int >= 1 or a
+    DeferredValue; and `plain` is False exactly when some is deferred.
 
     Its only callers build such tuples by construction: factorize,
-    arithfun.evaluate's J_k, psi_k and phi_star branches, and
-    dynamics.family_terms for phi-anti, psi-orbit and j2-orbit."""
+    arithfun.evaluate's J_k, psi_k and phi_star branches (through
+    _merge_exponents), dynamics.family_terms for phi-anti, psi-orbit and
+    j2-orbit, and preimage.phi_bound."""
     x = object.__new__(FactoredNatural)
     x._fill(explicit, (), plain)
     return x

@@ -36,8 +36,8 @@ from .arithfun import (
     Family, FunctionId, PHI, scalar_value, value_table,
 )
 from .factorint import (
-    BudgetExceeded, FactoredNatural, factored_range, is_prime, nth_prime,
-    prime_factors, primes_upto,
+    BudgetExceeded, FactoredNatural, _factored, factored_range, is_prime,
+    nth_prime, prime_factors, primes_upto,
 )
 from .reports import CheckedRecord
 
@@ -268,7 +268,8 @@ def phi_bound(m: int, config: ToolConfig = DEFAULT_CONFIG) -> FactoredNatural:
     if m < 1:
         raise ValueError("m >= 1")
     exponent = m.bit_length()  # floor(log2 m) + 1
-    return FactoredNatural((p, exponent) for p in primes_upto(m + 1, config))
+    # sieve primes, ascending and once each: the normal form as it stands
+    return _factored(tuple((p, exponent) for p in primes_upto(m + 1, config)))
 
 
 def inverse_phi(m: int, config: ToolConfig = DEFAULT_CONFIG) -> PreimageResult:

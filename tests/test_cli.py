@@ -6,7 +6,8 @@ import time
 
 import pytest
 
-from arithdyn import arithfun as af, cli
+from arithdyn import arithfun as af, cli, preimage as pre
+from arithdyn.config import DEFAULT_CONFIG
 
 
 def run_cli(*argv):
@@ -383,6 +384,26 @@ def test_lemma_failure_exit_code():
     code, text = run_cli("verify-lemma", "separation", "--fn", "phi", "--bound", "100",
                          "--no-timestamp")
     assert code == 1 and "    expected: >= 2\n    actual: 1\n" in text
+
+
+@pytest.mark.parametrize("budget", [[], ["--bit-budget", "100"]], ids=["default", "bits-100"])
+@pytest.mark.parametrize("outside", [53, 2 ** 7], ids=["prime-past-m+1", "power-past-exponent"])
+def test_phi_finite_fibre_fails_on_a_member_outside_the_certificate(monkeypatch, budget, outside):
+    # the certificate for m = 50 is prod p^6 over p <= 51, of about 400
+    # bits: a member must divide it, under any bit budget
+    original = pre.inverse_phi
+
+    def padded(m, config=DEFAULT_CONFIG):
+        result = original(m, config)
+        return result._replace(members=result.members + (outside,)) if m == 50 else result
+
+    monkeypatch.setattr(pre, "inverse_phi", padded)
+    code, doc = run_json("verify-lemma", "phi-finite-fibre", "--bound", "50", *budget)
+    assert code == 1 and doc["results"]["status"] == "FAIL"
+    ce = doc["results"]["counterexample"]
+    assert (ce["position"], ce["actual"]) == (50, outside)
+    assert ce["expected"] == f"divides {pre.phi_bound(50)!r}"
+    assert ce["expected"].startswith("divides 2^6*3^6*5^6*") and ce["expected"].endswith("*47^6")
 
 
 def test_pointwise_ids_run_their_table_row(capsys):

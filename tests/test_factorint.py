@@ -177,6 +177,73 @@ def test_deferred_exponents_are_not_plain_and_do_not_merge():
                 FactoredNatural(parts)
 
 
+# small primes, primes past the fixed table of q_1..q_12, and one larger one
+_MERGE_PRIMES = (2, 3, 5, 7, 11, 13, 37, 41, 43, 101, 7919)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_MERGE_PRIMES), st.integers(1, 4)), max_size=10),
+       st.one_of(st.none(), st.tuples(st.integers(1, 20), st.integers(0, 6))),
+       st.randoms(use_true_random=False))
+def test_one_merge_builds_the_normal_form(parts, interval, rng):
+    # FactoredNatural merges unsorted pairs with repeated primes, and the
+    # primes of a short interval, into one strictly ascending tuple
+    intervals = [] if interval is None else [(interval[0], interval[0] + interval[1])]
+    built = FactoredNatural(parts, intervals)
+    every = parts + [(nth_prime(i), 1) for lo, hi in intervals for i in range(lo, hi + 1)]
+    want: dict[int, int] = {}
+    for p, e in every:
+        want[p] = want.get(p, 0) + e
+    primes = [p for p, _ in built.explicit]
+    assert all(a < b for a, b in zip(primes, primes[1:]))
+    assert dict(built.explicit) == want and built.intervals == () and built.is_plain
+    product = 1
+    for p, e in want.items():
+        product *= p ** e
+    assert to_integer(built) == product
+
+    # a DeferredValue meeting another exponent of its prime is refused,
+    # whether that exponent is explicit or comes from the interval
+    if parts:
+        d = DeferredValue(factorize(720), 2)
+        i = rng.randrange(len(parts))
+        deferred = parts[:i] + [(parts[i][0], d)] + parts[i + 1:]
+        if [p for p, _ in every].count(parts[i][0]) == 1:
+            assert not FactoredNatural(deferred, intervals).is_plain
+        else:
+            with pytest.raises(ValueError, match="^cannot merge deferred exponents$"):
+                FactoredNatural(deferred, intervals)
+        deferred.insert(rng.randrange(len(deferred) + 1), (parts[i][0], rng.choice((1, d))))
+        with pytest.raises(ValueError, match="^cannot merge deferred exponents$"):
+            FactoredNatural(deferred)
+
+    # evaluate's value is FactoredNatural(...) of the same parts: the input's
+    # p^(k(e-1)) and the factors of each tail, shuffled
+    for f, k, sign in ((af.PHI, 1, -1), (af.jordan(2), 2, -1), (af.PSI, 1, 1),
+                       (af.PHI_STAR, None, -1)):
+        if k is None and any(e * p.bit_length() > 120 for p, e in built.explicit):
+            continue  # a phi_star tail too large to factor
+        tails = [(p, k * (e - 1)) for p, e in built.explicit if k and e > 1]
+        for p, e in built.explicit:
+            tails += prime_factors(p ** (k or e) + sign)
+        rng.shuffle(tails)
+        assert af.evaluate(f, built) == FactoredNatural(tails), f
+
+
+def test_evaluate_and_the_constructor_merge_deferred_exponents_alike():
+    d = DeferredValue(factorize(720), 2)
+    # phi(3^D * 7): the tail 7 - 1 = 2 * 3 meets 3's deferred exponent
+    parts = [(3, d.shift(-1)), (2, 1), (2, 1), (3, 1)]
+    with pytest.raises(ValueError, match="^cannot merge deferred exponents$"):
+        FactoredNatural(parts)
+    with pytest.raises(ValueError, match="^cannot merge deferred exponents$"):
+        af.evaluate(af.PHI, FactoredNatural(((3, d), (7, 1))))
+    # phi(5^D * 7) = 2^2 * 5^(D-1) * 2 * 3, the same merge either way
+    value = af.evaluate(af.PHI, FactoredNatural(((5, d), (7, 1))))
+    assert value == FactoredNatural([(5, d.shift(-1)), (2, 2), (2, 1), (3, 1)])
+    assert value.explicit == ((2, 3), (3, 1), (5, d.shift(-1))) and not value.is_plain
+
+
 def test_one_is_empty_factorization():
     assert factorize(1).is_one
     assert to_integer(factorize(1)) == 1

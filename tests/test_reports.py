@@ -100,9 +100,9 @@ def test_search_parser_defaults_are_the_budget_defaults():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: dy.FamilySpec(dy.Scheme.PHI_ANTI, 0), "family index starts at 1"),
-    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, "SIDEWAYS"),
+    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, "SIDEWAYS", 1),
      "direction is FORWARD or BACKWARD"),
-    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, dy.FORWARD, "BOTH"),
+    (lambda: dy.EntropyEstimate(af.PSI, (2,), 1, dy.FORWARD, 1, "BOTH"),
      "mode is AMBIENT or CORE"),
     (lambda: tp.ResidueBlock(3, 3), "need 0 <= residue < modulus"),
     (lambda: tp.ResidueBlock(3, -1), "need 0 <= residue < modulus"),
