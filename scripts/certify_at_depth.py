@@ -5,10 +5,11 @@ per claim.  Deeper/wider runs strengthen every certified lower bound:
     python scripts/certify_at_depth.py --families 50 --depth 100 --bound 200000
 
 Every family scheme (dynamics.Scheme) runs at --families.  Where --depth
-is past a scheme's cap (ToolConfig.depth_cap_*), that scheme runs at its
-own default depth (Scheme.size, verify-lemma's "registry depth") instead
-and its line says so, naming the cap's key; every printed certificate
-names the depth it holds at.
+is past a scheme's cap (ToolConfig.depth_cap for phi-anti, psi-orbit and
+j2-orbit, ToolConfig.tower_depth_cap for d-anti, omega-anti and
+smallomega-anti), that scheme runs at its own default depth (Scheme.size,
+verify-lemma's "registry depth") instead and its line says so, naming the
+cap's key; every printed certificate names the depth it holds at.
 """
 import argparse
 import sys

@@ -12,7 +12,7 @@ usage error.  The battery holds every verify-lemma id at its defaults,
 the six scheme claims at the benchmark's certify sizes, the tower claims
 under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
-caps, one small run of every other subcommand (and one at its defaults
+cap, one small run of every other subcommand (and one at its defaults
 where those are cheap), `eval` of every family at 720 and at 81 = 3^4,
 `preimage` of sigma_2, J_3 and psi_2, the separation lemma for psi and
 phi at bound 1000, every pointwise lemma (the ids that read --fn) for
@@ -24,8 +24,11 @@ large one, the size refusals of `preimage`, `min-open` and
 them a bound where fibres are complete, and `--families` on the lemma
 listing), of `--list` after a lemma id, of `--k`/`--l`, of the dropped
 function-name aliases and of other spellings than str(f), of an unknown
-subcommand, of a missing option, of fibre targets below 1 and of config
-files that hold no JSON object or a value that is not an int.  Every
+subcommand, of a missing option, of fibre targets below 1, of an unknown
+scheme, of a sieve request past a --sieve-bound override and of config
+files that hold no JSON object, a value that is not an int or a key that
+is no field (one of the per-scheme depth caps that `depth_cap` and
+`tower_depth_cap` replaced).  Every
 command reports in JSON except five that exercise the csv and text
 renderers.
 """
@@ -54,11 +57,12 @@ CONFIG_PLACEHOLDER = "RAISED_CAPS.json"
 # the config files commands name: each name stands for a file holding its
 # JSON in a temporary directory; all but the first are refused
 CONFIGS = {
-    CONFIG_PLACEHOLDER: {s.cap_key: RAISED_CAP for s in dy.TOWER_SCHEMES},
+    CONFIG_PLACEHOLDER: {"tower_depth_cap": RAISED_CAP},
     "FLOAT_BOUND.json": {"sieve_bound": 1e6},
-    "BOOL_CAP.json": {"depth_cap_phi_anti": True},
+    "BOOL_CAP.json": {"depth_cap": True},
     "NULL_BUDGET.json": {"bit_budget": None},
     "ARRAY.json": [1, 2],
+    "OLD_CAP_KEY.json": {"depth_cap_d_anti": RAISED_CAP},
 }
 
 
@@ -132,6 +136,8 @@ def commands() -> list[list[str]]:
             for name, m in (("Omega", "0"), ("omega", "-5"), ("d_3", "0"))]
     out += [["eval", "--fn", "phi", "--n", "5", "--config", name]
             for name in CONFIGS if name != CONFIG_PLACEHOLDER]
+    out += [["family", "--scheme", "no-such"],
+            ["table", "connectivity", "--bound", "200", "--sieve-bound", "100"]]
     out = [argv + ["--format", "json"] for argv in out]
     # a few keep their own format, so every renderer runs: the rows and the
     # key/value branches of csv, and text over a flat report, a list of

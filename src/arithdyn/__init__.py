@@ -7,7 +7,7 @@ from .factorint import FactoredNatural, DeferredValue, OVERFLOW, factorize, to_i
 from .arithfun import (
     FunctionId, PHI, PSI, PHI_STAR, BIG_OMEGA, SMALL_OMEGA, D, J2,
     jordan, generalized_psi, divisor_count, sigma, parse_function,
-    evaluate, evaluate_int,
+    evaluate,
 )
 from .dynamics import (
     FamilySpec, GenericFamilySpec, Scheme, family_terms, verify_disjoint,
@@ -24,7 +24,7 @@ __all__ = [
     "FactoredNatural", "DeferredValue", "OVERFLOW", "factorize", "to_integer",
     "FunctionId", "PHI", "PSI", "PHI_STAR", "BIG_OMEGA", "SMALL_OMEGA", "D",
     "J2", "jordan", "generalized_psi", "divisor_count", "sigma",
-    "parse_function", "evaluate", "evaluate_int",
+    "parse_function", "evaluate",
     "FamilySpec", "GenericFamilySpec", "Scheme", "family_terms",
     "verify_disjoint", "generic_family_terms", "ent_set_estimate", "ent_cset_estimate",
     "search_families",

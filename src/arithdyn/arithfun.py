@@ -301,15 +301,6 @@ def evaluate(f: FunctionId, n: Union[int, FactoredNatural],
     return scalar_value(f, n.explicit)
 
 
-def evaluate_int(f: FunctionId, n: Union[int, FactoredNatural],
-                 config: ToolConfig = DEFAULT_CONFIG) -> int:
-    """evaluate() forced to a plain integer (raises past the bit budget)."""
-    r = nat_resolve(evaluate(f, n, config), config)
-    if r is OVERFLOW:
-        raise BudgetExceeded(f"{f}({n!r}) exceeds the bit budget (bit_budget)")
-    return r
-
-
 def forward_orbit(f: FunctionId, x: Union[int, FactoredNatural],
                   config: ToolConfig = DEFAULT_CONFIG) -> Iterator[Value]:
     """The iterates f(x), f(f(x)), ... in the form evaluate returns them.
@@ -327,9 +318,9 @@ def forward_orbit(f: FunctionId, x: Union[int, FactoredNatural],
 def orbit_values(f: FunctionId, x: int,
                  config: ToolConfig = DEFAULT_CONFIG) -> Iterator[int]:
     """forward_orbit as plain integers (nat_resolve on each iterate); an
-    iterate past the bit budget is refused (BudgetExceeded), as evaluate_int
-    refuses it.  The refusal names the previous iterate in factored form, as
-    its digits may be too many to print."""
+    iterate past the bit budget is refused (BudgetExceeded).  The refusal
+    names the previous iterate in factored form, as its digits may be too
+    many to print."""
     prev: Union[int, FactoredNatural] = x
     for y in forward_orbit(f, x, config):
         v = nat_resolve(y, config)

@@ -64,18 +64,15 @@ class Report(NamedTuple):
 
 
 def render_value(v, config: ToolConfig) -> Any:
-    """JSON-friendly rendering; huge integers become bit-length stubs, and
-    factored values past the configured bit budget render as OVERFLOW."""
+    """JSON-friendly rendering of a FactoredNatural or an int; huge integers
+    become bit-length stubs, and factored values past the configured bit
+    budget render as OVERFLOW."""
     if isinstance(v, FactoredNatural):
         out: dict[str, Any] = {"factored": repr(v)}
         iv = to_integer(v, config)
         out["value"] = "OVERFLOW" if iv is OVERFLOW else render_value(iv, config)
         return out
-    if isinstance(v, int):
-        return v if abs(v) < 10 ** 18 else f"<{v.bit_length()}-bit integer>"
-    if v is OVERFLOW:
-        return "OVERFLOW"
-    return repr(v)
+    return v if abs(v) < 10 ** 18 else f"<{v.bit_length()}-bit integer>"
 
 
 # ---------------------------------------------------------------------------
@@ -384,17 +381,17 @@ def _cmd_verify_lemma(args, config) -> tuple[str, Any]:
 
 
 def _cmd_table(args, config) -> tuple[str, Any]:
+    # argparse's choices admit only these two names
     if args.which == "orbit-numbers":
         return _table_orbit_numbers(args, config)
-    if args.which == "connectivity":
-        return _table_connectivity(args, config)
-    raise ValueError("table name is orbit-numbers or connectivity")
+    return _table_connectivity(args, config)
 
 
 # `table orbit-numbers`, row by row: functions, orbit_number, anti_orbit_number.
 # A cell naming a Scheme holds its certificate at --families x --depth (as
-# verify-lemma), or at Scheme.size for the tower schemes, whose depth caps
-# sit far below the other rows' depths.  Other cells are text.
+# verify-lemma), or at Scheme.size for the tower schemes, whose depth cap
+# (tower_depth_cap) sits far below the other rows' depths.  Other cells are
+# text.
 _ZERO = "0 {cond}"
 _ORBIT_TABLE = (
     ("phi (=J_1)", _ZERO, dy.Scheme.PHI_ANTI),

@@ -19,16 +19,13 @@ class ToolConfig(NamedTuple):
     bit_budget: int = 4_000_000
     # inverse_phi refuses targets above this.
     inverse_phi_budget: int = 1_000_000
-    # Scheme depth caps.  Symbolic links represent a tower term at any
-    # depth, but each tower term nests every earlier one, so a comparison
-    # recurses through the whole chain: d-anti 3x200 under raised caps
-    # still ends in RecursionError (ROADMAP item 1).
-    depth_cap_phi_anti: int = 10_000
-    depth_cap_d_anti: int = 5
-    depth_cap_omega_anti: int = 5
-    depth_cap_smallomega_anti: int = 6
-    depth_cap_psi_orbit: int = 10_000
-    depth_cap_j2_orbit: int = 10_000
+    # Depth cap of phi-anti, psi-orbit and j2-orbit, whose terms are plain.
+    depth_cap: int = 10_000
+    # Depth cap of d-anti, omega-anti and smallomega-anti.  A tower term
+    # nests every earlier one, so structural equality and certified
+    # comparison are checked through the chain; 6 is the least cap that
+    # holds the default size of smallomega-anti (5 x 6).
+    tower_depth_cap: int = 6
 
     def replace(self, **overrides) -> "ToolConfig":
         return self._replace(**overrides)

@@ -46,12 +46,12 @@ class Scheme(enum.Enum):
     member also carries the function its families follow, whether they
     are anti-orbits, the ToolConfig key of its depth cap, and its default
     size (families, depth) for verify-lemma and `table orbit-numbers`."""
-    PHI_ANTI = ("phi-anti", PHI, True, "depth_cap_phi_anti", (20, 30))
-    D_ANTI = ("d-anti", D, True, "depth_cap_d_anti", (5, 5))
-    OMEGA_ANTI = ("omega-anti", BIG_OMEGA, True, "depth_cap_omega_anti", (5, 5))
-    SMALL_OMEGA_ANTI = ("smallomega-anti", SMALL_OMEGA, True, "depth_cap_smallomega_anti", (5, 6))
-    PSI_ORBIT = ("psi-orbit", PSI, False, "depth_cap_psi_orbit", (20, 30))
-    J2_ORBIT = ("j2-orbit", J2, False, "depth_cap_j2_orbit", (20, 30))
+    PHI_ANTI = ("phi-anti", PHI, True, "depth_cap", (20, 30))
+    D_ANTI = ("d-anti", D, True, "tower_depth_cap", (5, 5))
+    OMEGA_ANTI = ("omega-anti", BIG_OMEGA, True, "tower_depth_cap", (5, 5))
+    SMALL_OMEGA_ANTI = ("smallomega-anti", SMALL_OMEGA, True, "tower_depth_cap", (5, 6))
+    PSI_ORBIT = ("psi-orbit", PSI, False, "depth_cap", (20, 30))
+    J2_ORBIT = ("j2-orbit", J2, False, "depth_cap", (20, 30))
 
     def __new__(cls, value: str, function: FunctionId, anti: bool, cap_key: str,
                 size: tuple[int, int]):

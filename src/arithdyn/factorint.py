@@ -74,9 +74,6 @@ class _Overflow:
     def __repr__(self):
         return "OVERFLOW"
 
-    def __bool__(self):
-        return False
-
 
 OVERFLOW = _Overflow()
 
@@ -350,8 +347,11 @@ class DeferredValue:
         return v + self.offset
 
     def __eq__(self, other):
+        # the bases' cached hashes first: two distinct tower terms differ
+        # there, so their comparison does not walk the chain below them
         if isinstance(other, DeferredValue):
-            return self.base == other.base and self.offset == other.offset
+            return (self.offset == other.offset and hash(self.base) == hash(other.base)
+                    and self.base == other.base)
         return NotImplemented
 
     def __hash__(self):

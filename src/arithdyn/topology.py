@@ -10,8 +10,7 @@ bound always travels with the verdict.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
 from .arithfun import FunctionId, orbit_values, pointwise_lemma, value_table
@@ -160,42 +159,6 @@ class ResidueBlock(CheckedRecord, _ResidueBlock):
         return f"{self.residue} mod {self.modulus}"
 
 
-class _ExplicitBlock(NamedTuple):
-    generators: tuple[int, ...]
-
-
-class ExplicitBlock(CheckedRecord, _ExplicitBlock):
-    """A block given by its strictly increasing member list."""
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if list(self.generators) != sorted(set(self.generators)):
-            raise ValueError("generators must be strictly increasing")
-
-    def contains(self, x: int) -> bool:
-        gs = self.generators
-        i = bisect_left(gs, x)
-        return i < len(gs) and gs[i] == x
-
-    def members(self, bound: int) -> tuple[int, ...]:
-        """The members in 1..bound, ascending."""
-        gs = self.generators
-        return gs[bisect_left(gs, 1):bisect_right(gs, bound)]
-
-    def successor(self, x: int) -> Optional[int]:
-        """The least member above x, or None."""
-        gs = self.generators
-        i = bisect_right(gs, x)
-        return gs[i] if i < len(gs) else None
-
-    def label(self) -> str:
-        head = ",".join(map(str, self.generators[:4]))
-        return f"{{{head},...}}"
-
-
-Block = Union[ResidueBlock, ExplicitBlock]
-
-
 class PartitionMapResult(NamedTuple):
     blocks: tuple[str, ...]
     function_table: dict[int, int]
@@ -204,7 +167,7 @@ class PartitionMapResult(NamedTuple):
     report: VerificationReport
 
 
-def residue_partition(modulus: int) -> list[Block]:
+def residue_partition(modulus: int) -> list[ResidueBlock]:
     return [ResidueBlock(modulus, r) for r in range(1, modulus)] + [ResidueBlock(modulus, 0)]
 
 
@@ -229,9 +192,10 @@ def _weak_components(bound: int, edges: Iterable[tuple[int, int]]) -> list[list[
     return list(groups.values())
 
 
-def partition_map(blocks: Sequence[Block], bound: int) -> PartitionMapResult:
+def partition_map(blocks: Sequence[ResidueBlock], bound: int) -> PartitionMapResult:
     """Build the block-successor map on 1..bound and check that the weak
-    components of its restriction refine the partition blocks.
+    components of its restriction refine the partition blocks.  A block
+    is read only through contains, members, successor and label.
 
     Elements whose successor leaves the window are boundary points; the
     edges they would contribute are discarded rather than clamped.

@@ -18,9 +18,9 @@ from arithdyn import cli
 from arithdyn import dynamics as dy
 from arithdyn import preimage as pre
 from arithdyn import topology as tp
-from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import DeferredValue, factored_range, primes_upto, to_integer
 from definitional import oracle_evaluate
+from helpers import evaluate_int
 
 
 class Stopwatch:
@@ -53,7 +53,7 @@ def test_criterion_01_oracle_equivalence():
         mismatches = []
         for f, hi in pairs:
             for n in range(1, hi + 1):
-                if af.evaluate_int(f, n) != oracle_evaluate(f, n):
+                if evaluate_int(f, n) != oracle_evaluate(f, n):
                     mismatches.append((str(f), n))
     assert mismatches == []
     assert sw.elapsed < 60
@@ -97,12 +97,11 @@ def test_criterion_04_antiorbit_certifications():
         assert rep.certified_bound == want
         assert sw.elapsed < 10, (scheme, sw.elapsed)
     # the Omega tower is handled exactly: depth 5 ends at the value 2^65536,
-    # and with the cap raised the depth-6 term carries 2^65536 as exponent,
-    # kept as a link to term 5
+    # and the depth-6 term carries 2^65536 as exponent, kept as a link to
+    # term 5
     t5 = dy.family_terms(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 5)[-1]
     assert to_integer(t5) == 2 ** 65536
-    deeper = DEFAULT_CONFIG.replace(depth_cap_omega_anti=6)
-    *_, t5, t6 = dy.family_terms(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 6, deeper)
+    *_, t5, t6 = dy.family_terms(dy.FamilySpec(dy.Scheme.OMEGA_ANTI, 1), 6)
     exponent = dict(t6.explicit)[2]
     assert exponent == DeferredValue(t5, 0)
     assert exponent.resolve() == 2 ** 65536
@@ -200,7 +199,7 @@ def test_criterion_10_topology():
         # the least hypothesis violation is phi(2) = 1 < 2; phi(3) = 2 < 3
         # is the next one (the catalogued witness statement checks both)
         assert rep.counterexample.position == 2
-        assert af.evaluate_int(af.PHI, 3) == 2 < 3
+        assert evaluate_int(af.PHI, 3) == 2 < 3
         rep = tp.verify_tau_subset(af.PSI, 10 ** 4)
         assert rep.passed
         res = tp.partition_map(tp.residue_partition(2), 10 ** 3)

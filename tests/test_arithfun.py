@@ -1,5 +1,6 @@
 import io
 import operator
+import random
 from functools import lru_cache
 from itertools import islice
 from math import gcd
@@ -15,6 +16,7 @@ from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, factored_range, factorize, to_integer,
 )
 from definitional import oracle_evaluate
+from helpers import evaluate_int
 
 ALL_SMALL = [
     af.PHI, af.jordan(2), af.jordan(3),
@@ -68,11 +70,11 @@ def test_parse_function_spellings():
 
 
 def test_known_values():
-    assert af.evaluate_int(af.PHI, 18) == 6
-    assert af.evaluate_int(af.PSI, 6) == 12
-    assert af.evaluate_int(af.J2, 96) == 6144
+    assert evaluate_int(af.PHI, 18) == 6
+    assert evaluate_int(af.PSI, 6) == 12
+    assert evaluate_int(af.J2, 96) == 6144
     assert af.evaluate(af.J2, 96) == factorize(6144)
-    assert af.evaluate_int(af.PHI_STAR, 12) == 6
+    assert evaluate_int(af.PHI_STAR, 12) == 6
     assert af.evaluate(af.BIG_OMEGA, 16) == 4
     assert af.evaluate(af.SMALL_OMEGA, 105) == 3
     assert af.evaluate(af.D, 9) == 3
@@ -80,7 +82,7 @@ def test_known_values():
 
 def test_everything_maps_one_to_one():
     for f in ALL_SMALL:
-        assert af.evaluate_int(f, 1) == 1
+        assert evaluate_int(f, 1) == 1
         assert oracle_evaluate(f, 1) == 1
 
 
@@ -94,7 +96,7 @@ def test_oracle_equivalence_sample():
     for f in ALL_SMALL:
         hi = 60 if f == af.jordan(3) else 150
         for n in range(1, hi + 1):
-            assert af.evaluate_int(f, n) == oracle_evaluate(f, n), (str(f), n)
+            assert evaluate_int(f, n) == oracle_evaluate(f, n), (str(f), n)
 
 
 def test_intervals_only_for_prime_counters():
@@ -123,16 +125,37 @@ def test_symbolic_exponent_support():
 _PRIMES_TO_200 = [p for p in range(2, 201) if fi.is_prime(p)]
 
 
+def _phi_star_refusal(n):
+    """(exception, message) that evaluate raises at phi_star(n), or None.
+    Merged exponents reach past the generator's 6 (89^20 from four parts);
+    evaluate refuses a tail p^e - 1 of more than 140 estimated bits before
+    it is built, and factorize refuses one of more than 128 bits."""
+    for p, e in n.explicit:
+        if e * p.bit_length() > 140:
+            return BudgetExceeded, rf"^phi_star factor {p}\^{e}-1 too large to factor$"
+        if (p ** e - 1).bit_length() > 128:
+            return ValueError, "^factorize handles inputs up to 128 bits$"
+    return None
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([af.PHI, af.jordan(2), af.jordan(3), af.PSI, af.generalized_psi(2),
                         af.generalized_psi(3), af.PHI_STAR]),
        st.lists(st.tuples(st.sampled_from(_PRIMES_TO_200), st.integers(min_value=1, max_value=6)),
                 max_size=6),
        st.randoms(use_true_random=False))
+@example(af.PHI_STAR, [(89, 20)], random.Random(0))  # a 130-bit tail under the estimate
+@example(af.PHI_STAR, [(131, 18)], random.Random(0))  # refused by the estimate
 def test_evaluate_returns_the_normal_form(f, parts, rng):
     # pairwise_all_different decides plain pairs by hash alone, so an
     # unsorted or unmerged value would certify two equal values as different
     n = FactoredNatural(parts)
+    refusal = _phi_star_refusal(n) if f == af.PHI_STAR else None
+    if refusal is not None:
+        exception, message = refusal
+        with pytest.raises(exception, match=message):
+            af.evaluate(f, n)
+        return
     value = af.evaluate(f, n)
     primes = [p for p, _ in value.explicit]
     assert primes == sorted(set(primes))
@@ -142,7 +165,7 @@ def test_evaluate_returns_the_normal_form(f, parts, rng):
     rng.shuffle(shuffled)
     rebuilt = FactoredNatural(shuffled)
     assert rebuilt == value and hash(rebuilt) == hash(value)
-    m = af.evaluate_int(f, n)
+    m = evaluate_int(f, n)
     if m.bit_length() <= 128:
         want = factorize(m)
         assert want == value and hash(want) == hash(value)
@@ -170,8 +193,8 @@ def test_multiplicativity(a, b):
     if gcd(a, b) != 1:
         return
     for f in (af.PHI, af.jordan(2), af.PSI, af.PHI_STAR, af.D, af.sigma(2)):
-        assert af.evaluate_int(f, a * b) == \
-            af.evaluate_int(f, a) * af.evaluate_int(f, b)
+        assert evaluate_int(f, a * b) == \
+            evaluate_int(f, a) * evaluate_int(f, b)
 
 
 @given(st.integers(min_value=2, max_value=1000),
@@ -197,9 +220,9 @@ def test_identity_check():
     rep = af.identity_check_psi_jordan(1, 5000)
     assert rep.passed
     # spot view of the identity at one point
-    assert af.evaluate_int(af.generalized_psi(2), 6) == 50
-    assert af.evaluate_int(af.jordan(2), 6) == 24
-    assert af.evaluate_int(af.jordan(4), 6) == 1200
+    assert evaluate_int(af.generalized_psi(2), 6) == 50
+    assert evaluate_int(af.jordan(2), 6) == 24
+    assert evaluate_int(af.jordan(4), 6) == 1200
     assert 50 * 24 == 1200
 
 
@@ -224,7 +247,7 @@ def test_catalogue_sweep_small():
 def test_value_table_matches_evaluate():
     table = af.value_table(af.PSI, 300)
     for n in range(1, 301):
-        assert table[n] == af.evaluate_int(af.PSI, n)
+        assert table[n] == evaluate_int(af.PSI, n)
 
 
 def test_scalar_value_empty_is_one():
@@ -342,7 +365,7 @@ def test_records_match_the_definitions(f, data):
     want = oracle_evaluate(f, p ** a)
     assert f.family.form(p, a, f.param, f.family.sign) == want
     assert af.scalar_value(f, [(p, a)]) == want
-    assert af.evaluate_int(f, p ** a) == want
+    assert evaluate_int(f, p ** a) == want
     t, s = f.at_prime
     assert p ** t + s == oracle_evaluate(f, p)
     assert _record_classes_hold(f)
@@ -404,7 +427,7 @@ def test_forward_orbit_equals_int_iteration(f, x):
     cur = x
     for _ in range(200):
         try:
-            want = af.evaluate_int(f, cur)
+            want = evaluate_int(f, cur)
         except ValueError as exc:
             msg = str(exc)
             if msg != "factorize handles inputs up to 128 bits" or not _tail_past_128_bits(f, cur):
@@ -458,7 +481,7 @@ def test_tails_past_128_bits_are_refused_before_they_are_computed(monkeypatch):
     # J_128(2) = 2^128 - 1 is still factorised; J_129(2) is refused with
     # factorize's own message without computing 2^129 - 1, and psi_128(2) =
     # 2^128 + 1 (129 bits) by factorize itself
-    assert af.evaluate_int(af.jordan(128), 2) == 2 ** 128 - 1
+    assert evaluate_int(af.jordan(128), 2) == 2 ** 128 - 1
     real = af.factorize
 
     def spy(n, config=DEFAULT_CONFIG):

@@ -8,6 +8,7 @@ import pytest
 
 from arithdyn import arithfun as af, cli, preimage as pre
 from arithdyn.config import DEFAULT_CONFIG
+from helpers import evaluate_int
 
 
 def run_cli(*argv):
@@ -367,11 +368,11 @@ def test_verify_lemma_refuses_zero_parameters(capsys):
 
 
 def test_verify_lemma_refuses_depth_past_the_cap(capsys):
-    code, out = run_cli("verify-lemma", "d-antiorbit", "--depth", "6")
+    code, out = run_cli("verify-lemma", "d-antiorbit", "--depth", "7")
     assert code == 2 and out == ""
     err = capsys.readouterr().err
-    assert "outside 1..5" in err
-    assert "(depth_cap_d_anti)" in err  # the refusal names its budget key
+    assert "outside 1..6" in err
+    assert "(tower_depth_cap)" in err  # the refusal names its budget key
 
 
 def test_lemma_failure_exit_code():
@@ -454,7 +455,7 @@ def test_monotone_failures_name_their_own_least_violation(lemma, fn, position):
     assert code == 1
     assert doc["results"]["counterexample"]["position"] == position
     f = af.parse_function(fn)
-    assert [violated(af.evaluate_int(f, n), n) for n in range(2, position + 1)] == (
+    assert [violated(evaluate_int(f, n), n) for n in range(2, position + 1)] == (
         [False] * (position - 2) + [True])
 
 
@@ -564,7 +565,7 @@ def test_text_format_runs():
 
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"depth_cap_omega_anti": 3}')
+    cfg.write_text('{"tower_depth_cap": 3}')
     code, _ = run_cli("family", "--scheme", "omega-anti", "--depth", "4",
                       "--config", str(cfg))
     assert code == 2  # depth 4 now exceeds the configured cap
@@ -572,8 +573,11 @@ def test_config_file(tmp_path, capsys):
                       "--config", str(cfg))
     assert code == 0
     capsys.readouterr()
-    # the brute-force oracle is a test helper, so its two budgets are no keys
-    for key in ("unknown_key", "oracle_tuple_budget", "oracle_value_budget"):
+    # the brute-force oracle is a test helper, so its two budgets are no
+    # keys; nor are the six per-scheme depth caps that two keys replaced
+    for key in ("unknown_key", "oracle_tuple_budget", "oracle_value_budget",
+                "depth_cap_phi_anti", "depth_cap_d_anti", "depth_cap_omega_anti",
+                "depth_cap_smallomega_anti", "depth_cap_psi_orbit", "depth_cap_j2_orbit"):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({key: 1}))
         code, out = run_cli("eval", "--fn", "phi", "--n", "2", "--config", str(bad))
@@ -586,7 +590,7 @@ def test_config_file(tmp_path, capsys):
     ('{"bit_budget": null}', "bit_budget"),
     ('{"sieve_bound": 1e6}', "sieve_bound"),
     ('{"sieve_bound": 1000000.0}', "sieve_bound"),
-    ('{"depth_cap_phi_anti": true}', "depth_cap_phi_anti"),
+    ('{"depth_cap": true}', "depth_cap"),
     ('{"inverse_phi_budget": [10]}', "inverse_phi_budget"),
 ])
 def test_config_file_values_must_be_ints(tmp_path, capsys, text, key):
@@ -741,7 +745,7 @@ def test_sieve_refusal_names_its_key(capsys):
     ("prime_index_budget", {"prime_index_budget": 3}, ["verify-lemma", "smallomega-antiorbit"]),
     ("inverse_phi_budget", {}, ["preimage", "--fn", "phi", "--m", "2000000"]),
     ("sieve_bound", {"sieve_bound": 100}, ["table", "connectivity", "--bound", "200"]),
-    ("depth_cap_d_anti", {"depth_cap_d_anti": 3},
+    ("tower_depth_cap", {"tower_depth_cap": 3},
      ["verify-lemma", "d-antiorbit", "--families", "2", "--depth", "4"]),
     ("bit_budget", {"bit_budget": 64}, ["orbit", "--fn", "psi", "--n", "2", "--depth", "100"]),
     # a family's prime is looked up under the run's config, not the default
@@ -804,7 +808,7 @@ def test_table_refuses_depth_past_the_cap(capsys):
     assert code == 2 and out == ""
     err = capsys.readouterr().err
     assert "depth 10001 outside 1..10000" in err
-    assert "(depth_cap_phi_anti)" in err
+    assert "(depth_cap)" in err
 
 
 def test_table_rows_match_the_registry():

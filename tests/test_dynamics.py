@@ -16,6 +16,7 @@ from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import (
     BudgetExceeded, DeferredValue, OVERFLOW, factorize, to_integer,
 )
+from helpers import evaluate_int
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,16 +62,20 @@ def test_family_primes():
 
 
 def test_depth_caps():
-    with pytest.raises(BudgetExceeded):
-        dy.family_terms(spec_of(dy.Scheme.OMEGA_ANTI), 6)
-    with pytest.raises(BudgetExceeded):
-        dy.family_terms(spec_of(dy.Scheme.D_ANTI), 6)
-    with pytest.raises(BudgetExceeded):
-        dy.family_terms(spec_of(dy.Scheme.SMALL_OMEGA_ANTI), 7)
-    # config override unlocks depth 6, where the Omega tower's exponent is
-    # the value of term 5, 2^65536, kept as a link to that term
-    deeper = DEFAULT_CONFIG.replace(depth_cap_omega_anti=6)
-    *_, t5, t6 = dy.family_terms(spec_of(dy.Scheme.OMEGA_ANTI), 6, deeper)
+    # one key caps the three tower schemes, another the three plain ones
+    for scheme in dy.Scheme:
+        key = "tower_depth_cap" if scheme in dy.TOWER_SCHEMES else "depth_cap"
+        assert scheme.cap_key == key
+        cap = getattr(DEFAULT_CONFIG, key)
+        with pytest.raises(BudgetExceeded, match=rf"outside 1\.\.{cap} .*\({key}\)"):
+            dy.family_terms(spec_of(scheme), cap + 1)
+        lower = DEFAULT_CONFIG.replace(**{key: 2})
+        assert len(dy.family_terms(spec_of(scheme), 2, lower)) == 2
+        with pytest.raises(BudgetExceeded):
+            dy.family_terms(spec_of(scheme), 3, lower)
+    # the tower cap holds depth 6, where the Omega tower's exponent is the
+    # value of term 5, 2^65536, kept as a link to that term
+    *_, t5, t6 = dy.family_terms(spec_of(dy.Scheme.OMEGA_ANTI), 6)
     ((p, e),) = t6.explicit
     assert p == 2 and e == DeferredValue(t5, 0)
     assert e.resolve() == 2 ** 65536
@@ -247,10 +252,9 @@ def test_family_terms_returns_a_new_list(scheme):
 
 
 def test_deeper_tower_request_reuses_the_shallower_terms():
-    deeper = DEFAULT_CONFIG.replace(depth_cap_omega_anti=6)
     spec = spec_of(dy.Scheme.OMEGA_ANTI, 1)
-    five = dy.family_terms(spec, 5, deeper)
-    six = dy.family_terms(spec, 6, deeper)
+    five = dy.family_terms(spec, 5)
+    six = dy.family_terms(spec, 6)
     assert len(six) == 6
     assert six[:5] == five
 
@@ -296,11 +300,32 @@ def test_certify_materialises_no_wide_integer(monkeypatch):
 @pytest.mark.parametrize("bit_budget", [64, DEFAULT_CONFIG.bit_budget])
 def test_towers_certify_past_the_default_caps(scheme, bit_budget):
     # a pair that no rule decides would raise ComparisonUndecided here
-    config = DEFAULT_CONFIG.replace(bit_budget=bit_budget,
-                                    **{s.cap_key: 20 for s in TOWER_SCHEMES})
+    config = DEFAULT_CONFIG.replace(bit_budget=bit_budget, tower_depth_cap=20)
     rep = dy.verify_disjoint(dy.default_family_specs(scheme, 5), 20, config)
     assert rep.passed, rep.counterexample
     assert rep.certified_bound.endswith(">= 5 certified at depth 20")
+
+
+def test_distinct_tower_terms_compare_without_walking_the_chain(monkeypatch):
+    # each d-anti term holds the one before as its exponent's base, so a
+    # comparison that recursed into equal-offset bases would visit every
+    # earlier term, and the certified comparison every pair below; the
+    # bases' cached hashes tell distinct terms apart at once
+    config = DEFAULT_CONFIG.replace(tower_depth_cap=40)
+    terms = dy.family_terms(spec_of(dy.Scheme.D_ANTI), 40, config)
+    calls = []
+    real = factorint.FactoredNatural.__eq__
+
+    def counted(a, b):
+        calls.append(None)
+        return real(a, b)
+
+    monkeypatch.setattr(factorint.FactoredNatural, "__eq__", counted)
+    assert not terms[-1] == terms[-2]
+    assert len(calls) <= 2
+    calls.clear()
+    assert factorint.certainly_different(terms[-1], terms[-2], config)
+    assert len(calls) <= 40
 
 
 LINK_OFFSET = {dy.Scheme.D_ANTI: lambda p: -1, dy.Scheme.OMEGA_ANTI: lambda p: 0,
@@ -536,7 +561,7 @@ def test_search_rediscovers_psi_orbit():
     assert any(set(psi_orbit) <= set(c.values) for c in found)
     for c in found:
         for a, b in zip(c.values, c.values[1:]):
-            assert af.evaluate_int(af.PSI, a) == b
+            assert evaluate_int(af.PSI, a) == b
 
 
 def test_search_value_cap_is_a_module_constant(monkeypatch):
@@ -567,7 +592,7 @@ def test_search_backward_phi():
     assert found
     for c in found:
         for a, b in zip(c.values, c.values[1:]):
-            assert af.evaluate_int(af.PHI, b) == a  # anti-orbit recurrence
+            assert evaluate_int(af.PHI, b) == a  # anti-orbit recurrence
 
 
 def test_search_backward_scan_families_read_one_table(monkeypatch):
@@ -601,7 +626,7 @@ def test_entropy_estimate_matches_int_sets(f):
     seeds, horizon = [2, 4, 6, 12, 30], 8
     current, acc = set(seeds), set(seeds)
     for _ in range(horizon - 1):
-        current = {af.evaluate_int(f, x) for x in current}
+        current = {evaluate_int(f, x) for x in current}
         acc |= current
     est = dy.ent_set_estimate(f, seeds, horizon)
     assert est.set_size == len(acc)

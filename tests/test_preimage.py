@@ -7,10 +7,11 @@ from arithdyn import arithfun as af
 from arithdyn import preimage as pre
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import BudgetExceeded, to_integer
+from helpers import evaluate_int
 
 
 def brute_fibre(f, m, bound):
-    return tuple(x for x in range(1, bound + 1) if af.evaluate_int(f, x) == m)
+    return tuple(x for x in range(1, bound + 1) if evaluate_int(f, x) == m)
 
 
 def test_psi_fibres_match_brute_force():
@@ -36,7 +37,7 @@ def test_preimage_bounded_for_phi_star():
     assert res.completeness == pre.BOUNDED_SEARCH
     assert res.search_bound == 100
     assert res.members == brute_fibre(af.PHI_STAR, 6, 100)
-    assert all(af.evaluate_int(af.PHI_STAR, x) == 6 for x in res.members)
+    assert all(evaluate_int(af.PHI_STAR, x) == 6 for x in res.members)
 
 
 def test_phi_bound_examples():
@@ -102,7 +103,7 @@ def test_nonfinite_fibre_witnesses():
         pre.nonfinite_fibre_witness(af.PSI, 1, 3)
     # every witness really sits in the fibre
     for p in pre.nonfinite_fibre_witness(af.divisor_count(4), 4, 50):
-        assert af.evaluate_int(af.divisor_count(4), p) == 4
+        assert evaluate_int(af.divisor_count(4), p) == 4
 
 
 def test_complete_preimage_dispatch():
@@ -177,17 +178,17 @@ def _fibre(f, m, n):
 def test_every_n_lies_in_the_fibre_of_its_value(name, n):
     # completeness past the sieve: J_3(n) reaches 1e18 here
     f = af.parse_function(name)
-    m = af.evaluate_int(f, n)
+    m = evaluate_int(f, n)
     members = _fibre(f, m, n)
     assert n in members
-    assert all(af.evaluate_int(f, x) == m for x in members)
+    assert all(evaluate_int(f, x) == m for x in members)
 
 
 def test_large_prime_power_candidates():
     p = 1_000_003
     for f in (af.SIGMA1, af.sigma(2), af.jordan(2), af.generalized_psi(2), af.PSI):
         for a in (1, 2, 3):
-            assert p ** a in _fibre(f, af.evaluate_int(f, p ** a), p ** a), (f, a)
+            assert p ** a in _fibre(f, evaluate_int(f, p ** a), p ** a), (f, a)
     # p^a - 1 divides m for each factor of a phi_star preimage
     assert 2 ** 4 * p in _fibre(af.PHI_STAR, 15 * (p - 1), 2 ** 4 * p)
 

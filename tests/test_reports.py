@@ -8,6 +8,7 @@ import pytest
 from arithdyn import arithfun as af, cli, dynamics as dy, topology as tp
 from arithdyn.config import ToolConfig
 from arithdyn.reports import Counterexample, VerificationReport
+from helpers import ExplicitBlock
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -106,8 +107,8 @@ def test_search_parser_defaults_are_the_budget_defaults():
      "mode is AMBIENT or CORE"),
     (lambda: tp.ResidueBlock(3, 3), "need 0 <= residue < modulus"),
     (lambda: tp.ResidueBlock(3, -1), "need 0 <= residue < modulus"),
-    (lambda: tp.ExplicitBlock((2, 1)), "generators must be strictly increasing"),
-    (lambda: tp.ExplicitBlock((1, 1)), "generators must be strictly increasing"),
+    (lambda: ExplicitBlock((2, 1)), "generators must be strictly increasing"),
+    (lambda: ExplicitBlock((1, 1)), "generators must be strictly increasing"),
 ], ids=["FamilySpec-index-0", "EntropyEstimate-direction", "EntropyEstimate-mode",
         "ResidueBlock-residue-is-modulus", "ResidueBlock-negative-residue",
         "ExplicitBlock-decreasing", "ExplicitBlock-repeated"])

@@ -40,9 +40,9 @@ def test_certify_at_depth_substitutes_the_registry_depth_past_a_cap():
     lines = {line.split()[1]: line for line in proc.stdout.splitlines()
              if line.startswith(("PASS", "FAIL"))}
     for scheme, cert, depth, key in (
-            ("d-anti", "a(d)", 5, "depth_cap_d_anti"),
-            ("omega-anti", "a(Omega)", 5, "depth_cap_omega_anti"),
-            ("smallomega-anti", "a(omega)", 6, "depth_cap_smallomega_anti")):
+            ("d-anti", "a(d)", 5, "tower_depth_cap = 6"),
+            ("omega-anti", "a(Omega)", 5, "tower_depth_cap = 6"),
+            ("smallomega-anti", "a(omega)", 6, "tower_depth_cap = 6")):
         assert f"PASS  {scheme} " in lines[scheme]
         assert f"{cert} >= 3 certified at depth {depth} " in lines[scheme]
         assert key in lines[scheme]
@@ -55,7 +55,7 @@ def test_cli_battery_runs_every_command():
     proc = run_script("cli_battery.py")
     assert proc.returncode == 0, proc.stderr
     blocks = proc.stdout.split("$ arithdyn ")[1:]
-    assert len(blocks) == 149
+    assert len(blocks) == 152
     codes = {}
     for block in blocks:
         argv, code = block.splitlines()[:2]
@@ -75,7 +75,10 @@ def test_cli_battery_runs_every_command():
                  "min-open --fn psi --n 12 --scan-bound 5", "no-such-command",
                  "eval --fn phi", "eval --fn J_01 --n 5",
                  "preimage --fn Omega --m 0 --bound 10",
-                 "eval --fn phi --n 5 --config FLOAT_BOUND.json"):
+                 "eval --fn phi --n 5 --config FLOAT_BOUND.json",
+                 "eval --fn phi --n 5 --config OLD_CAP_KEY.json",
+                 "family --scheme no-such",
+                 "table connectivity --bound 200 --sieve-bound 100"):
         assert codes[f"{argv} {flags}"] == "exit 2"
     for argv in ("orbit --fn phi --n 6", "search --fn psi", "partition-demo",
                  "min-open --fn phi --n 6 --topology taubar",

@@ -12,6 +12,7 @@ sympy = pytest.importorskip("sympy")
 
 from arithdyn import arithfun as af  # noqa: E402
 from arithdyn.factorint import _MR_BASE_TABLE, is_prime  # noqa: E402
+from helpers import evaluate_int  # noqa: E402
 
 # each catalogue function with its sympy counterpart
 COUNTERPARTS = [
@@ -41,7 +42,7 @@ DETERMINISTIC_BELOW = 33 * 10 ** 23
 def test_evaluate_int_matches_sympy(n):
     # n >= 2: the catalogue maps 1 to 1 for Omega and omega, sympy to 0
     for f, expected in COUNTERPARTS:
-        assert af.evaluate_int(f, n) == int(expected(n)), (str(f), n)
+        assert evaluate_int(f, n) == int(expected(n)), (str(f), n)
 
 
 def _is_prime_agrees(n):

@@ -9,6 +9,7 @@ from arithdyn import preimage as pre
 from arithdyn.config import DEFAULT_CONFIG
 from arithdyn.factorint import BudgetExceeded
 from arithdyn.preimage import NotFiniteFibre
+from helpers import ExplicitBlock, evaluate_int
 
 
 def brute_backward_closure(f, x):
@@ -16,7 +17,7 @@ def brute_backward_closure(f, x):
     while frontier:
         y = frontier.pop()
         for c in range(1, y + 1):
-            if af.evaluate_int(f, c) == y and c not in acc:
+            if evaluate_int(f, c) == y and c not in acc:
                 acc.add(c)
                 frontier.append(c)
     return tuple(sorted(acc))
@@ -130,7 +131,7 @@ def test_separation_check():
     assert not rep.passed
     # least violation: phi(2) = 1 < 2 (phi(3) = 2 < 3 also violates)
     assert rep.counterexample.position == 2
-    assert af.evaluate_int(af.PHI, 3) == 2 < 3
+    assert evaluate_int(af.PHI, 3) == 2 < 3
 
 
 def test_tau_subset():
@@ -193,7 +194,7 @@ def test_partition_mod3():
 def test_partition_explicit_blocks():
     threes = tuple(range(3, 100, 3))
     rest = tuple(x for x in range(1, 100) if x % 3)
-    res = tp.partition_map([tp.ExplicitBlock(threes), tp.ExplicitBlock(rest)], 60)
+    res = tp.partition_map([ExplicitBlock(threes), ExplicitBlock(rest)], 60)
     assert len(res.components) == 2
     assert res.report.passed
 
@@ -204,7 +205,7 @@ def test_partition_rejects_non_partition():
         tp.partition_map([tp.ResidueBlock(2, 0)], 10)  # odds uncovered
     with pytest.raises(ValueError, match=r"^2 belongs to 2 blocks; need a partition of 1\.\.10$"):
         tp.partition_map([tp.ResidueBlock(2, 0), tp.ResidueBlock(1, 0)], 10)
-    overlap = [tp.ExplicitBlock((1, 3, 5)), tp.ResidueBlock(2, 0), tp.ExplicitBlock((2, 4, 7)),
+    overlap = [ExplicitBlock((1, 3, 5)), tp.ResidueBlock(2, 0), ExplicitBlock((2, 4, 7)),
                tp.ResidueBlock(2, 1)]
     with pytest.raises(ValueError, match=r"^1 belongs to 2 blocks; need a partition of 1\.\.9$"):
         tp.partition_map(overlap, 9)
@@ -250,7 +251,7 @@ def _partitions(draw):
         # members run past the bound, and 0 belongs to no window
         span = bound + draw(st.integers(0, 10))
         owners = draw(st.lists(st.integers(0, k - 1), min_size=span + 1, max_size=span + 1))
-        blocks = [tp.ExplicitBlock(tuple(x for x, o in enumerate(owners) if o == i))
+        blocks = [ExplicitBlock(tuple(x for x, o in enumerate(owners) if o == i))
                   for i in range(k)]
     blocks = list(draw(st.permutations(blocks)))
     if len(blocks) > 1 and draw(st.booleans()):
@@ -260,7 +261,7 @@ def _partitions(draw):
         blocks.append(tp.ResidueBlock(modulus, draw(st.integers(0, modulus - 1))))
     if draw(st.booleans()):
         extra = draw(st.lists(st.integers(-2, bound + 3), unique=True, max_size=4))
-        blocks.append(tp.ExplicitBlock(tuple(sorted(extra))))
+        blocks.append(ExplicitBlock(tuple(sorted(extra))))
     return blocks, bound
 
 
@@ -314,7 +315,7 @@ def test_forward_orbit_minimum_is_fixed_point():
         for k in (1, 2, 17, 96, 720, 5040):
             members = tp.min_open_forward(f, k).members
             bottom = min(members)
-            assert af.evaluate_int(f, bottom) == bottom
+            assert evaluate_int(f, bottom) == bottom
             assert bottom == 1 or k == 1
 
 
@@ -374,7 +375,7 @@ def _int_min_open_forward(f, x, max_steps=512, value_bits=120):
     for _ in range(max_steps):
         if cur.bit_length() > value_bits:
             return tuple(sorted(seen)), tp.TRUNCATED
-        cur = af.evaluate_int(f, cur)
+        cur = evaluate_int(f, cur)
         if cur in seen:
             return tuple(sorted(seen)), tp.COMPLETE
         seen.add(cur)
