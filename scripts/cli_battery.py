@@ -14,12 +14,14 @@ under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
 cap, one small run of every other subcommand (and one at its defaults
 where those are cheap), `eval` of every family at 720 and at 81 = 3^4,
-`preimage` of sigma_2, J_3 and psi_2, the separation lemma for psi and
-phi at bound 1000, every pointwise lemma (the ids that read --fn) for
-sigma_2 and phi_star at bound 300, each passing for one of them and
-failing or refused for the other, the phi tau-closure of 2 at the
-closure benchmark's scan bound and the one-node closure of 3 under a
-large one, the size refusals of `preimage`, `min-open` and
+`preimage` of sigma_2, J_3 and psi_2, the components of Omega and d at
+bound 1024 and the d_3-fibre of 4 at bound 512 (value tables up to a
+power of 2, for an additive family and a parametric one), the
+separation lemma for psi and phi at bound 1000, every pointwise lemma
+(the ids that read --fn) for sigma_2 and phi_star at bound 300, each
+passing for one of them and failing or refused for the other, the phi
+tau-closure of 2 at the closure benchmark's scan bound and the one-node
+closure of 3 under a large one, the size refusals of `preimage`, `min-open` and
 `partition-demo`, the refusals of options a command does not read (among
 them a bound where fibres are complete, and `--families` on the lemma
 listing), of `--list` after a lemma id, of `--k`/`--l`, of the dropped
@@ -96,6 +98,9 @@ def commands() -> list[list[str]]:
             ["min-open", "--fn", "phi", "--n", "3", "--scan-bound", "200000"],
             ["min-open", "--fn", "phi", "--n", "6", "--topology", "taubar"],
             ["components", "--fn", "phi"], ["components", "--fn", "psi", "--bound", "300"],
+            ["components", "--fn", "Omega", "--bound", "1024"],
+            ["components", "--fn", "d", "--bound", "1024"],
+            ["preimage", "--fn", "d_3", "--m", "4", "--bound", "512"],
             ["verify-lemma", "separation", "--fn", "psi", "--bound", "1000"],
             ["verify-lemma", "separation", "--fn", "phi", "--bound", "1000"],
             ["partition-demo"], ["partition-demo", "--mod", "3", "--bound", "100"],

@@ -352,33 +352,38 @@ def scalar_value(f: FunctionId, pps: list[tuple[int, int]]) -> int:
 
 def value_table(f: FunctionId, bound: int,
                 config: ToolConfig = DEFAULT_CONFIG) -> list[int]:
-    """[0, f(1), f(2), ..., f(bound)], one slice pass per prime power.
+    """[0, f(1), f(2), ..., f(bound)]: one slice pass over the odd
+    multiples of each odd prime power, then one slice per power of 2.
 
     The table starts at the empty product (1, or 0 for the additive Omega
     and omega) and takes the prime powers q = p^a <= bound from
-    prime_power_values, ascending in a for each p.  The pass for q updates
-    every multiple of q, table[q::q]: times f(p^a) / f(p^(a-1)), or plus
-    f(p^a) - f(p^(a-1)) for Omega and omega.
+    prime_power_values, ascending in a for each p.  The pass for an odd q
+    updates the odd multiples of q, table[q::2q]: times f(p^a) /
+    f(p^(a-1)), or plus f(p^a) - f(p^(a-1)) for Omega and omega.  Even
+    entries are not touched until every odd one is final.
 
-    Lemma (exactness).  At any moment an entry m holds the product, over
-    the primes r dividing m, of f(r^c) for the largest r^c dividing m whose
-    pass has run (f(r^0) = 1).  Before the pass for q = p^a the passes for
-    p, ..., p^(a-1) have run, so every multiple of q holds f(p^(a-1)) times
-    the other primes' part.  Every multiplicative catalogue f is >= 1 at a
-    prime power (J_k(p^a) = (p^k - 1) p^(k(a-1)), psi_k(p^a), sigma_l(p^a)
-    >= 3, phi*(p^a) = p^a - 1, d_l(p^a) >= 2), so t // f(p^(a-1)) *
-    f(p^a) is exact and keeps the invariant; once every pass has run, the
-    entry is f(m).  The additive case is the same with sums.  The entry at
-    q itself is touched only by the passes of p, so it reads f(p^(a-1))
-    (the empty product at a = 1) just before its own pass, and that is the
-    divisor.
+    Lemma (exactness).  At any moment an odd entry m holds the product,
+    over the primes r dividing m, of f(r^c) for the largest r^c dividing m
+    whose pass has run (f(r^0) = 1).  Before the pass for q = p^a the
+    passes for p, ..., p^(a-1) have run, so every odd multiple of q holds
+    f(p^(a-1)) times the other primes' part.  Every multiplicative
+    catalogue f is >= 1 at a prime power (J_k(p^a) = (p^k - 1)
+    p^(k(a-1)), psi_k(p^a), sigma_l(p^a) >= 3, phi*(p^a) = p^a - 1,
+    d_l(p^a) >= 2), so t // f(p^(a-1)) * f(p^a) is exact and keeps the
+    invariant; once every odd pass has run, each odd entry m is f(m) (the
+    empty product at m = 1).  The additive case is the same with sums.
+    The entry at q itself is touched only by the passes of p, so it reads
+    f(p^(a-1)) (the empty product at a = 1) just before its own pass, and
+    that is the divisor.  An even n is 2^a m with m odd, so f(n) = f(2^a)
+    f(m) (or the sum) is read off the final odd prefix: the slice for 2^a,
+    table[2^a::2^(a+1)], takes table[1:bound // 2^a + 1:2], the odd m <=
+    bound / 2^a, each times f(2^a) (a plain copy when f(2^a) = 1, as for
+    phi), and every even n lies in exactly one such slice.  Index 1 is set
+    to 1, the catalogue's convention, only after these slices.
 
-    Shortcuts: a q above bound // 2 has no multiple but itself and gets
-    f(q) directly; a factor 1 or an addend 0 is skipped; a whole factor
-    f(p^a) / f(p^(a-1)) multiplies without the division.  prime_power_values
-    gives each p just before its powers, so their passes run while most
-    entries are still small cached ints; run after every prime, the pass
-    for 4 alone would allocate a new int for a quarter of the table.
+    Shortcuts: an odd q above bound // 3 has no odd multiple but itself
+    and gets f(q) directly; a factor 1 or an addend 0 is skipped; a whole
+    factor f(p^a) / f(p^(a-1)) multiplies without the division.
 
     A negative bound is refused (ValueError); bound 0 gives [0].
     """
@@ -387,21 +392,32 @@ def value_table(f: FunctionId, bound: int,
     additive = f.family.additive
     table = [0 if additive else 1] * (bound + 1)
     if bound >= 1:
-        half = bound // 2
+        third = bound // 3
+        twos = []
         for q, v in prime_power_values(f, bound, config):
+            if not q & 1:
+                twos.append((q, v))
+                continue
             before = table[q]
-            if q > half:
+            if q > third:
                 table[q] = v
             elif additive:
                 if v != before:
                     step = v - before
-                    table[q::q] = [t + step for t in table[q::q]]
+                    table[q::2 * q] = [t + step for t in table[q::2 * q]]
             elif v % before == 0:
                 if v != before:
                     step = v // before
-                    table[q::q] = [t * step for t in table[q::q]]
+                    table[q::2 * q] = [t * step for t in table[q::2 * q]]
             else:
-                table[q::q] = [t // before * v for t in table[q::q]]
+                table[q::2 * q] = [t // before * v for t in table[q::2 * q]]
+        for q, v in twos:
+            odd = table[1:bound // q + 1:2]
+            if additive:
+                odd = [t + v for t in odd]
+            elif v != 1:
+                odd = [t * v for t in odd]
+            table[q::2 * q] = odd
         table[1] = 1
     table[0] = 0
     return table

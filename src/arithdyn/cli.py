@@ -438,6 +438,7 @@ def _table_connectivity(args, config: ToolConfig) -> tuple[str, Any]:
     _refuse_unread(args, "table connectivity", ("families", "depth"))
     bound = _positive(args, "bound", 10_000)
     rows = []
+    out = {"table": "connectivity", "bound": bound, "rows": rows}
     ok = True
     for name in ("phi", "phi_star", "omega", "Omega", "d"):
         f = af.parse_function(name)
@@ -446,7 +447,11 @@ def _table_connectivity(args, config: ToolConfig) -> tuple[str, Any]:
             verdict = f"connected (conditional: f(n) < n verified to {bound})"
         else:
             verdict = (f"no verdict: {rep.counterexample.detail or 'hypothesis fails'}")
-            ok = ok and name == "d"  # the d hypothesis genuinely fails at n = 2
+            if name == "d":  # the d hypothesis genuinely fails at n = 2
+                out["note"] = ("d(2) = 2 breaks the strict-decrease hypothesis, so the "
+                               "connectivity lemma does not apply to d; no verdict is emitted")
+            else:
+                ok = False
         rows.append({"function": name, "verdict": verdict})
     for name in ("psi", "psi_2", "J_2", "J_3", "sigma_1", "sigma_2"):
         f = af.parse_function(name)
@@ -456,11 +461,7 @@ def _table_connectivity(args, config: ToolConfig) -> tuple[str, Any]:
                    f"at n = {rep.counterexample.position}")
         ok = ok and rep.passed
         rows.append({"function": name, "verdict": verdict})
-    return "PASS" if ok else "FAIL", {
-        "table": "connectivity", "bound": bound, "rows": rows,
-        "note": ("d(2) = 2 breaks the strict-decrease hypothesis, so the "
-                 "connectivity lemma does not apply to d; no verdict is emitted"),
-    }
+    return "PASS" if ok else "FAIL", out
 
 
 # ---------------------------------------------------------------------------

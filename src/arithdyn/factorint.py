@@ -224,13 +224,15 @@ def _extend_primes_upto(limit: int) -> None:
     if root >= _prime_limit:
         _extend_primes_upto(root)
         lo = _prime_limit
-    base = [p for p in _primes if p * p < hi]
-    seg = bytearray([1]) * (hi - lo)
-    for p in base:
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        if start < hi:
-            seg[start - lo::p] = bytearray(len(range(start - lo, hi - lo, p)))
-    _primes.extend(compress(range(lo, hi), seg))
+    # odd numbers only: seg[i] stands for lo0 + 2i, and the odd multiples
+    # of an odd base prime p are p apart in index space
+    lo0 = lo | 1
+    odds = range(lo0, hi, 2)
+    seg = bytearray([1]) * len(odds)
+    for p in _primes[1:bisect.bisect_left(_primes, root)]:
+        i = ((max(p, -(-lo0 // p)) | 1) * p - lo0) // 2
+        seg[i::p] = bytes(len(range(i, len(seg), p)))
+    _primes.extend(compress(odds, seg))
     _prime_limit = hi
 
 

@@ -275,15 +275,23 @@ def test_value_table_matches_decomposition_scan(f):
 @given(st.sampled_from(SWEPT), st.integers(min_value=0, max_value=3000))
 @example(af.PHI, 0).via("the empty table")
 @example(af.BIG_OMEGA, 1).via("no prime power at all")
-@example(af.PSI, 2).via("2 > bound // 2: written, no slice")
+@example(af.PSI, 2).via("2 at the bound: its slice holds f(2) times the empty product")
 @example(af.SMALL_OMEGA, 3)
 @example(af.PHI_STAR, 4).via("the first square")
-@example(af.PHI, 14).via("phi(2) = 1: the slice for 2 is skipped")
+@example(af.PHI, 14).via("5 > 14 // 3: written, its odd multiple 15 is past the bound")
+@example(af.PHI, 15).via("5 = 15 // 3: the pass for 5 reaches 15")
+@example(af.PSI, 20).via("7 > 20 // 3: written, its odd multiple 21 is past the bound")
+@example(af.PSI, 21).via("7 = 21 // 3: the pass for 7 reaches 21")
 @example(af.D, 15)
+@example(af.BIG_OMEGA, 16).via("16 at the bound: an additive slice over table[1] = 0 alone")
+@example(af.SMALL_OMEGA, 12).via("the additive slices for 2 and 4 add to the odd prefix")
 @example(af.sigma(2), 24)
-@example(af.BIG_OMEGA, 25).via("the square 25 > bound // 2")
+@example(af.BIG_OMEGA, 25).via("the square 25 > bound // 3")
 @example(af.PHI, 48)
+@example(af.sigma(2), 48).via("a parametric family: the slice for 16 times sigma_2(16)")
 @example(af.jordan(3), 49).via("7^2 at the bound")
+@example(af.PHI, 63).via("32 <= 63 < 64: the slice for 32 reads table[1] alone")
+@example(af.PHI, 64).via("phi(2) = 1: the slice for 2 is a plain copy; 64 at the bound")
 def test_value_table_matches_scalar_values_over_factored_range(f, bound):
     # the slice sieve against the independent spf path, edge bounds included
     expected = [0, 1][:bound + 1] + [af.scalar_value(f, pps) for _, pps in factored_range(bound)]

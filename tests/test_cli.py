@@ -550,6 +550,22 @@ def test_connectivity_table():
     assert rows["d"].startswith("no verdict")  # d(2) = 2 breaks the hypothesis
 
 
+@pytest.mark.parametrize("bound", [1, 2])
+def test_connectivity_note_only_beside_the_no_verdict_row_of_d(bound):
+    # at bound 1 the hypothesis holds vacuously for d, and the note on d(2)
+    # would contradict its row
+    code, doc = run_json("table", "connectivity", "--bound", str(bound))
+    assert code == 0 and doc["status"] == "PASS"
+    results = doc["results"]
+    d_row = next(r["verdict"] for r in results["rows"] if r["function"] == "d")
+    if bound == 1:
+        assert d_row == "connected (conditional: f(n) < n verified to 1)"
+        assert "note" not in results
+    else:
+        assert d_row == "no verdict: hypothesis f(n) < n fails at n = 2"
+        assert results["note"].startswith("d(2) = 2 breaks the strict-decrease hypothesis")
+
+
 def test_csv_format():
     code, text = run_cli("table", "connectivity", "--bound", "200",
                          "--format", "csv", "--no-timestamp")

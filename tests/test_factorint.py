@@ -1,9 +1,12 @@
 import gc
 import weakref
 from array import array
+from bisect import bisect_left
+from functools import lru_cache
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from arithdyn import arithfun as af, factorint
 from arithdyn.config import DEFAULT_CONFIG, ToolConfig
@@ -120,6 +123,49 @@ def test_interval_membership_grows_the_prime_list_to_min_p_q_hi(monkeypatch):
     assert len(factorint._primes) >= 600 and factorint._prime_limit < 10_000
     assert not outside(4409, ((1, 600),), DEFAULT_CONFIG)
     assert outside(4421, ((1, 600),), DEFAULT_CONFIG)  # q_601
+
+
+SEED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # all below 38
+PAST_2_20 = 2 ** 20 + 64
+
+
+@lru_cache(maxsize=1)
+def plain_sieve(limit: int) -> list[int]:
+    """The primes below limit, by a plain bytearray Eratosthenes over every
+    n (no wheel): the reference for the odd-only segmented sieve."""
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for p in range(2, isqrt(limit - 1) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit, p)))
+    return [n for n in range(limit) if sieve[n]]
+
+
+# a limit just below or at the square of a base prime: the segment then
+# ends just before p^2, or p^2 is its last entry and p must cross it out
+AT_SQUARES = st.builds(lambda p, d: p * p - d,
+                       st.sampled_from(SEED_PRIMES[1:] + (41, 43, 47, 53)), st.sampled_from((0, 1)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 6000), AT_SQUARES), max_size=6),
+       st.integers(2 ** 20, PAST_2_20 - 1))
+@example([168], 2 ** 20).via("limit 13^2 - 1: the odd _prime_limit 169, 13 not a base prime")
+@example([168, 501], 2 ** 20).via("the odd lo 169 = 13^2 is the segment's first entry")
+@example([169, 360, 961], 2 ** 20 + 1).via("13^2, 19^2 - 1 and 31^2: _prime_limit 170, "
+                                             "361 and 962, each square crossed out or left out")
+@example([], 2 ** 20).via("one jump from the seed: the base primes are grown first")
+def test_sieve_growth_matches_a_plain_sieve(steps, jump):
+    reference = plain_sieve(PAST_2_20 + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorint, "_primes", array("q", SEED_PRIMES))
+        mp.setattr(factorint, "_prime_limit", 38)
+        for limit in steps + [jump]:
+            before = factorint._prime_limit
+            factorint._extend_primes_upto(limit)
+            hi = factorint._prime_limit
+            assert hi == (before if limit < before else max(limit + 1, 2 * before))
+            assert list(factorint._primes) == reference[:bisect_left(reference, hi)], (steps, limit)
 
 
 def test_adjacent_intervals_merge():

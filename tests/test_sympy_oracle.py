@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 sympy = pytest.importorskip("sympy")
 
 from arithdyn import arithfun as af  # noqa: E402
-from arithdyn.factorint import _MR_BASE_TABLE, is_prime  # noqa: E402
+from arithdyn.factorint import _MR_BASE_TABLE, is_prime, primes_upto  # noqa: E402
 from helpers import evaluate_int  # noqa: E402
 
 # each catalogue function with its sympy counterpart
@@ -69,3 +69,13 @@ def test_is_prime_at_every_base_table_limit():
         for n in (limit - 2, limit - 1, limit, limit + 1, limit + 2):
             if n < DETERMINISTIC_BELOW:
                 _is_prime_agrees(n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 300_000))
+@example(0)
+@example(2)
+@example(300_000)
+def test_primes_upto_matches_sympy_primerange(limit):
+    # the cached list, however it grew, against sympy's own sieve
+    assert list(primes_upto(limit)) == list(sympy.primerange(2, limit + 1))
