@@ -224,8 +224,9 @@ def _extend_primes_upto(limit: int) -> None:
     if root >= _prime_limit:
         _extend_primes_upto(root)
         lo = _prime_limit
-    # odd numbers only: seg[i] stands for lo0 + 2i, and the odd multiples
-    # of an odd base prime p are p apart in index space
+    # odd numbers only: seg[i] stands for lo0 + 2i; an odd base prime p
+    # starts at its first odd multiple >= max(p^2, lo0), and its odd
+    # multiples are p apart in index space
     lo0 = lo | 1
     odds = range(lo0, hi, 2)
     seg = bytearray([1]) * len(odds)
