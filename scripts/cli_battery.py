@@ -14,9 +14,11 @@ under small bit budgets, both tables, the first three families of every
 scheme, the tower claims at 10x30 under a config that raises their depth
 cap, one small run of every other subcommand (and one at its defaults
 where those are cheap), `eval` of every family at 720 and at 81 = 3^4,
-`preimage` of sigma_2, J_3 and psi_2, the components of Omega and d at
-bound 1024 and the d_3-fibre of 4 at bound 512 (value tables up to a
-power of 2, for an additive family and a parametric one), the
+`eval` of phi at 1000036000099 = 1000003 * 1000033 (past trial
+division, so Pollard-Brent splits it), `preimage` of sigma_2, J_3 and
+psi_2, the components of Omega and d at bound 1024 and the d_3-fibre of
+4 at bound 512 (value tables up to a power of 2, for an additive family
+and a parametric one), the
 separation lemma for psi and phi at bound 1000, every pointwise lemma
 (the ids that read --fn) for sigma_2 and phi_star at bound 300, each
 passing for one of them and failing or refused for the other, the phi
@@ -40,6 +42,7 @@ import json
 import os
 import sys
 import tempfile
+from typing import Iterator
 
 from arithdyn import cli
 from arithdyn import dynamics as dy
@@ -114,6 +117,7 @@ def commands() -> list[list[str]]:
     out += [["eval", "--fn", name, "--n", str(n)]
             for name in ("J_3", "psi_2", "phi_star", "Omega", "omega", "d_3", "sigma_2")
             for n in (720, 81)]
+    out += [["eval", "--fn", "phi", "--n", "1000036000099"]]
     out += [["preimage", "--fn", "sigma_2", "--m", "50"],
             ["preimage", "--fn", "J_3", "--m", "2394"],
             ["preimage", "--fn", "psi_2", "--m", "50"]]
@@ -169,14 +173,21 @@ def run_one(argv: list[str]) -> tuple[int, str, str]:
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def main() -> int:
+@contextlib.contextmanager
+def config_files() -> Iterator[dict[str, str]]:
+    """Each name of CONFIGS -> the path of a temporary file holding its
+    JSON, for the duration of the block."""
     with tempfile.TemporaryDirectory() as tmp:
         paths = {}
         for name, content in CONFIGS.items():
             paths[name] = os.path.join(tmp, name)
             with open(paths[name], "w", encoding="utf-8") as fh:
                 json.dump(content, fh)
+        yield paths
 
+
+def main() -> int:
+    with config_files() as paths:
         def placeholders(text: str) -> str:
             for name, path in paths.items():
                 text = text.replace(path, name)

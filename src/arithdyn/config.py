@@ -14,8 +14,8 @@ class ToolConfig(NamedTuple):
     sieve_bound: int = 10_000_000
     # Largest prime index nth_prime will enumerate (q_1 = 2).
     prime_index_budget: int = 10_000_000
-    # Bit budget for materialising a factored natural as a plain integer.
-    # 2^65536 (65537 bits) fits; towers like 2^(2^65536) stay symbolic.
+    # Bit budget for materialising a factored natural as a plain integer
+    # (OVERFLOW past it); it never picks a term's structure (LINK_BITS does).
     bit_budget: int = 4_000_000
     # inverse_phi refuses targets above this.
     inverse_phi_budget: int = 1_000_000

@@ -15,9 +15,9 @@ j2-orbit           J_2    2^(2^(n+1) k + 2^n - 1) * 3                 orbit
 =================  =====  ==========================================  ==========
 
 Anti-orbit terms grow as exponent towers; once a term's certified size
-passes the bit budget its shape holds the previous term as a DeferredValue,
-and the recurrence is checked by exact symbolic equality instead of integer
-comparison.
+passes LINK_BITS its shape holds the previous term as a DeferredValue, and
+the recurrence is checked by exact symbolic equality instead of integer
+comparison.  No budget of the run picks a term's structure.
 Infinite orbit/anti-orbit numbers are never reported as infinite, only as
 ">= c certified at depth d".
 """
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from functools import partial
+from math import prod
 from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, ToolConfig
@@ -63,6 +64,11 @@ class Scheme(enum.Enum):
 
 # the schemes whose terms are built from the previous term's value
 TOWER_SCHEMES = frozenset((Scheme.D_ANTI, Scheme.OMEGA_ANTI, Scheme.SMALL_OMEGA_ANTI))
+
+# A tower link is an int while its term might fit this many bits: a fixed
+# rule, so no config picks a term's structure, and the default bit_budget,
+# so default reports keep the structures they had when that budget decided.
+LINK_BITS = 4_000_000
 
 
 def scheme_depth_cap(scheme: Scheme, config: ToolConfig) -> int:
@@ -103,10 +109,10 @@ def family_terms(spec: FamilySpec, depth: int,
     A tower term (d, Omega, omega) holds the value of the term before it
     plus an offset (the link): an exponent for d and Omega, an interval
     end for omega.  The link is an int only while the new term might
-    still fit the bit budget.  Otherwise it is a DeferredValue of the term
-    before plus the offset, and that term is never materialised: evaluate
-    returns the DeferredValue at the new term, so the recurrence is decided
-    by identity."""
+    still fit LINK_BITS, under any config.  Otherwise it is a DeferredValue
+    of the term before plus the offset, and that term is never
+    materialised: evaluate returns the DeferredValue at the new term, so
+    the recurrence is decided by identity."""
     cap = scheme_depth_cap(spec.scheme, config)
     if not 1 <= depth <= cap:
         raise BudgetExceeded(
@@ -136,15 +142,13 @@ def family_terms(spec: FamilySpec, depth: int,
             return FactoredNatural(((p, link),))
     terms = [FactoredNatural(((p, 1),))]
     while len(terms) < depth:
-        deferred = DeferredValue(terms[-1], offset)
         try:
-            term = shape(deferred)
-            fits = _value_bitlen_lb(term) <= config.bit_budget
+            term = shape(DeferredValue(terms[-1], offset))
+            fits = _value_bitlen_lb(term) <= LINK_BITS
         except ValueError:  # a small term cannot certify a nonempty interval
             fits = True
-        if fits:
-            value = to_integer(terms[-1], config)
-            term = shape(deferred if value is OVERFLOW else value + offset)
+        if fits:  # then the term before is plain and at most 128 bits
+            term = shape(prod(q ** e for q, e in terms[-1].explicit) + offset)
         terms.append(term)
     return terms
 
@@ -156,13 +160,13 @@ def family_terms(spec: FamilySpec, depth: int,
 SYMBOLIC_NOTE = "terms past the bit budget checked by exact symbolic equality"
 
 
-def _value_matches(value: Value, expected: FactoredNatural, config: ToolConfig) -> bool:
+def _value_matches(value: Value, expected: FactoredNatural) -> bool:
     """Does an evaluate() result equal the expected factored natural?  By
-    identity where the structures agree, else by integer value."""
-    if value == expected:
-        return True
-    got = nat_resolve(value, config)
-    return got is not OVERFLOW and got == nat_resolve(expected, config)
+    structure, an int value (from an int link: at most 128 bits) once
+    factorised, so a match never rests on a budget."""
+    if isinstance(value, int):
+        value = factorize(value)
+    return value == expected
 
 
 def _check_families(lemma: str, f: FunctionId, anti: bool,
@@ -194,7 +198,7 @@ def _check_families(lemma: str, f: FunctionId, anti: bool,
             got = evaluate(f, src, config)
             if isinstance(got, DeferredValue) and got.offset == 0 and got.base == dst:
                 symbolic = True
-            elif not _value_matches(got, dst, config):
+            elif not _value_matches(got, dst):
                 return report("FAIL", counterexample=Counterexample(family, i + 1, dst, got))
         all_terms.extend(terms)
         owner.extend((fam_no, i + 1) for i in range(len(terms)))
@@ -529,11 +533,15 @@ def search_families(f: FunctionId, budget: SearchBudget = SearchBudget(),
 def _orbit_chain(f: FunctionId, depth: int, config: ToolConfig, start: int,
                  used: set[int]) -> Optional[list[int]]:
     """The orbit prefix of `depth` values from start, or None when it
-    repeats a value, meets `used` or passes SEARCH_VALUE_BITS first."""
+    repeats a value, meets `used` or passes SEARCH_VALUE_BITS first; an
+    iterate past a smaller bit budget is refused, never dropped."""
     seq, seen = [start], {start}
     orbit = forward_orbit(f, start, config)
     while len(seq) < depth:
         v = nat_resolve(next(orbit), config)
+        if v is OVERFLOW and config.bit_budget < SEARCH_VALUE_BITS:
+            raise BudgetExceeded(f"{f} orbit of {start} passes the bit budget "
+                                 f"{config.bit_budget} (bit_budget)")
         if v is OVERFLOW or v.bit_length() > SEARCH_VALUE_BITS or v in seen or v in used:
             return None
         seq.append(v)

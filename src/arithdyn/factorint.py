@@ -237,14 +237,13 @@ def _extend_primes_upto(limit: int) -> None:
     _prime_limit = hi
 
 
-def _ensure_prime_count(count: int, config: ToolConfig,
-                        past: Optional[int] = None) -> None:
+def _ensure_prime_count(count: int, budget: int, past: Optional[int] = None) -> None:
     """Grow the prime list until it holds q_count or, given `past`, until
-    every prime up to `past` is in it, whichever comes first."""
-    if count > config.prime_index_budget:
+    every prime up to `past` is in it, whichever comes first; a count
+    past `budget` (a prime index budget) is refused."""
+    if count > budget:
         raise BudgetExceeded(
-            f"prime index {count} exceeds budget {config.prime_index_budget} "
-            f"(prime_index_budget)")
+            f"prime index {count} exceeds budget {budget} (prime_index_budget)")
     while len(_primes) < count and (past is None or past >= _prime_limit):
         _extend_primes_upto(_prime_limit * 2)
 
@@ -253,7 +252,7 @@ def nth_prime(i: int, config: ToolConfig = DEFAULT_CONFIG) -> int:
     """The i-th prime, 1-indexed: nth_prime(1) == 2."""
     if i < 1:
         raise ValueError("prime indices start at 1")
-    _ensure_prime_count(i, config)
+    _ensure_prime_count(i, config.prime_index_budget)
     return _primes[i - 1]
 
 
@@ -426,10 +425,13 @@ def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG)
 # FactoredNatural
 
 
-# Intervals shorter than this (with in-budget bounds) are expanded into
+# Intervals shorter than this (ending by _INDEX_LIMIT) are expanded into
 # explicit primes during normalization, which makes the normal form of every
 # practically constructible value unique.
 _EXPAND_LIMIT = 512
+# The largest prime index normalization enumerates, fixed at the default
+# prime_index_budget so that no config changes a normal form.
+_INDEX_LIMIT = 10_000_000
 
 
 def _merge_exponents(parts: Iterable[tuple[int, Nat]], plain: bool) -> tuple:
@@ -515,19 +517,19 @@ class FactoredNatural:
                     raise ValueError("interval index ranges overlap")
             norm_ivals.append((lo, hi))
 
-        # expand short in-budget intervals so equal values share one form
+        # expand short intervals so equal values share one form
         final_ivals: list[tuple[int, Nat]] = []
         for lo, hi in norm_ivals:
             if (isinstance(hi, int) and hi - lo + 1 <= _EXPAND_LIMIT
-                    and hi <= DEFAULT_CONFIG.prime_index_budget):
-                _ensure_prime_count(hi, DEFAULT_CONFIG)
+                    and hi <= _INDEX_LIMIT):
+                _ensure_prime_count(hi, _INDEX_LIMIT)
                 pairs.extend((q, 1) for q in _primes[lo - 1:hi])
             else:
                 final_ivals.append((lo, hi))
 
         merged = _merge_exponents(pairs, plain)
         for p, _ in merged:
-            if final_ivals and not _prime_outside_intervals(p, final_ivals, DEFAULT_CONFIG):
+            if final_ivals and not _prime_outside_intervals(p, final_ivals):
                 raise ValueError(f"prime {p} may fall inside an interval factor")
         self._fill(merged, tuple(final_ivals), plain and not final_ivals)
 
@@ -652,7 +654,7 @@ def _materialise(x: FactoredNatural, config: ToolConfig):
             return OVERFLOW
         # a short interval past the prime-index budget may still fit the bit
         # budget, so it is refused rather than reported as OVERFLOW
-        _ensure_prime_count(hv, config)
+        _ensure_prime_count(hv, config.prime_index_budget)
         piece = _prod(_primes[lo - 1:hv])
         acc_bits += piece.bit_length()
         if acc_bits > budget + len(pieces):
@@ -746,8 +748,7 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
     raise ComparisonUndecided(f"cannot compare {a!r} and {b!r}")
 
 
-def _prime_outside_intervals(p: int, intervals: Iterable[tuple[int, Nat]],
-                             config: ToolConfig) -> bool:
+def _prime_outside_intervals(p: int, intervals: Iterable[tuple[int, Nat]]) -> bool:
     """True if prime p certainly does not occur in the interval factors.
 
     p must be prime, as the explicit primes of a FactoredNatural are: then
@@ -755,23 +756,23 @@ def _prime_outside_intervals(p: int, intervals: Iterable[tuple[int, Nat]],
     Each end is compared by _nth_prime_within, so the prime list grows to
     about min(p, q_hi), not to q_hi."""
     for lo, hi in intervals:
-        q_lo = _nth_prime_within(lo, p, config)
+        q_lo = _nth_prime_within(lo, p)
         if q_lo is None or p < q_lo:
             continue
-        if not isinstance(hi, int) or hi > config.prime_index_budget:
+        if not isinstance(hi, int) or hi > _INDEX_LIMIT:
             return False  # may fall inside: the end is symbolic or past the table
-        q_hi = _nth_prime_within(hi, p, config)
+        q_hi = _nth_prime_within(hi, p)
         if q_hi is None or p <= q_hi:
             return False
     return True
 
 
-def _nth_prime_within(i: int, p: int, config: ToolConfig) -> Optional[int]:
+def _nth_prime_within(i: int, p: int) -> Optional[int]:
     """q_i, or None when q_i > p is already certain: the prime list grows
     only until it holds q_i or every prime up to p.  In the second case it
     holds all primes below _prime_limit > p but fewer than i of them, so
     q_i >= _prime_limit > p."""
-    _ensure_prime_count(i, config, past=p)
+    _ensure_prime_count(i, _INDEX_LIMIT, past=p)
     return _primes[i - 1] if len(_primes) >= i else None
 
 

@@ -29,8 +29,6 @@ ALLOWED = {
     "factorint._spf_decompose": "benchmark harness (factored_range's decomposition)",
     "factorint.factored_range": "benchmark harness (spans.py patches it)",
     "arithfun.identity_check_psi_jordan": "benchmark harness (the sweep workload calls it)",
-    # needed, but no command's input needs it
-    "factorint._pollard_brent": "splits a factor that trial division cannot reach",
     # FAIL-only and refusal-only paths
     "reports.Counterexample.describe": "text of a FAILed claim",
     "factorint._Overflow.__repr__": "OVERFLOW as a FAILed claim's value",

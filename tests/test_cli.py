@@ -361,6 +361,15 @@ def test_note_names_a_symbolic_last_step():
                                      "a(d) >= 1 certified at depth 5", [SYMBOLIC_NOTE])
 
 
+def test_omega_antiorbit_passes_under_a_20_bit_budget():
+    # Omega(3^7625597484987) = 7625597484987 = 3^27 is decided by structure,
+    # though 3^27 does not fit 20 bits
+    code, doc = run_json("verify-lemma", "omega-antiorbit", "--bit-budget", "20")
+    assert code == 0
+    assert doc["results"] == _passed("omega-anti x5 depth 5", 5, 5,
+                                     "a(Omega) >= 5 certified at depth 5", [SYMBOLIC_NOTE])
+
+
 def test_verify_lemma_refuses_zero_parameters(capsys):
     for flag in ("--depth", "--families"):
         code, out = run_cli("verify-lemma", "phi-antiorbit", flag, "0")

@@ -259,40 +259,42 @@ def test_deeper_tower_request_reuses_the_shallower_terms():
     assert six[:5] == five
 
 
-def test_tower_terms_are_kept_per_config():
+def test_tower_terms_keep_one_structure_under_every_budget():
     spec = spec_of(dy.Scheme.D_ANTI, 3)  # p = 7: 7, 7^6, 7^117648, ...
     small = DEFAULT_CONFIG.replace(bit_budget=64)
     wide = dy.family_terms(spec, 5)
     narrow = dy.family_terms(spec, 5, small)
-    assert not any(x is y for x, y in zip(wide, narrow))
-    # 7^117648 might fit the default budget, so its exponent is an int
-    # there; under 64 bits it certainly does not, and the exponent links to
-    # the previous term
-    assert not has_deferred(wide[2]) and has_deferred(narrow[2])
+    # 7^117648 might fit LINK_BITS, so its exponent is an int under every
+    # budget; the budget decides only what materialises
+    assert narrow == wide
+    assert not has_deferred(wide[2]) and has_deferred(wide[3])
     values = [7, 7 ** 6, 7 ** 117648]
     assert [to_integer(t) for t in wide[:3]] == values
     assert [to_integer(t, small) for t in narrow] == [7, 7 ** 6] + [OVERFLOW] * 3
 
 
 def test_certify_materialises_no_wide_integer(monkeypatch):
-    # a link that must overflow the next term stays symbolic, and certified
-    # comparisons decide by structure, so no tower value is materialised
+    # a link that must overflow the next term stays symbolic, an int link
+    # is read off the small term before it, and certified comparisons
+    # decide by structure, so no tower value is materialised
     widths = []
-    real = factorint.to_integer
+    real = factorint._materialise
 
-    def spy(x, config=DEFAULT_CONFIG):
+    def spy(x, config):
         value = real(x, config)
         if value is not OVERFLOW:
             widths.append(value.bit_length())
         return value
 
-    for module in (factorint, dy):
-        monkeypatch.setattr(module, "to_integer", spy)
+    monkeypatch.setattr(factorint, "_materialise", spy)
     for scheme, families, depth in ((dy.Scheme.D_ANTI, 20, 5),
                                     (dy.Scheme.OMEGA_ANTI, 10, 5),
                                     (dy.Scheme.SMALL_OMEGA_ANTI, 10, 6)):
         specs = dy.default_family_specs(scheme, families)
         assert dy.verify_disjoint(specs, depth).passed
+    assert widths == []
+    # the spy does see a materialisation: 3^8, the third d-anti term for p = 3
+    assert to_integer(dy.family_terms(spec_of(dy.Scheme.D_ANTI), 3)[-1]) == 3 ** 8
     assert widths and max(widths) <= 64
 
 
@@ -357,7 +359,8 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
             if link is None:
                 assert not has_deferred(term)
             elif isinstance(link, int):
-                assert link == to_integer(prev, config) + offset
+                # the exact integer, whatever the run's budget
+                assert link == to_integer(prev) + offset
             else:
                 assert link.base is prev and link.offset == offset
                 assert to_integer(term, config) is OVERFLOW
@@ -367,6 +370,20 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
             assert rep.passed, (spec, depth)
             # the note says a step was decided by identity of a symbolic link
             assert (note in rep.notes) == any(symbolic[:depth]), (spec, depth)
+
+
+def test_int_links_have_at_most_128_bits():
+    # an int link is read off the term before it, and an int recurrence
+    # value is factorised, so both must stay within factorize's 128 bits
+    config = DEFAULT_CONFIG.replace(tower_depth_cap=8)
+    widths = []
+    for scheme in TOWER_SCHEMES:
+        for index in range(1, 61):
+            for term in dy.family_terms(dy.FamilySpec(scheme, index), 8, config)[1:]:
+                link = _link(scheme, term)
+                if isinstance(link, int):
+                    widths.append(link.bit_length())
+    assert widths and max(widths) <= 128
 
 
 def test_smallomega_certificate_keeps_the_prime_list_short():
@@ -571,6 +588,20 @@ def test_search_value_cap_is_a_module_constant(monkeypatch):
     budget = dy.SearchBudget(max_start=10, max_depth=12, max_families=5)
     monkeypatch.setattr(dy, "SEARCH_VALUE_BITS", 8)  # psi orbits pass 8 bits by step 12
     assert dy.search_families(af.PSI, budget) == []
+
+
+def test_search_refuses_an_orbit_its_bit_budget_stops():
+    # the psi orbit of 2 passes 20 bits within 30 steps; a budget below
+    # SEARCH_VALUE_BITS refuses it, naming the key, instead of dropping it
+    budget = dy.SearchBudget()
+    assert [c.values[0] for c in dy.search_families(af.PSI, budget)] == [2, 10, 34, 106]
+    small = DEFAULT_CONFIG.replace(bit_budget=20)
+    with pytest.raises(BudgetExceeded, match=r"\(bit_budget\)$"):
+        dy.search_families(af.PSI, budget, dy.FORWARD, small)
+    # at or past SEARCH_VALUE_BITS the search's own cut comes first
+    wide = DEFAULT_CONFIG.replace(bit_budget=dy.SEARCH_VALUE_BITS)
+    assert dy.search_families(af.PSI, budget, dy.FORWARD, wide) == dy.search_families(
+        af.PSI, budget)
 
 
 @pytest.mark.parametrize("field", ["max_start", "max_depth", "max_families", "scan_bound"])

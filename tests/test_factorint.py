@@ -115,14 +115,14 @@ def test_interval_membership_grows_the_prime_list_to_min_p_q_hi(monkeypatch):
     monkeypatch.setattr(factorint, "_prime_limit", 38)
     outside = factorint._prime_outside_intervals
     # 7 = q_4 lies in q[4..85087]: decided without q_85087 (about 1.09 M)
-    assert not outside(7, ((4, 85087),), DEFAULT_CONFIG)
+    assert not outside(7, ((4, 85087),))
     assert factorint._prime_limit == 38
-    assert outside(5, ((4, 85087),), DEFAULT_CONFIG)
+    assert outside(5, ((4, 85087),))
     # the Mersenne prime 2^61 - 1 lies past q_600 = 4409: decided at q_600
-    assert outside(2 ** 61 - 1, ((1, 600),), DEFAULT_CONFIG)
+    assert outside(2 ** 61 - 1, ((1, 600),))
     assert len(factorint._primes) >= 600 and factorint._prime_limit < 10_000
-    assert not outside(4409, ((1, 600),), DEFAULT_CONFIG)
-    assert outside(4421, ((1, 600),), DEFAULT_CONFIG)  # q_601
+    assert not outside(4409, ((1, 600),))
+    assert outside(4421, ((1, 600),))  # q_601
 
 
 SEED_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # all below 38
