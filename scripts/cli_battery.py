@@ -32,7 +32,8 @@ subcommand, of a missing option, of fibre targets below 1, of an unknown
 scheme, of a sieve request past a --sieve-bound override and of config
 files that hold no JSON object, a value that is not an int or a key that
 is no field (one of the per-scheme depth caps that `depth_cap` and
-`tower_depth_cap` replaced).  Every
+`tower_depth_cap` replaced, and the prime-index budget that duplicated the
+fixed prime-index limit).  Every
 command reports in JSON except five that exercise the csv and text
 renderers.
 """
@@ -68,6 +69,7 @@ CONFIGS = {
     "NULL_BUDGET.json": {"bit_budget": None},
     "ARRAY.json": [1, 2],
     "OLD_CAP_KEY.json": {"depth_cap_d_anti": RAISED_CAP},
+    "OLD_INDEX_KEY.json": {"prime_index_budget": 10_000_000},
 }
 
 

@@ -118,7 +118,7 @@ def _cmd_family(args, config) -> tuple[str, Any]:
     spec = dy.FamilySpec(scheme, args.index)
     terms = dy.family_terms(spec, args.depth, config)
     return "INFO", {
-        "scheme": scheme.value, "family": spec.describe(config), "depth": args.depth,
+        "scheme": scheme.value, "family": spec.describe(), "depth": args.depth,
         "terms": [render_value(t, config) for t in terms],
     }
 
@@ -296,7 +296,7 @@ def _phi_finite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
 def _nonfinite_fibre_runner(args, config: ToolConfig) -> VerificationReport:
     count = _positive(args, "families", 100)
     for f, target in ((af.SMALL_OMEGA, 1), (af.BIG_OMEGA, 1), (af.D, 2)):
-        witnesses = pre.nonfinite_fibre_witness(f, target, count, config)
+        witnesses = pre.nonfinite_fibre_witness(f, target, count)
         for p in witnesses:
             got = af.evaluate(f, factorize(p, config), config)
             if got != target:

@@ -10,10 +10,10 @@ from typing import NamedTuple
 
 
 class ToolConfig(NamedTuple):
-    # Largest smallest-prime-factor table a bulk sweep may request.
+    # Largest limit of any sieve (an spf table or primes_upto), so it caps
+    # every pointwise lemma, value table and fibre table, and cuts the top
+    # of phi's fibre table.
     sieve_bound: int = 10_000_000
-    # Largest prime index nth_prime will enumerate (q_1 = 2).
-    prime_index_budget: int = 10_000_000
     # Bit budget for materialising a factored natural as a plain integer
     # (OVERFLOW past it); it never picks a term's structure (LINK_BITS does).
     bit_budget: int = 4_000_000

@@ -36,7 +36,7 @@ from .arithfun import (
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _factored,
     _value_bitlen_lb, factorize, nat_resolve, nth_prime, pairwise_all_different, prime_factors,
-    prime_index, to_integer,
+    to_integer,
 )
 from .preimage import fibres, preimage_closure
 from .reports import CheckedRecord, Counterexample, VerificationReport
@@ -89,15 +89,15 @@ class FamilySpec(CheckedRecord, _FamilySpec):
         if self.index < 1:
             raise ValueError("family index starts at 1")
 
-    def prime(self, config: ToolConfig = DEFAULT_CONFIG) -> Optional[int]:
+    def prime(self) -> Optional[int]:
         if self.scheme is Scheme.OMEGA_ANTI:
-            return nth_prime(self.index, config)
+            return nth_prime(self.index)
         if self.scheme in (Scheme.D_ANTI, Scheme.SMALL_OMEGA_ANTI):
-            return nth_prime(self.index + 1, config)  # odd primes: 3, 5, 7, ...
+            return nth_prime(self.index + 1)  # odd primes: 3, 5, 7, ...
         return None
 
-    def describe(self, config: ToolConfig = DEFAULT_CONFIG) -> str:
-        p = self.prime(config)
+    def describe(self) -> str:
+        p = self.prime()
         return f"{self.scheme.value} {'p=%d' % p if p else 'k=%d' % self.index}"
 
 
@@ -128,9 +128,9 @@ def family_terms(spec: FamilySpec, depth: int,
         return [_factored(((2, 2 ** (n + 1) * k + 2 ** n - 1), (3, 1)))
                 for n in range(1, depth + 1)]
 
-    p = spec.prime(config)
+    p = spec.prime()
     if spec.scheme is Scheme.SMALL_OMEGA_ANTI:  # p * q_{j+1} * ... * q_{j + x_n - 1}
-        j = prime_index(p, config)
+        j = spec.index + 1  # p = q_j
         offset = j - 1
 
         def shape(link):

@@ -39,8 +39,8 @@ Three rules keep certified comparisons cheap:
   and its docstring states the precondition;
 * each value is materialised at most once per object: :func:`to_integer`
   stores its result (the integer or ``OVERFLOW``) on the FactoredNatural,
-  keyed by the budgets it depends on, so the cache lives and dies with the
-  term and a call under other budgets recomputes.
+  keyed by the bit budget, the one budget it reads, so the cache lives and
+  dies with the term and a call under another bit budget recomputes.
 """
 from __future__ import annotations
 
@@ -237,33 +237,25 @@ def _extend_primes_upto(limit: int) -> None:
     _prime_limit = hi
 
 
-def _ensure_prime_count(count: int, budget: int, past: Optional[int] = None) -> None:
+def _ensure_prime_count(count: int, past: Optional[int] = None) -> None:
     """Grow the prime list until it holds q_count or, given `past`, until
-    every prime up to `past` is in it, whichever comes first; a count
-    past `budget` (a prime index budget) is refused."""
-    if count > budget:
-        raise BudgetExceeded(
-            f"prime index {count} exceeds budget {budget} (prime_index_budget)")
-    while len(_primes) < count and (past is None or past >= _prime_limit):
+    every prime up to `past` is in it, whichever comes first.  Growth past
+    _INDEX_LIMIT primes is refused: at once for a count past the limit
+    with no `past`, else once the list holds _INDEX_LIMIT primes."""
+    over = past is None and count > _INDEX_LIMIT
+    while over or (len(_primes) < count and (past is None or past >= _prime_limit)):
+        if over or len(_primes) >= _INDEX_LIMIT:
+            raise BudgetExceeded(
+                f"prime index {count} exceeds the fixed limit {_INDEX_LIMIT}")
         _extend_primes_upto(_prime_limit * 2)
 
 
-def nth_prime(i: int, config: ToolConfig = DEFAULT_CONFIG) -> int:
+def nth_prime(i: int) -> int:
     """The i-th prime, 1-indexed: nth_prime(1) == 2."""
     if i < 1:
         raise ValueError("prime indices start at 1")
-    _ensure_prime_count(i, config.prime_index_budget)
+    _ensure_prime_count(i)
     return _primes[i - 1]
-
-
-def prime_index(p: int, config: ToolConfig = DEFAULT_CONFIG) -> int:
-    """Inverse of nth_prime; rejects non-primes."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if p >= _prime_limit and len(_primes) >= config.prime_index_budget:
-        raise BudgetExceeded(f"prime {p} beyond enumerable range (prime_index_budget)")
-    _extend_primes_upto(p)
-    return bisect.bisect_left(_primes, p) + 1
 
 
 def _check_sieve_request(limit: int, config: ToolConfig) -> None:
@@ -429,8 +421,8 @@ def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG)
 # explicit primes during normalization, which makes the normal form of every
 # practically constructible value unique.
 _EXPAND_LIMIT = 512
-# The largest prime index normalization enumerates, fixed at the default
-# prime_index_budget so that no config changes a normal form.
+# The largest prime index the prime list is grown to, fixed so that no
+# config changes a normal form.
 _INDEX_LIMIT = 10_000_000
 
 
@@ -469,7 +461,7 @@ class FactoredNatural:
     already in this form.
     """
 
-    # _value caches to_integer as (bit_budget, prime_index_budget, result)
+    # _value caches to_integer as (bit_budget, result)
     # is_plain: no intervals and only int exponents, so the normal form is
     # unique.  _bitlen_lb caches _value_bitlen_lb, which reads no budget.
     __slots__ = ("explicit", "intervals", "is_plain", "_hash", "_bitlen_lb", "_value")
@@ -522,7 +514,7 @@ class FactoredNatural:
         for lo, hi in norm_ivals:
             if (isinstance(hi, int) and hi - lo + 1 <= _EXPAND_LIMIT
                     and hi <= _INDEX_LIMIT):
-                _ensure_prime_count(hi, _INDEX_LIMIT)
+                _ensure_prime_count(hi)
                 pairs.extend((q, 1) for q in _primes[lo - 1:hi])
             else:
                 final_ivals.append((lo, hi))
@@ -617,15 +609,14 @@ def _prod(values: list[int]) -> int:
 def to_integer(x: FactoredNatural, config: ToolConfig = DEFAULT_CONFIG):
     """Exact integer value, or OVERFLOW if it busts the bit budget.
 
-    Computed at most once per object and budget pair: the result is kept
-    on x, so it is freed with x and a call under other budgets recomputes.
+    Computed at most once per object and bit budget: the result is kept on
+    x, so it is freed with x and a call under another bit budget recomputes.
     """
     cached = x._value
-    if (cached is not None and cached[0] == config.bit_budget
-            and cached[1] == config.prime_index_budget):
-        return cached[2]
+    if cached is not None and cached[0] == config.bit_budget:
+        return cached[1]
     value = _materialise(x, config)
-    x._value = (config.bit_budget, config.prime_index_budget, value)
+    x._value = (config.bit_budget, value)
     return value
 
 
@@ -652,9 +643,9 @@ def _materialise(x: FactoredNatural, config: ToolConfig):
         count = hv - lo + 1
         if count > budget:  # each prime contributes >= 1 bit
             return OVERFLOW
-        # a short interval past the prime-index budget may still fit the bit
-        # budget, so it is refused rather than reported as OVERFLOW
-        _ensure_prime_count(hv, config.prime_index_budget)
+        # a short interval past _INDEX_LIMIT may still fit the bit budget,
+        # so it is refused rather than reported as OVERFLOW
+        _ensure_prime_count(hv)
         piece = _prod(_primes[lo - 1:hv])
         acc_bits += piece.bit_length()
         if acc_bits > budget + len(pieces):
@@ -738,7 +729,7 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
             x_bits = max(1, sum(e * p.bit_length() for p, e in x.explicit))
             if x_bits < _value_bitlen_lb(y):
                 return True
-    if _least_prime(a, config) != _least_prime(b, config):
+    if _least_prime(a) != _least_prime(b):
         return True
     av, bv = to_integer(a, config), to_integer(b, config)
     if av is not OVERFLOW and bv is not OVERFLOW:
@@ -772,7 +763,7 @@ def _nth_prime_within(i: int, p: int) -> Optional[int]:
     only until it holds q_i or every prime up to p.  In the second case it
     holds all primes below _prime_limit > p but fewer than i of them, so
     q_i >= _prime_limit > p."""
-    _ensure_prime_count(i, _INDEX_LIMIT, past=p)
+    _ensure_prime_count(i, past=p)
     return _primes[i - 1] if len(_primes) >= i else None
 
 
@@ -799,7 +790,7 @@ def pairwise_all_different(values: list[FactoredNatural],
         return None
     buckets: dict[int, list[int]] = {}
     for i, v in enumerate(values):
-        buckets.setdefault(_least_prime(v, config), []).append(i)
+        buckets.setdefault(_least_prime(v), []).append(i)
     for bucket in buckets.values():
         for a in range(len(bucket)):
             for b in range(a + 1, len(bucket)):
@@ -808,8 +799,8 @@ def pairwise_all_different(values: list[FactoredNatural],
     return None
 
 
-def _least_prime(x: FactoredNatural, config: ToolConfig) -> int:
+def _least_prime(x: FactoredNatural) -> int:
     """The smallest prime factor of x's value (1 for the value 1)."""
     candidates = [p for p, _ in x.explicit[:1]]
-    candidates += [nth_prime(lo, config) for lo, _ in x.intervals[:1]]
+    candidates += [nth_prime(lo) for lo, _ in x.intervals[:1]]
     return min(candidates, default=1)

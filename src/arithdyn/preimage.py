@@ -282,8 +282,7 @@ def inverse_phi(m: int, config: ToolConfig = DEFAULT_CONFIG) -> PreimageResult:
     return PreimageResult(m, _invert(PHI, m, None, config), COMPLETE)
 
 
-def nonfinite_fibre_witness(f: FunctionId, target: int, count: int,
-                            config: ToolConfig = DEFAULT_CONFIG) -> list[int]:
+def nonfinite_fibre_witness(f: FunctionId, target: int, count: int) -> list[int]:
     """`count` distinct fibre members certifying f^-1(target) beats any
     finite bound: all primes sit in omega^-1(1), Omega^-1(1) and d_k^-1(k)
     (FunctionId.infinite_fibre)."""
@@ -294,7 +293,7 @@ def nonfinite_fibre_witness(f: FunctionId, target: int, count: int,
         raise ValueError(f"the catalogued infinite fibre of {f} sits over {expected}")
     if count < 1:
         raise ValueError("count >= 1")
-    return [nth_prime(i, config) for i in range(1, count + 1)]
+    return [nth_prime(i) for i in range(1, count + 1)]
 
 
 def fibre_table(f: FunctionId, bound: int,

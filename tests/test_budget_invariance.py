@@ -12,6 +12,10 @@ may read OVERFLOW on one side only when its "factored" string is equal.
 Each key runs in a fresh process, its shrunk side first, so that prime
 tables filled by an earlier run cannot hide a refusal that fires only while
 they are filled.  There is no list of expected differences.
+
+A key that no code reads would pass that check vacuously, so each key must
+also be live: under its shrunk value at least one command that runs at
+defaults exits 2 naming it.
 """
 import json
 import os
@@ -22,14 +26,13 @@ from pathlib import Path
 
 import pytest
 
-from arithdyn.config import DEFAULT_CONFIG
+from arithdyn.config import DEFAULT_CONFIG, ToolConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
 # key -> (shrunk, raised)
 VALUES = {
     "sieve_bound": (5000, 2 * DEFAULT_CONFIG.sieve_bound),
-    "prime_index_budget": (50, 2 * DEFAULT_CONFIG.prime_index_budget),
     "bit_budget": (20, 2 * DEFAULT_CONFIG.bit_budget),
     "inverse_phi_budget": (500, 2 * DEFAULT_CONFIG.inverse_phi_budget),
     "depth_cap": (10, 2 * DEFAULT_CONFIG.depth_cap),
@@ -108,3 +111,13 @@ def test_a_budget_changes_no_report(key):
             lower = got if value == shrunk else want
             if not (lower[0] == 2 and key in lower[3]):
                 assert want[:2] == got[:2] and same(want[2], got[2]), (where, want, got)
+
+
+@pytest.mark.parametrize("key", ToolConfig._fields)
+def test_each_key_is_read(key):
+    assert key in VALUES, f"{key} has no shrunk and raised value here"
+    argvs, (shrunk, _) = outcomes(key, VALUES[key])
+    _, (defaults,) = outcomes("", (None,))
+    refused = [argv for argv, want, got in zip(argvs, defaults, shrunk)
+               if want[0] != 2 and got[0] == 2 and f"({key})" in got[3]]
+    assert refused, f"no command refuses under {key}={VALUES[key][0]}"

@@ -599,10 +599,12 @@ def test_config_file(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
     # the brute-force oracle is a test helper, so its two budgets are no
-    # keys; nor are the six per-scheme depth caps that two keys replaced
+    # keys; nor are the six per-scheme depth caps that two keys replaced,
+    # nor the prime-index budget that duplicated the fixed _INDEX_LIMIT
     for key in ("unknown_key", "oracle_tuple_budget", "oracle_value_budget",
                 "depth_cap_phi_anti", "depth_cap_d_anti", "depth_cap_omega_anti",
-                "depth_cap_smallomega_anti", "depth_cap_psi_orbit", "depth_cap_j2_orbit"):
+                "depth_cap_smallomega_anti", "depth_cap_psi_orbit", "depth_cap_j2_orbit",
+                "prime_index_budget"):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({key: 1}))
         code, out = run_cli("eval", "--fn", "phi", "--n", "2", "--config", str(bad))
@@ -767,17 +769,17 @@ def test_sieve_refusal_names_its_key(capsys):
 
 
 @pytest.mark.parametrize("key, config, argv", [
-    ("prime_index_budget", {"prime_index_budget": 3}, ["verify-lemma", "smallomega-antiorbit"]),
+    ("depth_cap", {"depth_cap": 10}, ["verify-lemma", "phi-antiorbit"]),
     ("inverse_phi_budget", {}, ["preimage", "--fn", "phi", "--m", "2000000"]),
     ("sieve_bound", {"sieve_bound": 100}, ["table", "connectivity", "--bound", "200"]),
     ("tower_depth_cap", {"tower_depth_cap": 3},
      ["verify-lemma", "d-antiorbit", "--families", "2", "--depth", "4"]),
     ("bit_budget", {"bit_budget": 64}, ["orbit", "--fn", "psi", "--n", "2", "--depth", "100"]),
-    # a family's prime is looked up under the run's config, not the default
-    ("prime_index_budget", {"prime_index_budget": 3},
-     ["family", "--scheme", "omega-anti", "--index", "5", "--depth", "2"]),
-    ("prime_index_budget", {"prime_index_budget": 3},
-     ["verify-lemma", "omega-antiorbit", "--families", "5", "--depth", "3"]),
+    # a pointwise lemma sieves up to its bound
+    ("sieve_bound", {"sieve_bound": 100},
+     ["verify-lemma", "separation", "--fn", "psi", "--bound", "1000"]),
+    # a forward search refuses an orbit the bit budget stops
+    ("bit_budget", {"bit_budget": 20}, ["search", "--fn", "psi"]),
     # a phi closure expanding a node past inverse_phi_budget
     ("inverse_phi_budget", {"inverse_phi_budget": 100},
      ["min-open", "--fn", "phi", "--n", "2", "--scan-bound", "1000"]),

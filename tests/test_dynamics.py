@@ -330,8 +330,9 @@ def test_distinct_tower_terms_compare_without_walking_the_chain(monkeypatch):
     assert len(calls) <= 40
 
 
-LINK_OFFSET = {dy.Scheme.D_ANTI: lambda p: -1, dy.Scheme.OMEGA_ANTI: lambda p: 0,
-               dy.Scheme.SMALL_OMEGA_ANTI: lambda p: factorint.prime_index(p) - 1}
+# p = q_(index + 1) for smallomega-anti, so the offset j - 1 is the index
+LINK_OFFSET = {dy.Scheme.D_ANTI: lambda spec: -1, dy.Scheme.OMEGA_ANTI: lambda spec: 0,
+               dy.Scheme.SMALL_OMEGA_ANTI: lambda spec: spec.index}
 
 
 def _link(scheme, term):
@@ -352,7 +353,7 @@ def test_tower_note_and_links_agree_with_integers(scheme, bit_budget):
     for index in range(1, 11):
         spec = dy.FamilySpec(scheme, index)
         terms = dy.family_terms(spec, cap, config)
-        offset = LINK_OFFSET[scheme](spec.prime())
+        offset = LINK_OFFSET[scheme](spec)
         symbolic = [False]  # the first term, p, has no link
         for prev, term in zip(terms, terms[1:]):
             link = _link(scheme, term)

@@ -13,7 +13,7 @@ from arithdyn.config import DEFAULT_CONFIG, ToolConfig
 from arithdyn.factorint import (
     BudgetExceeded, ComparisonUndecided, DeferredValue, FactoredNatural, OVERFLOW,
     certainly_different, factorize, factored_range, is_prime,
-    nat_add, nth_prime, pairwise_all_different, prime_index,
+    nat_add, nth_prime, pairwise_all_different,
     prime_factors, primes_upto, smallest_factor_table, to_integer,
 )
 
@@ -46,22 +46,27 @@ def test_to_integer_large_but_in_budget():
 
 
 def test_nth_prime_and_index():
-    assert nth_prime(1) == 2
-    assert nth_prime(4) == 7
-    assert prime_index(3) == 2
-    assert prime_index(2) == 1
-    for p in (2, 3, 5, 97, 104729):
-        assert nth_prime(prime_index(p)) == p
-    with pytest.raises(ValueError):
-        prime_index(4)
+    for i, p in ((1, 2), (2, 3), (3, 5), (4, 7), (25, 97), (10_000, 104_729)):
+        assert nth_prime(i) == p
     with pytest.raises(ValueError):
         nth_prime(0)
 
 
 def test_nth_prime_budget():
-    tiny = DEFAULT_CONFIG.replace(prime_index_budget=10)
-    with pytest.raises(BudgetExceeded):
-        nth_prime(11, tiny)
+    size = len(factorint._primes)
+    with pytest.raises(BudgetExceeded, match="fixed limit 10000000"):
+        nth_prime(factorint._INDEX_LIMIT + 1)
+    assert len(factorint._primes) == size  # refused before the list grows
+
+
+@pytest.mark.parametrize("explicit", [2, 1_000_003])
+def test_interval_past_the_index_limit_beside_a_smaller_prime(explicit):
+    # q_lo > explicit is certain once the list covers every prime up to
+    # `explicit`, so the constructor needs no prime past the limit
+    ivals = ((factorint._INDEX_LIMIT + 1, factorint._INDEX_LIMIT + 600),)
+    x = FactoredNatural(((explicit, 1),), ivals)
+    assert x.explicit == ((explicit, 1),) and x.intervals == ivals
+    assert len(factorint._primes) < factorint._INDEX_LIMIT
 
 
 def test_nth_prime_strictly_increasing_to_1e5():
@@ -426,7 +431,7 @@ def test_certified_distinctness_intervals():
 
 
 def test_equal_interval_values_never_certified_different():
-    # 2 * q[2..D] == q[1..D]; D = 2^30 is past the prime-index budget, so
+    # 2 * q[2..D] == q[1..D]; D = 2^30 is past the fixed prime-index limit, so
     # neither side materialises and the pair must stay undecided
     d = DeferredValue(FactoredNatural(((2, 30),)), 0)
     a = FactoredNatural(((2, 1),), ((2, d),))
@@ -451,14 +456,18 @@ def test_explicit_prime_next_to_an_interval_is_not_certified_different():
         pairwise_all_different([a, b], tight)
 
 
-def test_short_interval_past_prime_index_budget_is_refused():
-    # equal values; OVERFLOW for the interval would certify them different
-    tight = DEFAULT_CONFIG.replace(prime_index_budget=100)
-    a = FactoredNatural((), ((101, 700),))
+def test_short_interval_past_prime_index_budget_is_refused(monkeypatch):
+    # equal values; OVERFLOW for the interval would certify them different.
+    # The fixed prime-index limit is lowered to 100 once b is built.
     b = FactoredNatural([(nth_prime(i), 1) for i in range(101, 701)])
-    assert to_integer(a) == to_integer(b)
+    monkeypatch.setattr(factorint, "_INDEX_LIMIT", 100)
+    a = FactoredNatural((), ((101, 700),))
     with pytest.raises(BudgetExceeded):
-        pairwise_all_different([a, b], tight)
+        to_integer(a)
+    with pytest.raises(BudgetExceeded):
+        pairwise_all_different([a, b])
+    monkeypatch.undo()
+    assert to_integer(a) == to_integer(b)
 
 
 def test_to_integer_materialises_once_per_object():

@@ -86,8 +86,7 @@ def test_function_id_keeps_its_at_prime_tail():
 def test_config_snapshot_in_field_order():
     snap = ToolConfig().snapshot()
     assert list(snap) == list(ToolConfig._fields)
-    assert list(snap)[:4] == ["sieve_bound", "prime_index_budget", "bit_budget",
-                              "inverse_phi_budget"]
+    assert list(snap)[:3] == ["sieve_bound", "bit_budget", "inverse_phi_budget"]
     assert ToolConfig(**snap) == ToolConfig()
     assert ToolConfig().replace(bit_budget=64).snapshot() == {**snap, "bit_budget": 64}
 
