@@ -23,7 +23,9 @@ separation lemma for psi and phi at bound 1000, every pointwise lemma
 (the ids that read --fn) for sigma_2 and phi_star at bound 300, each
 passing for one of them and failing or refused for the other, the phi
 tau-closure of 2 at the closure benchmark's scan bound and the one-node
-closure of 3 under a large one, the size refusals of `preimage`, `min-open` and
+closure of 3 under a large one, a backward phi search of depth 7 whose
+second family inverts phi at 729 (so an inverse_phi_budget of 500
+refuses it), the size refusals of `preimage`, `min-open` and
 `partition-demo`, the refusals of options a command does not read (among
 them a bound where fibres are complete, and `--families` on the lemma
 listing), of `--list` after a lemma id, of `--k`/`--l`, of the dropped
@@ -113,7 +115,9 @@ def commands() -> list[list[str]]:
             ["search", "--fn", "psi", "--max-start", "8", "--max-depth", "8",
              "--max-families", "2"],
             ["search", "--fn", "phi", "--direction", "backward", "--max-start", "10",
-             "--max-depth", "4", "--max-families", "2"]]
+             "--max-depth", "4", "--max-families", "2"],
+            ["search", "--fn", "phi", "--direction", "backward", "--max-start", "10",
+             "--max-depth", "7", "--max-families", "3"]]
     # every catalogue family's closed form, at n = 720 and at a prime power,
     # and the complete inverter of every expansive family
     out += [["eval", "--fn", name, "--n", str(n)]

@@ -15,7 +15,8 @@ class ToolConfig(NamedTuple):
     # of phi's fibre table.
     sieve_bound: int = 10_000_000
     # Bit budget for materialising a factored natural as a plain integer
-    # (OVERFLOW past it); it never picks a term's structure (LINK_BITS does).
+    # (OVERFLOW past it); it never picks a term's structure (LINK_BITS does),
+    # and no certified comparison reads it.
     bit_budget: int = 4_000_000
     # inverse_phi refuses targets above this.
     inverse_phi_budget: int = 1_000_000

@@ -36,7 +36,6 @@ from .arithfun import (
 from .factorint import (
     BudgetExceeded, DeferredValue, FactoredNatural, OVERFLOW, _factored,
     _value_bitlen_lb, factorize, nat_resolve, nth_prime, pairwise_all_different, prime_factors,
-    to_integer,
 )
 from .preimage import fibres, preimage_closure
 from .reports import CheckedRecord, Counterexample, VerificationReport
@@ -202,7 +201,7 @@ def _check_families(lemma: str, f: FunctionId, anti: bool,
                 return report("FAIL", counterexample=Counterexample(family, i + 1, dst, got))
         all_terms.extend(terms)
         owner.extend((fam_no, i + 1) for i in range(len(terms)))
-    collision = pairwise_all_different(all_terms, config)
+    collision = pairwise_all_different(all_terms)
     if collision is not None:
         a, b = collision
         fam_a, pos_a = owner[a]
@@ -552,21 +551,17 @@ def _orbit_chain(f: FunctionId, depth: int, config: ToolConfig, start: int,
 def _antiorbit_chain(f: FunctionId, budget: SearchBudget,
                      config: ToolConfig) -> Callable[[int, set[int]], Optional[list[int]]]:
     """chain(start, used): the first chain of max_depth fresh preimages
-    from start, depth first, or None; one fibre lookup serves every start."""
+    from start, depth first, or None; one fibre lookup serves every start.
+    A fibre the lookup refuses (phi past inverse_phi_budget) refuses the
+    search, never drops the node."""
     fibre = fibres(f, budget.scan_bound, config).of
-
-    def preimages(y: int) -> Sequence[int]:
-        try:
-            return fibre(y)
-        except BudgetExceeded:  # phi past inverse_phi_budget
-            return []
 
     def chain(start: int, used: set[int]) -> Optional[list[int]]:
         # untried[i] iterates the untried preimages of values[i]
         values, seen, untried = [start], {start}, []
         while len(values) < budget.max_depth:
             if len(untried) < len(values):
-                untried.append(iter(preimages(values[-1])))
+                untried.append(iter(fibre(values[-1])))
             x = next((x for x in untried[-1] if x not in seen and x not in used), None)
             if x is not None:
                 values.append(x)

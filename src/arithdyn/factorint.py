@@ -18,12 +18,13 @@ result of :func:`to_integer`, which any thread may fill with the same value.
 Prime tables are grown lazily and only ever appended to, so concurrent
 readers are safe.
 
-Three rules keep certified comparisons cheap:
+Three rules keep values and certified comparisons cheap:
 
-* structure decides before values do: :func:`certainly_different` tries
-  structural equality, plainness, the exponents of shared explicit primes,
-  same-lo interval reach, magnitude and smallest prime factors, in that
-  order, and materialises both values only when none of them decides;
+* structure alone decides: :func:`certainly_different` tries structural
+  equality, plainness, the exponents of shared explicit primes, same-lo
+  interval reach and magnitude, in that order, and raises
+  ComparisonUndecided when none of them decides; it never materialises a
+  value, so no budget decides a comparison;
 * a *plain* value (int exponents, no intervals) has a unique normal form by
   unique factorization, so two plain values are equal exactly when their
   structures are, and :func:`pairwise_all_different` decides every
@@ -395,7 +396,7 @@ def _nat_bitlen_lb(u: Nat) -> int:
     return 1
 
 
-def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG) -> bool:
+def nat_certainly_different(u: Nat, v: Nat) -> bool:
     """True only when u != v is certain; False means 'not certified'.
 
     Decides two ints, two deferred values with equal offsets (by their
@@ -406,7 +407,7 @@ def nat_certainly_different(u: Nat, v: Nat, config: ToolConfig = DEFAULT_CONFIG)
         if u.offset != v.offset:
             return False
         try:
-            return certainly_different(u.base, v.base, config)
+            return certainly_different(u.base, v.base)
         except ComparisonUndecided:
             return False
     small, big = (u, v) if isinstance(u, int) else (v, u)
@@ -694,18 +695,16 @@ def _bitlen_lb_of(x: FactoredNatural) -> int:
     return min(bits, _SAT_BITS)
 
 
-def certainly_different(a: FactoredNatural, b: FactoredNatural,
-                        config: ToolConfig = DEFAULT_CONFIG) -> bool:
+def certainly_different(a: FactoredNatural, b: FactoredNatural) -> bool:
     """Certify value(a) != value(b); structural equality certifies equality.
 
     Rules, in order, until one decides: (1) structural equality; (2) two
     plain values (see FactoredNatural.is_plain) differ; (3) a prime explicit
     in both with certainly different exponents; (4) with the same explicit
-    part, same-lo intervals with certainly different ends; (5) magnitude;
-    (6) different smallest prime factors, late so that the recursion
-    through rule 3 seldom pays for it; (7) both values materialised.
-    Raises ComparisonUndecided when neither direction can be certified
-    (does not occur for the families this toolkit builds).
+    part, same-lo intervals with certainly different ends; (5) magnitude.
+    No rule materialises a value, so no budget decides the answer.  Raises
+    ComparisonUndecided when neither direction can be certified (does not
+    occur for the families this toolkit builds).
     """
     if a == b:
         return False
@@ -714,14 +713,14 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
     pb = dict(b.explicit)
     for p, ea in a.explicit:
         eb = pb.get(p)
-        if eb is not None and nat_certainly_different(ea, eb, config):
+        if eb is not None and nat_certainly_different(ea, eb):
             return True
     # Only with the same explicit part: an explicit prime next to an
     # interval can stand for the interval's missing end
     # (7927*q[10..1000] == q[10..1001], 7927 = q[1001])
     if a.explicit == b.explicit and len(a.intervals) == len(b.intervals):
         for (lo1, hi1), (lo2, hi2) in zip(a.intervals, b.intervals):
-            if lo1 == lo2 and nat_certainly_different(hi1, hi2, config):
+            if lo1 == lo2 and nat_certainly_different(hi1, hi2):
                 return True
     # magnitude: p^e has at most e * bits(p) bits
     for x, y in ((a, b), (b, a)):
@@ -729,13 +728,6 @@ def certainly_different(a: FactoredNatural, b: FactoredNatural,
             x_bits = max(1, sum(e * p.bit_length() for p, e in x.explicit))
             if x_bits < _value_bitlen_lb(y):
                 return True
-    if _least_prime(a) != _least_prime(b):
-        return True
-    av, bv = to_integer(a, config), to_integer(b, config)
-    if av is not OVERFLOW and bv is not OVERFLOW:
-        return av != bv
-    if av is not OVERFLOW or bv is not OVERFLOW:
-        return True  # one fits the bit budget and the other does not
     raise ComparisonUndecided(f"cannot compare {a!r} and {b!r}")
 
 
@@ -767,8 +759,7 @@ def _nth_prime_within(i: int, p: int) -> Optional[int]:
     return _primes[i - 1] if len(_primes) >= i else None
 
 
-def pairwise_all_different(values: list[FactoredNatural],
-                           config: ToolConfig = DEFAULT_CONFIG) -> Optional[tuple[int, int]]:
+def pairwise_all_different(values: list[FactoredNatural]) -> Optional[tuple[int, int]]:
     """Index pair (i, j), i < j, of a certified collision, or None if all
     values are distinct.
 
@@ -779,7 +770,8 @@ def pairwise_all_different(values: list[FactoredNatural],
     prime factor, which the structure gives for certain (the first explicit
     prime or q_lo of the first interval).  Values in different buckets
     differ by unique factorization, so only pairs inside a bucket go
-    through certainly_different.
+    through certainly_different, which decides from structure alone or
+    raises ComparisonUndecided; no budget decides the answer.
     """
     seen: dict[FactoredNatural, int] = {}
     for i, v in enumerate(values):
@@ -794,7 +786,7 @@ def pairwise_all_different(values: list[FactoredNatural],
     for bucket in buckets.values():
         for a in range(len(bucket)):
             for b in range(a + 1, len(bucket)):
-                if not certainly_different(values[bucket[a]], values[bucket[b]], config):
+                if not certainly_different(values[bucket[a]], values[bucket[b]]):
                     return bucket[a], bucket[b]
     return None
 

@@ -829,6 +829,22 @@ def test_search_backward(fn, depth, candidates):
     assert doc["results"]["candidates"] == candidates
 
 
+def test_search_backward_phi_refuses_past_the_inverse_phi_budget(tmp_path, capsys):
+    # the second family inverts phi at 729, so a budget of 500 refuses the
+    # whole search rather than a part of its report
+    argv = ("search", "--fn", "phi", "--direction", "backward", "--max-start", "10",
+            "--max-depth", "7", "--max-families", "3")
+    code, doc = run_json(*argv)
+    assert code == 0 and doc["results"]["candidates"] == [
+        [2, 4, 8, 16, 32, 64, 85], [6, 18, 54, 162, 486, 1458, 1459]]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"inverse_phi_budget": 500}')
+    code, out = run_cli(*argv, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == (
+        "error: inverse_phi target 729 over budget (inverse_phi_budget)\n")
+
+
 def test_table_refuses_depth_past_the_cap(capsys):
     # phi-anti, psi-orbit and j2-orbit run at --depth; their cap is 10000
     code, out = run_cli("table", "orbit-numbers", "--depth", "10001", "--bound", "100")

@@ -152,9 +152,9 @@ def test_verify_disjoint_compares_in_one_pass(monkeypatch, scheme):
     calls = []
     real = dy.pairwise_all_different
 
-    def spy(values, config=DEFAULT_CONFIG):
+    def spy(values):
         calls.append(len(values))
-        return real(values, config)
+        return real(values)
 
     monkeypatch.setattr(dy, "pairwise_all_different", spy)
     depth = min(dy.scheme_depth_cap(scheme, DEFAULT_CONFIG), 8)
@@ -196,8 +196,7 @@ def test_verify_disjoint_threads_its_config(monkeypatch, scheme):
         seen.append(config)
         return real(x, config)
 
-    for module in (factorint, dy):
-        monkeypatch.setattr(module, "to_integer", spy)
+    monkeypatch.setattr(factorint, "to_integer", spy)
     got = dy.verify_disjoint(specs, depth, small)
     assert (got.status, got.certified_bound) == (want.status, want.certified_bound)
     assert all(config is small for config in seen)
@@ -308,6 +307,17 @@ def test_towers_certify_past_the_default_caps(scheme, bit_budget):
     assert rep.certified_bound.endswith(">= 5 certified at depth 20")
 
 
+@pytest.mark.parametrize("scheme", TOWER_SCHEMES)
+def test_tower_certificates_materialise_no_value(monkeypatch, scheme):
+    def refuse(x, config):
+        raise AssertionError(f"materialised {x!r}")
+
+    monkeypatch.setattr(factorint, "_materialise", refuse)
+    config = DEFAULT_CONFIG.replace(tower_depth_cap=20)
+    rep = dy.verify_disjoint(dy.default_family_specs(scheme, 5), 20, config)
+    assert rep.passed, rep.counterexample
+
+
 def test_distinct_tower_terms_compare_without_walking_the_chain(monkeypatch):
     # each d-anti term holds the one before as its exponent's base, so a
     # comparison that recursed into equal-offset bases would visit every
@@ -326,7 +336,7 @@ def test_distinct_tower_terms_compare_without_walking_the_chain(monkeypatch):
     assert not terms[-1] == terms[-2]
     assert len(calls) <= 2
     calls.clear()
-    assert factorint.certainly_different(terms[-1], terms[-2], config)
+    assert factorint.certainly_different(terms[-1], terms[-2])
     assert len(calls) <= 40
 
 

@@ -421,18 +421,19 @@ def test_certified_distinctness_intervals():
     a = FactoredNatural(((3, 1),), ((3, 10 ** 40),))
     b = FactoredNatural(((3, 1),), ((3, DeferredValue(a, 1)),))
     assert certainly_different(a, b)
-    # both overflow, under the default budget and a 64-bit one: the
-    # smallest prime factors (3 and 5) decide across families
+    # both overflow, under the default budget and a 64-bit one; whichever
+    # budget materialised them last, the buckets of pairwise_all_different
+    # (smallest primes 3 and 5) decide
     c = FactoredNatural(((5, 1),), ((4, 10 ** 40),))
-    assert certainly_different(a, c)
     tight = DEFAULT_CONFIG.replace(bit_budget=64)
-    assert to_integer(a, tight) is OVERFLOW and to_integer(c, tight) is OVERFLOW
-    assert certainly_different(a, c, tight)
+    for config in (DEFAULT_CONFIG, tight):
+        assert to_integer(a, config) is OVERFLOW and to_integer(c, config) is OVERFLOW
+        assert pairwise_all_different([a, c]) is None
 
 
 def test_equal_interval_values_never_certified_different():
-    # 2 * q[2..D] == q[1..D]; D = 2^30 is past the fixed prime-index limit, so
-    # neither side materialises and the pair must stay undecided
+    # 2 * q[2..D] == q[1..D], D = 2^30: no structural rule decides the
+    # pair, so it must stay undecided
     d = DeferredValue(FactoredNatural(((2, 30),)), 0)
     a = FactoredNatural(((2, 1),), ((2, d),))
     b = FactoredNatural((), ((1, d),))
@@ -443,22 +444,23 @@ def test_equal_interval_values_never_certified_different():
 
 
 def test_explicit_prime_next_to_an_interval_is_not_certified_different():
-    # 7927 = q[1001], so 7927*q[10..1000] == q[10..1001]; under a 64-bit
-    # budget both overflow and only the same-lo rule could decide the pair
-    tight = DEFAULT_CONFIG.replace(bit_budget=64)
+    # 7927 = q[1001], so 7927*q[10..1000] == q[10..1001]; only the same-lo
+    # rule could decide the pair, and the values, equal, are never read
     assert nth_prime(1001) == 7927
     a = FactoredNatural(((7927, 1),), ((10, 1000),))
     b = FactoredNatural((), ((10, 1001),))
     assert to_integer(a) == to_integer(b)
     with pytest.raises(ComparisonUndecided):
-        certainly_different(a, b, tight)
+        certainly_different(a, b)
     with pytest.raises(ComparisonUndecided):
-        pairwise_all_different([a, b], tight)
+        pairwise_all_different([a, b])
 
 
 def test_short_interval_past_prime_index_budget_is_refused(monkeypatch):
-    # equal values; OVERFLOW for the interval would certify them different.
-    # The fixed prime-index limit is lowered to 100 once b is built.
+    # equal values; to_integer refuses the interval rather than report
+    # OVERFLOW, and pairwise_all_different refuses at nth_prime(101), which
+    # buckets a by its smallest prime.  The fixed prime-index limit is
+    # lowered to 100 once b is built.
     b = FactoredNatural([(nth_prime(i), 1) for i in range(101, 701)])
     monkeypatch.setattr(factorint, "_INDEX_LIMIT", 100)
     a = FactoredNatural((), ((101, 700),))
@@ -473,6 +475,14 @@ def test_short_interval_past_prime_index_budget_is_refused(monkeypatch):
 def test_to_integer_materialises_once_per_object():
     x = FactoredNatural(((3, 100_000),))
     assert to_integer(x) is to_integer(x)
+
+
+def _outcome(compare, *args):
+    """compare(*args), or ComparisonUndecided when it raises that."""
+    try:
+        return compare(*args)
+    except ComparisonUndecided:
+        return ComparisonUndecided
 
 
 def _assert_collision_is_exact(got, ints):
@@ -491,20 +501,21 @@ def test_pairwise_plain_agrees_with_int_distinctness(ns, m, data):
     values = [FactoredNatural((p, e * m) for p, e in factorize(n).explicit)
               for n in ns]
     ints = [to_integer(v) for v in values]
-    tight = ToolConfig(bit_budget=64)
-    for config in (DEFAULT_CONFIG, tight):
-        _assert_collision_is_exact(pairwise_all_different(values, config), ints)
+    _assert_collision_is_exact(pairwise_all_different(values), ints)
     # mixed shapes (deferred exponents and interval ends); a repeated shape
     # in another form is an equal value that is structurally different
     shapes = data.draw(st.lists(_value_shapes(), min_size=1, max_size=4))
     picks = data.draw(st.lists(st.sampled_from(shapes), min_size=1, max_size=6))
     values = [data.draw(_forms(shape)) for shape in picks]
     ints = [to_integer(v) for v in values]
-    _assert_collision_is_exact(pairwise_all_different(values), ints)
-    try:
-        _assert_collision_is_exact(pairwise_all_different(values, tight), ints)
-    except ComparisonUndecided:  # a pair that no rule decides under 64 bits
-        pass
+    got = _outcome(pairwise_all_different, values)
+    if got is not ComparisonUndecided:  # a pair that no rule decides
+        _assert_collision_is_exact(got, ints)
+    # the same outcome with every value materialised under 64 bits
+    tight = ToolConfig(bit_budget=64)
+    for v in values:
+        to_integer(v, tight)
+    assert _outcome(pairwise_all_different, values) == got
 
 
 @given(st.integers(min_value=64, max_value=5000), st.booleans())
@@ -595,16 +606,32 @@ def test_symbolic_rules_agree_with_integers_under_a_small_budget(data):
     shape_a = data.draw(_value_shapes())
     shape_b = shape_a if data.draw(st.booleans()) else data.draw(_value_shapes())
     a, b = data.draw(_forms(shape_a)), data.draw(_forms(shape_b))
-    try:
-        different = certainly_different(a, b, tight)
-    except ComparisonUndecided:
-        different = None
+    for v in (a, b):
+        to_integer(v, tight)
+    different = _outcome(certainly_different, a, b)
     ia, ib = to_integer(a), to_integer(b)
     assert ia is not OVERFLOW and ib is not OVERFLOW
-    # the structural rules run first under the default budget too, before
-    # the integers that decide every remaining pair
-    assert certainly_different(a, b) == (ia != ib)
-    if different is not None:
+    # the same decision, or the same refusal, with the values cached under
+    # the default budget as under 64 bits
+    assert _outcome(certainly_different, a, b) == different
+    if different is not ComparisonUndecided:
         assert different == (ia != ib)
     if shape_a == shape_b:
         assert different is not True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_certified_comparison_materialises_no_value(data):
+    # equal shapes in other forms are pairs that structure alone must
+    # decide or refuse; no value, under any budget, may decide them
+    shape_a = data.draw(_value_shapes())
+    shape_b = shape_a if data.draw(st.booleans()) else data.draw(_value_shapes())
+    a, b = data.draw(_forms(shape_a)), data.draw(_forms(shape_b))
+
+    def refuse(x, config):
+        raise AssertionError(f"materialised {x!r}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factorint, "_materialise", refuse)
+        _outcome(certainly_different, a, b)

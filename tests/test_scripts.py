@@ -55,7 +55,7 @@ def test_cli_battery_runs_every_command():
     proc = run_script("cli_battery.py")
     assert proc.returncode == 0, proc.stderr
     blocks = proc.stdout.split("$ arithdyn ")[1:]
-    assert len(blocks) == 157
+    assert len(blocks) == 158
     codes = {}
     for block in blocks:
         argv, code = block.splitlines()[:2]
